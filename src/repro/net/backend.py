@@ -1,8 +1,9 @@
-"""NetBackend — the third runtime backend: learners and PS shards are
-separate OS processes talking TCP, discovered through a cluster spec.
+"""NetBackend — the TCP transport of the process-backend core: learners and
+PS shards are separate OS processes talking framed sockets, discovered
+through a cluster spec.
 
-The same trainer coroutines that run in virtual time on ``SimBackend`` and
-over shared memory on ``MPBackend`` run here against real sockets:
+:mod:`repro.runtime.process_backend` holds what every real substrate does;
+this module adds how ``net`` moves bytes and notices death:
 
 * **Collectives** are a TCP ring: each rank holds one connection to its
   successor and one from its predecessor (established lazily from the
@@ -10,32 +11,24 @@ over shared memory on ``MPBackend`` run here against real sockets:
   chunked ring (p−1 reduce-scatter steps + p−1 allgather steps, tensors
   framed zero-copy); broadcast forwards hop by hop; object allgather
   rotates pickled items around the ring.
-* **Parameter server** shards are separate processes, each exclusively
-  owning a contiguous slice and serving framed push/pull/elastic requests
-  in genuine arrival order with the same per-rank seq-dedupe cache as the
-  mp shards — so the retry protocol (same-seq resend with backoff, stale
-  reply discard, typed :class:`RetryBudgetExhausted`) rides on real
-  connections.
-* **Supervision** is connection-loss based: every worker holds a control
-  connection to the coordinator and heartbeats on it; the coordinator
-  declares a rank dead when its control connection drops without a RESULT
-  frame (TCP reset/EOF — milliseconds after a kill), its process exits
-  before ever connecting, or its heartbeat goes stale (wedged-but-alive,
-  or remote hosts where no process handle exists).
-* **Fault injection**: planned crashes are a real ``os._exit`` (detected
-  as above); stragglers really sleep; ``drop``/``delay`` are frame-level —
-  an injected drop consumes a genuine PS_REP frame off the wire and drives
-  the real resend machinery, with the same seeded, deterministic counts as
-  the other backends.
+* **Parameter server** shards are TCP servers (:func:`serve_shard`): every
+  client connection's PS_REQ frames funnel through one queue into the
+  shard state, and PS_REP frames answer on the same connection
+  (:class:`_FrameChannel`) — an injected ``drop`` consumes a genuine frame
+  off the wire, a cut connection is redialled by the next resend.
+* **Supervision** is connection-loss based: every worker heartbeats on a
+  control connection to the coordinator, which declares a rank dead when
+  that connection drops without a RESULT frame (milliseconds after a
+  kill), its process exits before ever connecting, or its heartbeat goes
+  stale.  Under ``recovery="reconnect"`` ring and control links are
+  session-resumable (RESUME / RESUME_OK + replay) instead.
 
 Two modes share all of the above:
 
 * ``fork`` (default, used by ``repro run --backend net``): the parent
   pre-binds every listener on loopback ephemeral ports (race-free), forks
   shard and worker processes that inherit the constructed trainer and
-  their own listening socket, and coordinates in-process.  Elastic
-  recovery works exactly as on mp (respawn = a fresh backend with fresh
-  ports).
+  their own listening socket, and coordinates in-process.
 * ``coordinator``/``worker`` (driven by ``repro launch``): processes are
   launched separately — same host or not — and find each other purely
   through ``REPRO_CLUSTER_SPEC``; PS shards bootstrap their slice from the
@@ -44,30 +37,32 @@ Two modes share all of the above:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..faults.plan import FaultPlan, RetryPolicy, _hash_uniform
+from ..faults.plan import RetryPolicy, _hash_uniform
 from ..obs import events as _events
-from ..ps.server import ShardLayout
-from ..sim.trace import Span
-from ..runtime.api import (
-    Backend,
-    BackendCapabilityError,
-    Collective,
-    LearnerFailure,
-    ParameterServerHandle,
-    PSClientLike,
-    RetryBudgetExhausted,
-    RunStats,
-    blocking,
+from ..runtime.api import BackendCapabilityError, LearnerFailure, RunStats
+from ..runtime.process_backend import (
+    JOIN_GRACE,
+    BlockingCollective,
+    ProcessBackend,
+    ProcessParameterServer,
+    PSClient,
+    Reply,
+    ShardState,
+    drain_results,
+    drive_learner,
+    install_worker_bus,
+    reap,
+    worker_error,
+    worker_result,
 )
 from .cluster import ClusterSpec, allocate_loopback, close_all
 from .frames import (
@@ -95,18 +90,10 @@ from .frames import (
 
 __all__ = ["NetBackend", "NetCollective", "NetParameterServer", "run_ps_role"]
 
-_JOIN_GRACE = 5.0        # seconds to wait for an already-signalled process
-_DEAD_GRACE = 1.0        # drain grace once every awaited rank is known dead
-_CRASH_EXIT = 3          # exit code of a plan-crashed learner
-_PS_CRASH_EXIT = 4       # exit code of a plan-crashed parameter-server shard
 _HEARTBEAT_PERIOD = 0.25  # default worker → coordinator liveness interval
 _STALE_AFTER = 5.0       # default heartbeat silence that counts as death
 _RECONNECT_DEADLINE = 10.0  # default resume window under recovery=reconnect
 _POLL = 0.1              # monitor poll interval
-
-
-def _noop() -> None:
-    return None
 
 
 def _peer_rank(peer: str) -> Optional[int]:
@@ -116,7 +103,62 @@ def _peer_rank(peer: str) -> Optional[int]:
     return None
 
 
-class NetCollective(Collective):
+def _resume_pause(retry: RetryPolicy, seed: int, rank: int, epoch: int,
+                  attempt: int) -> float:
+    """Jittered exponential backoff between re-dial attempts, seeded per
+    (rank, resume epoch, attempt) so ranks desynchronize deterministically."""
+    u = _hash_uniform(seed, rank, epoch, attempt)
+    return min(0.5, retry.jittered_backoff(attempt, u))
+
+
+def _redial(sess: SessionConn, addr: str, peer: str, hello: Dict[str, Any],
+            deadline: float, pause: Callable[[int], float],
+            live_timeout: Optional[float],
+            idle: Callable[[], Any] = lambda: None) -> bool:
+    """Heal a session link: re-dial ``addr`` until ``deadline``, send RESUME,
+    and on RESUME_OK adopt the socket into ``sess`` and replay every frame
+    newer than the last seq the peer says it processed.
+
+    One dial is kept alive across RESUME_OK polls (re-dialing would strand
+    stale connections in the peer's backlog); ``idle()`` runs between polls
+    and ``pause(attempt)`` paces re-dials.  False when the deadline passes,
+    the peer answers anything else, or the replay buffer no longer covers
+    the gap.
+    """
+    attempt = 0
+    pending: Optional[Conn] = None
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            if pending is not None:
+                pending.close()
+            return False
+        try:
+            if pending is None:
+                pending = connect(addr, peer, timeout=min(remaining, 1.0))
+                pending.send(RESUME, hello, seq=0)
+            pending.settimeout(0.25)
+            ok = pending.recv()
+            if ok.kind != RESUME_OK:
+                pending.close()
+                return False
+            pending.settimeout(live_timeout)
+            sess.adopt(pending)
+            sess.replay_from(int(ok.meta.get("last", 0)))
+            return True
+        except SessionUnrecoverable:
+            return False
+        except socket.timeout:
+            idle()
+        except (ConnectionLost, ProtocolError):
+            if pending is not None:
+                pending.close()
+            pending = None
+            time.sleep(min(pause(attempt), max(0.0, deadline - time.monotonic())))
+            attempt += 1
+
+
+class NetCollective(BlockingCollective):
     """Chunked ring allreduce / hop-forward broadcast / rotation allgather
     over two TCP connections per rank (successor out, predecessor in).
 
@@ -127,9 +169,7 @@ class NetCollective(Collective):
     """
 
     def __init__(self, p: int, timeout: float) -> None:
-        self.p = p
-        self.timeout = timeout
-        self.bytes_moved = 0.0  # per-process accumulator after fork
+        super().__init__(p, timeout)
         self._spec: Optional[ClusterSpec] = None
         self._listeners: Dict[int, Optional[socket.socket]] = {}
         self._rank: Optional[int] = None
@@ -208,12 +248,6 @@ class NetCollective(Collective):
 
     # -- session resume (recovery=reconnect) --------------------------------
 
-    def _resume_pause(self, attempt: int) -> float:
-        """Jittered exponential backoff between re-dial attempts, seeded per
-        (rank, resume, attempt) so ranks desynchronize deterministically."""
-        u = _hash_uniform(self._resume_seed, self._rank, self._resumes, attempt)
-        return min(0.5, self._resume_retry.jittered_backoff(attempt, u))
-
     def _budget_ok(self) -> bool:
         """Per-session resume budget, unified with the PS retry policy: one
         session may repair its links max_retries + 1 times in total."""
@@ -242,28 +276,34 @@ class NetCollective(Collective):
                     raise
                 self._repair_prev(exc)
 
-    def _try_service_resume(self, window: float) -> bool:
-        """Answer one incoming RESUME on our own listener (repairing the
-        predecessor link) while we ourselves wait on an outgoing repair.
+    def _accept_resume(self, window: float,
+                       deadline: Optional[float] = None) -> Optional[bool]:
+        """Accept one connection on our own listener and, if it is the
+        predecessor's RESUME (session token + expected rank), answer with the
+        last seq we processed — so the dialer replays only what we missed —
+        and adopt it.  True: adopted; False: a bad handshake was turned away;
+        None: nobody dialled within ``window``.
 
-        This is what breaks the symmetric deadlock: when *both* of a pair's
-        links die at once (any p=2 cut, or a full partition), both ranks hit
-        the failed *send* first and enter :meth:`_repair_next` — each dialing
-        a peer that is itself dialing, with nobody in accept.  Servicing the
-        listener between RESUME_OK polls lets the two dials pair up.
+        :meth:`_repair_next` calls this between its RESUME_OK polls, which
+        breaks the symmetric deadlock: when *both* of a pair's links die at
+        once (any p=2 cut, or a full partition), both ranks hit the failed
+        *send* first — each dialing a peer that is itself dialing.
         """
         listener = self._listeners.get(self._rank)
         if listener is None:
-            return False
+            return None
         prev = (self._rank - 1) % self.p
         listener.settimeout(window)
         try:
             sock, _ = listener.accept()
         except (socket.timeout, OSError):
-            return False
+            return None
         conn = Conn(sock, f"learner{prev}")
         try:
-            conn.settimeout(1.0)
+            conn.settimeout(
+                1.0 if deadline is None
+                else max(0.05, deadline - time.monotonic())
+            )
             frame = conn.recv()
             if (
                 frame.kind != RESUME
@@ -281,108 +321,43 @@ class NetCollective(Collective):
         return True
 
     def _repair_next(self, cause: ConnectionLost) -> None:
-        """Re-dial the successor and replay un-acked frames.
-
-        The successor answers RESUME with RESUME_OK carrying the last seq it
-        processed from us; everything newer is re-sent.  One outgoing dial is
-        kept alive across RESUME_OK polls (re-dialing would strand stale
-        connections in the peer's backlog); between polls the rank services
-        its own listener so symmetric double-link cuts converge.  Gives up
+        """Re-dial the successor and replay un-acked frames, servicing our
+        own listener between polls (:meth:`_accept_resume`).  Gives up
         (re-raises the original loss) when the reconnect deadline or the
-        per-session budget expires, or the replay buffer no longer covers
-        the gap.
-        """
+        per-session budget expires, or the replay no longer covers the gap."""
         if not self._budget_ok():
             raise cause
         self._resumes += 1
         succ = (self._rank + 1) % self.p
-        deadline = time.monotonic() + self._resume_deadline
-        attempt = 0
-        pending: Optional[Conn] = None
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                if pending is not None:
-                    pending.close()
-                raise cause
-            try:
-                if pending is None:
-                    pending = connect(
-                        self._spec.workers[succ], f"learner{succ}",
-                        timeout=min(remaining, 1.0),
-                    )
-                    pending.send(
-                        RESUME,
-                        {"rank": self._rank, "sess": self._session},
-                        seq=0,
-                    )
-                pending.settimeout(0.25)
-                ok = pending.recv()
-                if ok.kind != RESUME_OK:
-                    pending.close()
-                    raise cause
-                pending.settimeout(self.timeout)
-                self._next.adopt(pending)
-                self._next.replay_from(int(ok.meta.get("last", 0)))
-                return
-            except SessionUnrecoverable:
-                raise cause
-            except socket.timeout:
-                # the successor has not answered yet — it may itself be
-                # blocked dialing *us*: service our listener so it can pair
-                self._try_service_resume(0.05)
-            except (ConnectionLost, ProtocolError):
-                if pending is not None:
-                    pending.close()
-                pending = None
-                pause = self._resume_pause(attempt)
-                attempt += 1
-                time.sleep(min(pause, max(0.0, deadline - time.monotonic())))
+        if not _redial(
+            self._next, self._spec.workers[succ], f"learner{succ}",
+            {"rank": self._rank, "sess": self._session},
+            time.monotonic() + self._resume_deadline,
+            lambda attempt: _resume_pause(
+                self._resume_retry, self._resume_seed, self._rank,
+                self._resumes, attempt,
+            ),
+            self.timeout, idle=lambda: self._accept_resume(0.05),
+        ):
+            raise cause
 
     def _repair_prev(self, cause: ConnectionLost) -> None:
-        """Re-accept the predecessor's replacement connection.
-
-        Validates the RESUME handshake (session token + expected rank) and
-        answers with the last seq we processed so the dialer replays only
-        what we missed.  Gives up when the reconnect deadline expires.
-        """
+        """Re-accept the predecessor's replacement connection; gives up
+        (re-raises the original loss) when the reconnect deadline or the
+        per-session budget expires."""
         if not self._budget_ok():
             raise cause
         self._resumes += 1
-        prev = (self._rank - 1) % self.p
-        listener = self._listeners.get(self._rank)
-        if listener is None:
-            raise cause
         deadline = time.monotonic() + self._resume_deadline
         while True:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            adopted = (
+                self._accept_resume(remaining, deadline) if remaining > 0 else None
+            )
+            if adopted is None:
                 raise cause
-            listener.settimeout(remaining)
-            try:
-                sock, _ = listener.accept()
-            except (socket.timeout, OSError):
-                raise cause
-            conn = Conn(sock, f"learner{prev}")
-            try:
-                conn.settimeout(max(0.05, deadline - time.monotonic()))
-                frame = conn.recv()
-                if (
-                    frame.kind != RESUME
-                    or frame.meta.get("sess") != self._session
-                    or int(frame.meta.get("rank", -1)) != prev
-                ):
-                    conn.close()
-                    continue
-                conn.send(
-                    RESUME_OK, {"last": self._prev.last_recv_seq}, seq=0
-                )
-                conn.settimeout(self.timeout)
-            except (ConnectionLost, ProtocolError, socket.timeout):
-                conn.close()
-                continue
-            self._prev.adopt(conn)
-            return
+            if adopted:
+                return
 
     def _fail(self, exc: BaseException, opname: str, rank: int) -> LearnerFailure:
         if isinstance(exc, ConnectionLost):
@@ -399,10 +374,7 @@ class NetCollective(Collective):
             "peer died undetected and the surviving ranks deadlocked"
         )
 
-    # -- Collective API -----------------------------------------------------
-
-    def broadcast(self, rank, array, root=0, nbytes=0.0, ctx=0) -> Generator:
-        return blocking(self._broadcast, rank, array, root)
+    # -- BlockingCollective bodies ------------------------------------------
 
     def _broadcast(self, rank: int, array, root: int) -> np.ndarray:
         if self.p == 1:
@@ -423,13 +395,6 @@ class NetCollective(Collective):
             raise self._fail(exc, "broadcast", rank) from None
         self.bytes_moved += float(out.nbytes)
         return out
-
-    def allreduce(
-        self, rank, array, nbytes=0.0, ctx=0, algorithm="recursive_doubling"
-    ) -> Generator:
-        # `algorithm` picks a wire schedule on the simulated fabric; a TCP
-        # ring has exactly one, so it is accepted and ignored here.
-        return blocking(self._allreduce, rank, array)
 
     def _allreduce(self, rank: int, array: np.ndarray) -> np.ndarray:
         if self.p == 1:
@@ -472,9 +437,6 @@ class NetCollective(Collective):
         self.bytes_moved += 2.0 * float(flat.nbytes) * (self.p - 1) / self.p
         return arr
 
-    def allgather(self, rank, item, nbytes=0.0, ctx=0) -> Generator:
-        return blocking(self._allgather, rank, item, ctx, nbytes)
-
     def _allgather(self, rank: int, item, tag, nbytes: float) -> List[Any]:
         if self.p == 1:
             return [item]
@@ -497,17 +459,39 @@ class NetCollective(Collective):
         self.bytes_moved += 2.0 * float(nbytes) * (self.p - 1)
         return pieces
 
+def _accept_forever(listener: socket.socket, peer: str,
+                    handle: Callable[[Conn], None],
+                    closing: Callable[[], bool], name: str) -> None:
+    """Accept until ``closing()`` or the listener closes, serving each
+    connection with ``handle(conn)`` on its own daemon thread."""
+    def _loop() -> None:
+        while not closing():
+            try:
+                sock, _ = listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            threading.Thread(
+                target=handle, args=(Conn(sock, peer),), daemon=True
+            ).start()
+
+    threading.Thread(target=_loop, name=name, daemon=True).start()
+
 
 # -- parameter server ----------------------------------------------------------
 
 
-def _send_reply(conn: Conn, seq: int, reply: Tuple[dict, Optional[np.ndarray]]):
-    meta, arr = reply
+def _send_reply(conn: Conn, seq: int, reply: Reply) -> None:
+    version, array, error = reply
+    meta: Dict[str, Any] = {"version": version}
+    if error is not None:
+        meta["error"] = error
     try:
-        if arr is None:
+        if array is None:
             conn.send(PS_REP, meta, seq=seq)
         else:
-            conn.send_tensor(PS_REP, arr, meta, seq=seq)
+            conn.send_tensor(PS_REP, array, meta, seq=seq)
     except ConnectionLost:
         pass  # the client vanished or reconnected; its retry resends
 
@@ -519,9 +503,9 @@ def serve_shard(
     learning_rate: float,
     crash_after: Optional[int],
 ) -> None:
-    """One shard's serving loop: own ``xs`` (the slice), apply framed
-    requests in genuine arrival order, dedupe per-rank seq, answer STOP
-    with a STATS frame (final slice + counters).
+    """One shard's serving loop: a :class:`ShardState` over ``xs`` fed by
+    framed requests, answering STOP with a STATS frame (final slice +
+    counters).
 
     Shared verbatim by the fork-mode shard child and the external
     ``repro launch --role ps:K`` process.  Requests from every client
@@ -539,21 +523,8 @@ def serve_shard(
                 return
             inbox.put((conn, frame))
 
-    def _acceptor() -> None:
-        while not closing.is_set():
-            try:
-                sock, _ = listener.accept()
-            except OSError:
-                return
-            conn = Conn(sock, "client")
-            threading.Thread(target=_reader, args=(conn,), daemon=True).start()
-
-    threading.Thread(target=_acceptor, daemon=True).start()
-    version = 0
-    pushes = 0
-    applies = 0
-    last_seq: Dict[int, int] = {}
-    last_reply: Dict[int, Tuple[dict, Optional[np.ndarray]]] = {}
+    _accept_forever(listener, "client", _reader, closing.is_set, f"ps{sid}-accept")
+    state = ShardState(xs, learning_rate, crash_after)
     while True:
         conn, frame = inbox.get()
         if frame.kind == STOP:
@@ -564,50 +535,22 @@ def serve_shard(
                 pass
             try:
                 conn.send_obj(STATS, {
-                    "sid": sid, "version": version, "pushes": pushes,
-                    "x": np.array(xs, copy=True),
+                    "sid": sid, "version": state.version,
+                    "pushes": state.pushes, "x": np.array(xs, copy=True),
                 })
             except ConnectionLost:
                 pass
             return
         if frame.kind != PS_REQ:
             continue
-        op = frame.meta.get("op")
-        rank = int(frame.meta.get("rank", -1))
-        seq = frame.seq
-        if last_seq.get(rank) == seq:
-            # duplicate of an already-applied request (client retried after
-            # a dropped/lost reply): answer from cache, do not re-apply
-            _send_reply(conn, seq, last_reply[rank])
-            continue
-        payload = frame.tensor() if len(frame.payload) else None
-        if op == "push":
-            if payload is not None:
-                xs -= learning_rate * payload
-            version += 1
-            pushes += 1
-            applies += 1
-            reply: Tuple[dict, Optional[np.ndarray]] = ({"version": version}, None)
-        elif op == "pull":
-            reply = ({"version": version}, np.array(xs, copy=True))
-        elif op == "elastic":
-            version += 1
-            applies += 1
-            if payload is None:
-                reply = ({"version": version, "none": True}, None)
-            else:
-                e = float(frame.meta.get("alpha", 0.0)) * (payload - xs)
-                xs += e
-                reply = ({"version": version}, e)
-        else:
-            reply = ({"error": f"unknown op {op!r}"}, None)
-        last_seq[rank] = seq
-        last_reply[rank] = reply
-        _send_reply(conn, seq, reply)
-        if crash_after is not None and applies >= crash_after:
-            # injected shard death: the reply to the fatal apply got out,
-            # the dedupe cache dies with us
-            os._exit(_PS_CRASH_EXIT)
+        meta = frame.meta
+        reply = state.apply(
+            int(meta.get("rank", -1)), frame.seq, meta.get("op"),
+            frame.tensor() if len(frame.payload) else None,
+            float(meta.get("alpha", 0.0)),
+        )
+        _send_reply(conn, frame.seq, reply)
+        state.settle()
 
 
 def _shard_child_main(ps: "NetParameterServer", sid: int,
@@ -616,7 +559,7 @@ def _shard_child_main(ps: "NetParameterServer", sid: int,
     close_all(listeners, keep=(f"ps{sid}",))
     _events.install(None)
     lo, hi = ps.layout.bounds[sid]
-    xs = np.array(ps._x0[lo:hi], copy=True)
+    xs = np.array(ps._x_local[lo:hi], copy=True)
     serve_shard(listeners[f"ps{sid}"], sid, xs,
                 ps.learning_rate, ps.crash_after.get(sid))
 
@@ -640,234 +583,60 @@ def run_ps_role(spec: ClusterSpec, sid: int, timeout: float = 120.0) -> None:
     serve_shard(listener, sid, xs, float(meta["lr"]), meta.get("crash_after"))
 
 
-class NetPSClient(PSClientLike):
-    """One rank's framed connection to every shard (same staleness
-    accounting and retry semantics as :class:`repro.runtime.MPPSClient`).
+class _FrameChannel:
+    """PS request/reply as PS_REQ / PS_REP frames: one lazily-dialled
+    connection per shard, dropped on loss and redialled by the next send."""
 
-    Reply loss — genuine (a dead shard, a cut connection) or injected (a
-    ``drop`` fault consuming a real PS_REP frame off the wire) — drives a
-    resend-with-backoff protocol: the client resends the *same* seq after
-    each backoff (the shard dedupes), discards stale replies from
-    abandoned attempts, reconnects on connection loss, and raises
-    :class:`RetryBudgetExhausted` when the budget runs out.
-    """
+    lost_where = " on the wire"
 
     def __init__(self, ps: "NetParameterServer", rank: int) -> None:
         self.ps = ps
         self.rank = rank
-        self._seq = 0
-        self._op_ordinal = 0  # one push/pull/elastic call = one fault ordinal
-        self.staleness_samples: List[int] = []
-        self._pull_version = 0
-        self._pull_versions = [0] * ps.layout.n_shards
-        self._conns: Dict[int, Optional[Conn]] = {}
+        self.conns: Dict[int, Optional[Conn]] = {}
+        self._sid = 0  # shard of the request in flight
 
-    def _fault_gate(self) -> int:
-        """Per-op fault decisions: sleep injected delays, return drop count."""
-        ordinal = self._op_ordinal
-        self._op_ordinal += 1
-        plan = self.ps.plan
-        if plan is None or not plan:
-            return 0
-        delay = plan.ps_reply_delay(self.rank, ordinal)
-        if delay > 0.0:
-            self.ps.fault_counts["delay"] = self.ps.fault_counts.get("delay", 0) + 1
-            _events.emit(
-                _events.FAULT_INJECTED,
-                source=f"learner{self.rank}",
-                fault="delay",
-                seconds=delay,
-                ordinal=ordinal,
-            )
-            time.sleep(delay)
-        drops = plan.ps_reply_drops(self.rank, ordinal)
-        if drops:
-            self.ps.fault_counts["drop"] = (
-                self.ps.fault_counts.get("drop", 0) + drops
-            )
-            _events.emit(
-                _events.FAULT_INJECTED,
-                source=f"learner{self.rank}",
-                fault="drop",
-                count=drops,
-                ordinal=ordinal,
-            )
-        return drops
-
-    def _shard_conn(self, sid: int, wait: float) -> Conn:
-        conn = self._conns.get(sid)
-        if conn is None:
-            conn = connect(self.ps.addrs[sid], f"ps{sid}", timeout=wait)
-            self._conns[sid] = conn
-        return conn
-
-    def _send(self, sid: int, meta: dict, payload, seq: int,
-              wait: float) -> Optional[Conn]:
+    def send(self, sid: int, op: str, seq: int, payload, alpha) -> None:
+        self._sid = sid
+        meta: Dict[str, Any] = {"op": op, "rank": self.rank}
+        if alpha is not None:
+            meta["alpha"] = alpha
         try:
-            conn = self._shard_conn(sid, wait)
+            conn = self.conns.get(sid)
+            if conn is None:
+                conn = self.conns[sid] = connect(
+                    self.ps.addrs[sid], f"ps{sid}", timeout=self.ps.per_wait()
+                )
             if payload is None:
                 conn.send(PS_REQ, meta, seq=seq)
             else:
-                conn.send_tensor(PS_REQ, payload, meta, seq=seq)
-            return conn
+                conn.send_tensor(PS_REQ, np.ascontiguousarray(payload), meta, seq=seq)
         except ConnectionLost:
-            self._conns[sid] = None
+            self.conns[sid] = None
+
+    def recv(self, wait: float):
+        sid = self._sid
+        conn = self.conns.get(sid)
+        if conn is None:
+            # unreachable shard: burn this attempt's wait so the budget
+            # drains at the same rate as a silent one
+            time.sleep(wait)
             return None
-
-    def _backoff_pause(self, attempt: int, seq: int) -> float:
-        """One jittered backoff sleep before resend number ``attempt + 1``.
-
-        Deterministic per (plan seed, rank, seq, attempt) — repeated runs
-        sleep identically — but decorrelated across ranks, so a dead shard
-        does not synchronize a resend storm.  Accumulated in
-        ``ps.backoff_seconds`` for the obs metrics.
-        """
-        ps = self.ps
-        retry = ps.retry
-        seed = ps.plan.seed if ps.plan is not None else 0
-        u = _hash_uniform(seed, self.rank, seq, attempt)
-        pause = retry.jittered_backoff(attempt, u)
-        ps.backoff_seconds += pause
-        return pause
-
-    def _request(self, sid: int, op: str, payload, extra=None, drops: int = 0):
-        ps = self.ps
-        retry = ps.retry
-        self._seq += 1
-        seq = self._seq
-        meta: Dict[str, Any] = {"op": op, "rank": self.rank}
-        if extra is not None:
-            meta["alpha"] = extra
-        # the overall patience budget is spread over the send + every resend,
-        # so a genuinely dead shard exhausts the typed retry budget in about
-        # ps.timeout seconds total rather than hanging a bare recv; an
-        # explicit retry.deadline_seconds caps the total patience harder
-        attempts_allowed = retry.max_retries + 1
-        per_wait = max(0.05, ps.timeout / attempts_allowed)
-        patience = retry.deadline_seconds
-        started = time.monotonic()
-        attempt = 0  # resends performed so far
-        waited = 0.0
-        conn = self._send(sid, meta, payload, seq, per_wait)
-        while True:
-            frame = None
-            if conn is not None:
-                try:
-                    conn.settimeout(per_wait)
-                    frame = conn.recv()
-                except socket.timeout:
-                    frame = None
-                except ConnectionLost:
-                    self._conns[sid] = None
-                    conn = None
-            else:
-                # unreachable shard: burn this attempt's wait so the budget
-                # drains at the same rate as a silent one
-                time.sleep(per_wait)
-            if frame is None:
-                waited += per_wait
-                out_of_time = (
-                    patience is not None
-                    and time.monotonic() - started >= patience
-                )
-                if attempt >= retry.max_retries or out_of_time:
-                    raise RetryBudgetExhausted(
-                        self.rank,
-                        attempt,
-                        f"parameter-server shard {sid} gave no reply to "
-                        f"{op!r} after {attempt + 1} attempts "
-                        f"(~{waited:.1f}s waited"
-                        f"{', retry deadline exceeded' if out_of_time else ''}"
-                        f"); learner{self.rank} "
-                        "exhausted its retry budget and the run deadlocked",
-                    ) from None
-                time.sleep(self._backoff_pause(attempt, seq))
-                attempt += 1
-                ps.retries += 1
-                conn = self._send(sid, meta, payload, seq, per_wait)
-                continue
-            if frame.kind != PS_REP or frame.seq < seq:
-                # stale reply from an earlier, abandoned attempt — discard
-                continue
-            if drops > 0:
-                # injected frame loss: the genuine PS_REP was read off the
-                # wire and thrown away; drive the real retry machinery
-                drops -= 1
-                if attempt >= retry.max_retries:
-                    raise RetryBudgetExhausted(
-                        self.rank,
-                        attempt,
-                        f"parameter-server shard {sid}: replies to {op!r} "
-                        f"kept vanishing on the wire; learner{self.rank} "
-                        f"exhausted its retry budget after {attempt + 1} "
-                        "attempts and the run deadlocked",
-                    )
-                time.sleep(self._backoff_pause(attempt, seq))
-                attempt += 1
-                ps.retries += 1
-                conn = self._send(sid, meta, payload, seq, per_wait)
-                continue
-            if "error" in frame.meta:
-                raise ValueError(frame.meta["error"])
-            return frame
-
-    def push(self, grad: Optional[np.ndarray]) -> Generator:
-        return blocking(self._push, grad)
-
-    def _push(self, grad: Optional[np.ndarray]) -> int:
-        ps = self.ps
-        drops = self._fault_gate()
-        version_now = 0
-        for sid, (lo, hi) in enumerate(ps.layout.bounds):
-            payload = None if grad is None else np.ascontiguousarray(grad[lo:hi])
-            frame = self._request(sid, "push", payload, drops=drops)
-            drops = 0  # the op-level fault applies to the first shard leg
-            version_now += int(frame.meta["version"])
-            ps.bytes_moved += ps.layout.slice_bytes(sid, ps.dtype.itemsize)
-        staleness = max(0, version_now - self._pull_version - ps.layout.n_shards)
-        self.staleness_samples.append(staleness)
-        return staleness
-
-    def pull(self) -> Generator:
-        return blocking(self._pull)
-
-    def _pull(self) -> np.ndarray:
-        ps = self.ps
-        drops = self._fault_gate()
-        out = np.empty(ps.size, dtype=ps.dtype)
-        version = 0
-        for sid, (lo, hi) in enumerate(ps.layout.bounds):
-            frame = self._request(sid, "pull", None, drops=drops)
-            drops = 0
-            v = int(frame.meta["version"])
-            version += v
-            self._pull_versions[sid] = v
-            out[lo:hi] = frame.tensor()
-            ps.bytes_moved += ps.layout.slice_bytes(sid, ps.dtype.itemsize)
-        self._pull_version = version
-        return out
-
-    def elastic(self, x_local: Optional[np.ndarray], alpha: float) -> Generator:
-        return blocking(self._elastic, x_local, alpha)
-
-    def _elastic(self, x_local: Optional[np.ndarray], alpha: float) -> np.ndarray:
-        ps = self.ps
-        drops = self._fault_gate()
-        out = np.empty(ps.size, dtype=ps.dtype)
-        for sid, (lo, hi) in enumerate(ps.layout.bounds):
-            payload = (
-                None if x_local is None else np.ascontiguousarray(x_local[lo:hi])
-            )
-            frame = self._request(sid, "elastic", payload, extra=alpha, drops=drops)
-            drops = 0
-            self._pull_versions[sid] = int(frame.meta["version"])
-            if not frame.meta.get("none"):
-                out[lo:hi] = frame.tensor()
-            ps.bytes_moved += 2.0 * ps.layout.slice_bytes(sid, ps.dtype.itemsize)
-        return out
+        try:
+            conn.settimeout(wait)
+            frame = conn.recv()
+        except socket.timeout:
+            return None
+        except ConnectionLost:
+            self.conns[sid] = None
+            return None
+        if frame.kind != PS_REP:
+            return sid, 0, 0, None, None  # seq 0 reads as stale
+        meta = frame.meta
+        array = frame.tensor() if len(frame.payload) else None
+        return sid, frame.seq, meta.get("version", 0), array, meta.get("error")
 
 
-class NetParameterServer(ParameterServerHandle):
+class NetParameterServer(ProcessParameterServer):
     """Sharded PS where each shard is a TCP server process.
 
     Fork mode: shards are forked before the workers, each inheriting its
@@ -875,137 +644,64 @@ class NetParameterServer(ParameterServerHandle):
     handle is address-book-only; shards run elsewhere (:func:`run_ps_role`)
     and bootstrap from the coordinator.  Shutdown is uniform: the owner
     connects to each shard, sends STOP, and harvests a STATS frame (final
-    slice + version/push counters) to assemble the final vector.
+    slice + version/push counters) to assemble the final vector.  Shards are
+    never restarted (snapshots would be process-local).
     """
 
     def __init__(self, ctx, p: int, size: int, n_shards: int,
                  learning_rate: float, dtype, timeout: float,
                  client_only: bool = False,
                  addrs: Tuple[str, ...] = ()) -> None:
-        self._ctx = ctx
-        self.p = p
-        self.size = int(size)
-        self._layout = ShardLayout.even(size, n_shards)
-        self.learning_rate = learning_rate
-        self.dtype = np.dtype(dtype)
-        self.timeout = timeout
+        super().__init__(ctx, size, n_shards, learning_rate, dtype, timeout)
         self.client_only = client_only
         self.addrs: Tuple[str, ...] = tuple(addrs)
-        self.bytes_moved = 0.0  # per-process accumulator after fork
-        self.retries = 0        # per-process resend counter (client side)
-        self.backoff_seconds = 0.0  # per-process retry backoff slept
-        self.fault_counts: Dict[str, int] = {}  # per-process injection counts
-        self._clients: List[NetPSClient] = []  # this process's clients
-        self.plan: Optional[FaultPlan] = None
-        self.retry = RetryPolicy()
-        self.crash_after: Dict[int, int] = {}
-        self.shard_restarts = 0  # net never restarts shards (capability error)
-        self.events: List[Tuple[str, str, float]] = []
-        self._x0 = np.zeros(self.size, dtype=self.dtype)
-        self._procs: List[multiprocessing.process.BaseProcess] = []
-        self._pushes_applied = 0
-        self.versions = [0] * n_shards
-        self._x_final: Optional[np.ndarray] = None
+        self._clients: List[PSClient] = []  # this process's clients
+        self._x_local = np.zeros(self.size, dtype=self.dtype)  # initial copy
         self._down = False
 
-    # -- handle surface ------------------------------------------------------
-
-    @property
-    def x(self) -> np.ndarray:
-        if self._x_final is not None:
-            return self._x_final
-        return self._x0
-
-    @property
-    def layout(self) -> ShardLayout:
-        return self._layout
-
-    @property
-    def pushes_applied(self) -> int:
-        return self._pushes_applied
-
-    def set_params(self, x0: np.ndarray) -> None:
-        if x0.shape != (self.size,):
-            raise ValueError(f"shape mismatch: {x0.shape} vs ({self.size},)")
-        self._x0[:] = x0
-
-    def client(self, rank: int) -> NetPSClient:
-        client = NetPSClient(self, rank)
+    def client(self, rank: int) -> PSClient:
+        client = PSClient(self, rank, _FrameChannel(self, rank))
         self._clients.append(client)
         return client
 
-    # -- fault plumbing ------------------------------------------------------
-
-    def install_faults(self, plan: FaultPlan, retry: RetryPolicy,
-                       recovery: str) -> None:
-        self.plan = plan
-        self.retry = retry
-        self.crash_after = {
-            sid: push
-            for sid in range(self._layout.n_shards)
-            if (push := plan.ps_crash_push(sid)) is not None
-        }
-
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, addrs: Tuple[str, ...],
-              listeners: Dict[str, socket.socket]) -> None:
-        """Fork one shard process per listener (fork mode, pre-worker-fork)."""
+    def start(self, listeners: Dict[str, socket.socket]) -> None:
+        """Fork one shard process per listener (fork mode, pre-worker-fork).
+        The caller closes its own copies of the listening fds after forking,
+        or a dead shard's port would still accept (and strand) clients."""
         if self.client_only or self._procs:
             return
-        self.addrs = tuple(addrs)
-        for sid in range(self._layout.n_shards):
-            proc = self._ctx.Process(
-                target=_shard_child_main, args=(self, sid, listeners),
-                name=f"repro-ps{sid}", daemon=True,
-            )
-            self._procs.append(proc)
-            proc.start()
-        # the children own the listening fds now; the parent's copies must
-        # go, or a dead shard's port would still accept (and strand) clients
-        for sid in range(self._layout.n_shards):
-            try:
-                listeners[f"ps{sid}"].close()
-            except OSError:
-                pass
+        self._procs = [
+            self._fork_shard(_shard_child_main, sid, listeners)
+            for sid in range(self._layout.n_shards)
+        ]
 
     def shutdown(self) -> None:
         """Stop shards, harvest their stats frames, assemble the final x."""
         if self.client_only or self._down:
             return
         self._down = True
-        xf = np.array(self._x0, copy=True)
+        xf = np.array(self._x_local, copy=True)
         for sid, addr in enumerate(self.addrs):
             try:
                 conn = connect(addr, f"ps{sid}", timeout=2.0)
                 conn.send(STOP)
-                conn.settimeout(_JOIN_GRACE)
+                conn.settimeout(JOIN_GRACE)
                 stats = conn.recv().obj()
                 conn.close()
             except (ConnectionLost, socket.timeout, ProtocolError):
                 # a crashed shard: its applies since start are lost and its
                 # slice of the final vector stays at the initial copy
-                self.fault_counts["ps_crash"] = (
-                    self.fault_counts.get("ps_crash", 0) + 1
-                )
+                self.fault_counts["ps_crash"] += 1
                 continue
             self.versions[sid] = int(stats["version"])
             self._pushes_applied += int(stats["pushes"])
             lo, hi = self._layout.bounds[sid]
             xf[lo:hi] = stats["x"]
         self._x_final = xf
-        for proc in self._procs:
-            proc.join(timeout=_JOIN_GRACE)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=_JOIN_GRACE)
+        reap(self._procs)
         self._procs = []
-
-    def __del__(self):  # safety net; normal path is NetBackend.run's finally
-        try:
-            self.shutdown()
-        except Exception:
-            pass
 
 
 # -- coordinator control plane -------------------------------------------------
@@ -1036,24 +732,22 @@ class _ControlPlane:
     condition variable the drain loop and monitor wait on.
     """
 
-    def __init__(self, listener: socket.socket, p: int, expect_ps: int,
-                 bus, ps_init: Optional[Callable] = None,
-                 session: str = "",
-                 clock: Callable[[], float] = lambda: 0.0) -> None:
+    def __init__(self, listener: socket.socket, p: int,
+                 ext_ps: Optional["NetParameterServer"], bus,
+                 session: str, clock: Callable[[], float]) -> None:
         self.listener = listener
         self.p = p
-        self.expect_ps = expect_ps
+        self.ext_ps = ext_ps  # the PS whose external shards bootstrap from us
+        self.expect_ps = ext_ps.layout.n_shards if ext_ps is not None else 0
         self.bus = bus
-        self.ps_init = ps_init
         self.session = session  # non-empty iff recovery=reconnect
         self.clock = clock
         self.cond = threading.Condition()
         self.conns: Dict[int, Conn] = {}
         self.ever_connected: set = set()
         self.last_seen: Dict[int, float] = {}
-        self.results: Dict[int, dict] = {}
-        self.errors: Dict[int, dict] = {}
-        self.finished: set = set()
+        #: rank -> ("done" | "error", rank, payload), as drain_results wants
+        self.outcomes: Dict[int, Tuple[str, int, dict]] = {}
         self.dead: Dict[int, float] = {}  # rank -> detection latency
         self.last_ctrl_seq: Dict[int, int] = {}  # per-rank processed seq
         self.resumes: Dict[int, int] = {}  # rank -> successful re-attaches
@@ -1063,23 +757,11 @@ class _ControlPlane:
 
     def start(self) -> "_ControlPlane":
         self.listener.settimeout(0.25)
-        threading.Thread(
-            target=self._accept_loop, name="net-coordinator", daemon=True
-        ).start()
+        _accept_forever(
+            self.listener, "peer", self._serve_conn,
+            lambda: self._closing, "net-coordinator",
+        )
         return self
-
-    def _accept_loop(self) -> None:
-        while not self._closing:
-            try:
-                sock, _ = self.listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn = Conn(sock, "peer")
-            threading.Thread(
-                target=self._serve_conn, args=(conn,), daemon=True
-            ).start()
 
     def _serve_conn(self, conn: Conn) -> None:
         try:
@@ -1100,10 +782,14 @@ class _ControlPlane:
         if job == "ps":
             # external shard bootstrap: hand it its slice, then let it go —
             # shards serve learners on their own listener, not through us
-            if self.ps_init is not None:
-                meta, x0 = self.ps_init(task)
+            ps = self.ext_ps
+            if ps is not None:
+                lo, hi = ps.layout.bounds[task]
                 try:
-                    conn.send_tensor(WELCOME, x0, meta)
+                    conn.send_tensor(WELCOME, ps._x_local[lo:hi], {
+                        "lr": float(ps.learning_rate),
+                        "crash_after": ps.crash_after.get(task),
+                    })
                 except ConnectionLost:
                     pass
             conn.close()
@@ -1114,13 +800,16 @@ class _ControlPlane:
         if job != "worker" or not (0 <= task < self.p):
             conn.close()
             return
-        conn.peer = f"learner{task}"
         with self.cond:
-            self.conns[task] = conn
-            self.ever_connected.add(task)
-            self.last_seen[task] = time.monotonic()
+            self._seat(task, conn)
             self._maybe_welcome()
         self._reader(task, conn)
+
+    def _seat(self, task: int, conn: Conn) -> None:  # caller holds self.cond
+        conn.peer = f"learner{task}"
+        self.conns[task] = conn
+        self.ever_connected.add(task)
+        self.last_seen[task] = time.monotonic()
 
     def _serve_resume(self, conn: Conn, frame) -> None:
         """A worker re-attaching its control session after a disconnect.
@@ -1139,21 +828,18 @@ class _ControlPlane:
             conn.close()
             return
         with self.cond:
-            if task in self.dead or task in self.finished:
+            if task in self.dead or task in self.outcomes:
                 # the seat was already surrendered (deadline expired) or the
                 # run finished without this worker — no resume
                 conn.close()
                 return
-            conn.peer = f"learner{task}"
             last = self.last_ctrl_seq.get(task, 0)
             try:
                 conn.send(RESUME_OK, {"last": last}, seq=0)
             except ConnectionLost:
                 conn.close()
                 return
-            self.conns[task] = conn
-            self.ever_connected.add(task)
-            self.last_seen[task] = time.monotonic()
+            self._seat(task, conn)
             self.resumes[task] = self.resumes.get(task, 0) + 1
             self.cond.notify_all()
         _events.emit(
@@ -1208,23 +894,16 @@ class _ControlPlane:
                     if frame.seq <= self.last_ctrl_seq.get(rank, 0):
                         continue
                     self.last_ctrl_seq[rank] = frame.seq
-            if frame.kind == HEARTBEAT:
-                continue
-            if frame.kind == EVENT:
+            if frame.kind == EVENT:  # HEARTBEAT only refreshed last_seen
                 if self.bus is not None:
                     try:
                         self.bus.republish(_events.Event.from_dict(frame.meta))
                     except Exception:
                         continue  # torn/foreign record; keep the reader alive
-            elif frame.kind == RESULT:
+            elif frame.kind in (RESULT, ERROR):
+                kind = "done" if frame.kind == RESULT else "error"
                 with self.cond:
-                    self.results[rank] = frame.obj()
-                    self.finished.add(rank)
-                    self.cond.notify_all()
-            elif frame.kind == ERROR:
-                with self.cond:
-                    self.errors[rank] = frame.obj()
-                    self.finished.add(rank)
+                    self.outcomes[rank] = (kind, rank, frame.obj())
                     self.cond.notify_all()
 
     def close(self) -> None:
@@ -1249,10 +928,9 @@ class _WorkerCtrl:
 
     All control-plane senders (heartbeat thread, event sink, final
     RESULT/ERROR) go through here; on connection loss one of them wins the
-    resume lock, re-dials the coordinator with RESUME, adopts the fresh
-    socket into the :class:`SessionConn`, and replays un-acked frames.
-    Session-stream frames are recorded *before* the failed send, so the
-    replay already re-delivered them — senders never re-run after a resume.
+    resume lock and heals the session (:func:`_redial`).  Session-stream
+    frames are recorded *before* the failed send, so the replay already
+    re-delivered them — senders never re-run after a resume.
     """
 
     def __init__(self, backend: "NetBackend", lid: int,
@@ -1289,44 +967,20 @@ class _WorkerCtrl:
             if self._given_up:
                 return False
             backend = self.backend
-            deadline = time.monotonic() + backend.reconnect_deadline
-            retry = backend._retry
             seed = backend._plan.seed if backend._plan is not None else 0
-            attempt = 0
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._given_up = True
-                    return False
-                try:
-                    conn = connect(
-                        backend._spec.coordinator, "coordinator",
-                        timeout=remaining,
-                    )
-                    conn.send(RESUME, {
-                        "job": "worker", "task": self.lid,
-                        "sess": self.sess.session,
-                    }, seq=0)
-                    conn.settimeout(max(0.05, deadline - time.monotonic()))
-                    ok = conn.recv()
-                    if ok.kind != RESUME_OK:
-                        conn.close()
-                        raise ConnectionLost("coordinator", "resume rejected")
-                    conn.settimeout(None)
-                    self.sess.adopt(conn)
-                    self.sess.replay_from(int(ok.meta.get("last", 0)))
-                    self._gen += 1
-                    return True
-                except SessionUnrecoverable:
-                    self._given_up = True
-                    return False
-                except (ConnectionLost, ProtocolError, socket.timeout):
-                    u = _hash_uniform(seed, self.lid, self._gen, attempt)
-                    pause = min(0.5, retry.jittered_backoff(attempt, u))
-                    attempt += 1
-                    time.sleep(
-                        min(pause, max(0.0, deadline - time.monotonic()))
-                    )
+            if _redial(
+                self.sess, backend._spec.coordinator, "coordinator",
+                {"job": "worker", "task": self.lid, "sess": self.sess.session},
+                time.monotonic() + backend.reconnect_deadline,
+                lambda attempt: _resume_pause(
+                    backend._retry, seed, self.lid, self._gen, attempt
+                ),
+                None,
+            ):
+                self._gen += 1
+                return True
+            self._given_up = True
+            return False
 
     def close(self) -> None:
         self.sess.close()
@@ -1362,19 +1016,9 @@ def _worker_body(trainer, lid: int) -> None:
             session, backend.reconnect_deadline, backend._retry,
             backend._plan.seed if backend._plan is not None else 0,
         )
-    # the forked child inherits the parent's ambient bus (and any open sink
-    # file descriptors) — swap it for one that frames each event onto the
-    # control connection; the coordinator republishes in authoritative order
-    if welcome.meta.get("events"):
-        _events.install(
-            _events.EventBus(
-                sinks=[_FrameSink(ctrl)],
-                clock=backend.clock,
-                keep_snapshot=False,
-            )
-        )
-    else:
-        _events.install(None)
+    install_worker_bus(
+        _FrameSink(ctrl) if welcome.meta.get("events") else None, backend.clock
+    )
     hb_stop = threading.Event()
 
     def _beat() -> None:
@@ -1385,55 +1029,12 @@ def _worker_body(trainer, lid: int) -> None:
                 return
 
     threading.Thread(target=_beat, name="net-heartbeat", daemon=True).start()
-    t0 = time.perf_counter()
     try:
-        for command in trainer._learner_proc(lid):
-            raise RuntimeError(
-                f"trainer yielded simulator command {command!r} on the net "
-                "backend; route it through the repro.runtime interfaces"
-            )
-        wall = time.perf_counter() - t0
-        ps = backend._ps
-        ps_bytes = ps.bytes_moved if ps is not None else 0.0
-        data = {
-            "records": trainer.tape.records if lid == 0 else None,
-            "samples": trainer.tape.samples,
-            "epoch": trainer.tape.epoch,
-            "tape_rank": trainer.tape.rank_summary(),
-            "flat": np.array(trainer.workloads[lid].flat.data, copy=True)
-            if lid == 0
-            else None,
-            "export": trainer._worker_export(lid),
-            "failed_at": None if backend._failure is None else backend._failure[1],
-            "comm_seconds": backend._comm_seconds,
-            "wall_seconds": wall,
-            "bytes": backend.collective.bytes_moved + ps_bytes,
-            "retries": ps.retries if ps is not None else 0,
-            "backoff": ps.backoff_seconds if ps is not None else 0.0,
-            "fault_counts": dict(
-                ps.fault_counts if ps is not None else {},
-                **backend._worker_fault_counts,
-            ),
-        }
-        ctrl.send_obj(RESULT, data)
+        wall = drive_learner(trainer, lid)
+        ctrl.send_obj(RESULT, worker_result(trainer, lid, wall))
     except BaseException as exc:  # noqa: BLE001 - must reach the coordinator
-        failed_at = None if backend._failure is None else backend._failure[1]
-        ps = backend._ps
         try:
-            ctrl.send_obj(ERROR, {
-                "error": f"{type(exc).__name__}: {exc}",
-                "failed_at": failed_at,
-                "learner_id": getattr(exc, "learner_id", None),
-                "step": getattr(exc, "step", None),
-                "retry_exhausted": isinstance(exc, RetryBudgetExhausted),
-                "attempts": getattr(exc, "attempts", 0),
-                "retries": ps.retries if ps is not None else 0,
-                "backoff": ps.backoff_seconds if ps is not None else 0.0,
-                "fault_counts": dict(
-                    ps.fault_counts if ps is not None else {},
-                    **backend._worker_fault_counts,
-                ),
-            })
+            ctrl.send_obj(ERROR, worker_error(trainer, exc))
         except ConnectionLost:
             pass  # coordinator already gone; its monitor saw us die
     finally:
@@ -1452,10 +1053,23 @@ def _worker_child_main(trainer, lid: int) -> None:
 # -- the backend ---------------------------------------------------------------
 
 
-class NetBackend(Backend):
+def _shutdown_quietly(conn) -> None:
+    if conn is not None:
+        try:
+            conn.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+
+class NetBackend(ProcessBackend):
     """Distributed execution over TCP: one OS process per learner/shard."""
 
     name = "net"
+    _death_symptom = (
+        "its connections dropped and the surviving workers deadlocked at "
+        "the next exchange"
+    )
+    _death_reason = "control connection to learner{rank} lost without a farewell"
 
     def __init__(self, timeout: float = 120.0, mode: str = "fork",
                  spec: Optional[ClusterSpec] = None,
@@ -1468,114 +1082,44 @@ class NetBackend(Backend):
             raise ValueError(
                 f"net backend mode must be fork/coordinator/worker, got {mode!r}"
             )
-        if heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be > 0, got {heartbeat_interval}"
-            )
-        if heartbeat_timeout <= heartbeat_interval:
-            raise ValueError(
-                f"heartbeat_timeout ({heartbeat_timeout}) must exceed "
-                f"heartbeat_interval ({heartbeat_interval}) or every worker "
-                "reads as stale"
-            )
+        super().__init__(timeout, heartbeat_interval, heartbeat_timeout)
         if reconnect_deadline < 0:
             raise ValueError(
                 f"reconnect_deadline must be >= 0, got {reconnect_deadline}"
             )
-        if mode == "fork" and "fork" not in multiprocessing.get_all_start_methods():
+        if mode == "fork" and self._ctx is None:
             raise RuntimeError(
                 "net backend's local cluster needs the 'fork' start method "
                 "(workers inherit the constructed trainer); use `repro "
                 "launch` with explicit roles on this platform"
             )
-        self._ctx = (
-            multiprocessing.get_context("fork")
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-        self.timeout = timeout
         self.mode = mode
         self.host = host
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
         self.reconnect_deadline = reconnect_deadline
         self._spec = spec
         self._task = task
         self._session = ""  # non-empty iff recovery=reconnect
         self._worker_ctrl: Optional[_WorkerCtrl] = None  # worker-process side
-        self._backoff_total = 0.0
-        self.collective: Optional[NetCollective] = None
-        self._trainer = None
-        self._ps: Optional[NetParameterServer] = None
-        self._seed_seq: Optional[np.random.SeedSequence] = None
-        self._failure = None  # (lid, step) noted in the worker that died
-        self._comm_seconds = 0.0  # per-process accumulator after fork
-        self._t0: Optional[float] = None
-        self._duration = 0.0
-        self._plan: Optional[FaultPlan] = None
-        self._retry = RetryPolicy()
-        self._recovery = "fail_fast"
-        self._detections: Dict[int, float] = {}
-        self._fault_events: List[Tuple[str, str, float]] = []
-        self._fault_counts: Dict[str, int] = {}
-        self._worker_fault_counts: Dict[str, int] = {}  # per-process after fork
-        self._retries_total = 0
-        self._rank_tapes: List[Dict[str, Any]] = []
         self._listeners: Dict[str, socket.socket] = {}
         self._ext_alive: Dict[int, Callable[[], bool]] = {}
 
-    # -- lifecycle ----------------------------------------------------------
-
-    def bind(self, trainer) -> None:
-        if self._trainer is not None:
-            raise RuntimeError("a backend instance drives exactly one trainer")
-        self._trainer = trainer
-        self.sample_scale = trainer.config.p
-        self._seed_seq = np.random.SeedSequence(trainer.config.seed)
-        self.collective = NetCollective(trainer.config.p, self.timeout)
+    def _make_collective(self, p: int) -> NetCollective:
+        collective = NetCollective(p, self.timeout)
         if self._spec is not None:
-            self.collective.install(self._spec, {})
+            collective.install(self._spec, {})
+        return collective
 
-    def clock(self) -> float:
-        if self._t0 is None:
-            return 0.0
-        return time.perf_counter() - self._t0
-
-    def spawn_rngs(self, n: int) -> List[np.random.Generator]:
-        return [np.random.default_rng(s) for s in self._seed_seq.spawn(n)]
-
-    # -- per-step primitives ------------------------------------------------
-
-    def compute(self, lid: int, flops: float, scale: float = 1.0) -> Generator:
-        # real math *is* the compute cost; straggle scale is charged by the
-        # trainer through fault_sleep (a measured real sleep), not here
-        return blocking(_noop)
-
-    def comm(self, lid: int, coroutine: Generator) -> Generator:
-        t0 = time.perf_counter()
-        result = yield from coroutine
-        self._comm_seconds += time.perf_counter() - t0
-        return result
-
-    def make_ps(self, size, n_shards, learning_rate, dtype) -> NetParameterServer:
-        if self._ps is not None:
-            raise RuntimeError("net backend supports one parameter server per run")
-        self._ps = NetParameterServer(
-            self._ctx, self._trainer.config.p, size, n_shards,
-            learning_rate, dtype, self.timeout,
+    def _make_ps(self, p, size, n_shards, learning_rate, dtype) -> NetParameterServer:
+        return NetParameterServer(
+            self._ctx, p, size, n_shards, learning_rate, dtype, self.timeout,
             client_only=self.mode == "worker",
             addrs=self._spec.ps if self._spec is not None else (),
         )
-        if self._plan is not None:
-            self._ps.install_faults(self._plan, self._retry, self._recovery)
-        return self._ps
 
-    def should_record(self, lid: int) -> bool:
-        return lid == 0  # only rank 0's tape survives the process boundary
-
-    def note_failure(self, lid: int, step: int) -> None:
-        if self._failure is None:
-            self._failure = (lid, step)
+    def _planned_steps(self) -> Dict[int, int]:
+        if self._plan is None:
+            return {}
+        return {**self._plan.disconnect_learners(), **self._plan.crash_learners()}
 
     # -- fault hooks ---------------------------------------------------------
 
@@ -1597,17 +1141,7 @@ class NetBackend(Backend):
         # reconnect is accepted on every mode: the resume path needs no
         # respawn.  Only the *degraded* (elastic) fallback does, and respawn
         # itself raises BackendCapabilityError outside fork mode.
-        self._plan = plan
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._recovery = recovery
-        if self._ps is not None:
-            self._ps.install_faults(self._plan, self._retry, self._recovery)
-
-    def fault_crash(self, lid: int, step: int) -> bool:
-        """Planned crash on the real substrate: the worker process dies, no
-        farewell — detection is the coordinator's connection-loss monitor."""
-        os._exit(_CRASH_EXIT)
-        return True  # pragma: no cover - unreachable
+        super().install_faults(plan, retry, recovery)
 
     def fault_disconnect(self, lid: int, step: int) -> None:
         """Planned disconnect on the real substrate: sever every TCP
@@ -1615,51 +1149,17 @@ class NetBackend(Backend):
         keep the process alive.  Under ``recovery="reconnect"`` the session
         layer re-dials and replays; otherwise the next exchange surfaces
         :class:`ConnectionLost` exactly like an unplanned network cut."""
-        self._worker_fault_counts["disconnect"] = (
-            self._worker_fault_counts.get("disconnect", 0) + 1
-        )
+        self._worker_fault_counts["disconnect"] += 1
         # emit before cutting: the event frame needs the live ctrl socket
-        _events.emit(
-            _events.FAULT_INJECTED,
-            source=f"learner{lid}",
-            t=self.clock(),
-            fault="disconnect",
-            learner=lid,
-            step=step,
-        )
-        coll = self.collective
-        if coll is not None:
-            for conn in (coll._next, coll._prev):
-                if conn is not None:
-                    try:
-                        conn.sock.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
+        super().fault_disconnect(lid, step)
+        _shutdown_quietly(self.collective._next)
+        _shutdown_quietly(self.collective._prev)
         if self._ps is not None:
             for client in self._ps._clients:
-                for conn in list(client._conns.values()):
-                    if conn is not None:
-                        try:
-                            conn.sock.shutdown(socket.SHUT_RDWR)
-                        except OSError:
-                            pass
+                for conn in list(client.channel.conns.values()):
+                    _shutdown_quietly(conn)
         if self._worker_ctrl is not None:
-            try:
-                self._worker_ctrl.sess.conn.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-
-    def fault_sleep(self, lid: int, seconds: float) -> Generator:
-        self._worker_fault_counts["straggle"] = (
-            self._worker_fault_counts.get("straggle", 0) + 1
-        )
-        _events.emit(
-            _events.FAULT_INJECTED,
-            source=f"learner{lid}",
-            fault="straggle",
-            seconds=seconds,
-        )
-        return blocking(time.sleep, seconds)
+            _shutdown_quietly(self._worker_ctrl.sess.conn)
 
     def respawn(self) -> "NetBackend":
         if self.mode != "fork":
@@ -1712,67 +1212,18 @@ class NetBackend(Backend):
         if self._ps is not None:
             self._ps.addrs = tuple(spec.ps)
             if fork_mode:
-                self._ps.start(spec.ps, listeners)
-
-        bus = _events.active_bus()
-        ps_init = None
-        if not fork_mode and self._ps is not None:
-            ps = self._ps
-
-            def ps_init(sid: int):
-                lo, hi = ps.layout.bounds[sid]
-                return (
-                    {
-                        "lr": float(ps.learning_rate),
-                        "lo": int(lo),
-                        "crash_after": ps.crash_after.get(sid),
-                    },
-                    np.ascontiguousarray(ps._x0[lo:hi]),
-                )
+                self._ps.start(listeners)
 
         if self._recovery == "reconnect" and not self._session:
             self._session = os.urandom(8).hex()
         ctrl = _ControlPlane(
             self._listeners["coordinator"], p,
-            expect_ps=0 if fork_mode else n_shards,
-            bus=bus, ps_init=ps_init,
-            session=self._session, clock=self.clock,
+            None if fork_mode else self._ps,
+            _events.active_bus(), self._session, self.clock,
         ).start()
         self._t0 = time.perf_counter()
-        planned = self._plan.crash_learners() if self._plan is not None else {}
-        disconnects = (
-            self._plan.disconnect_learners() if self._plan is not None else {}
-        )
-        payloads: dict = {}
-        errors: dict = {}
-        procs: List[multiprocessing.process.BaseProcess] = []
+        procs: list = []
         monitor_stop = threading.Event()
-
-        def _death_events(rank: int, latency: float) -> None:
-            self._detections[rank] = latency
-            now = self.clock()
-            self._fault_events.append(
-                (trainer.learner_names[rank], "fault", now)
-            )
-            # the dying worker could not flush its own stream (os._exit /
-            # kill), so the coordinator emits the crash + detection pair
-            if rank in planned:
-                _events.emit(
-                    _events.FAULT_INJECTED,
-                    source=trainer.learner_names[rank],
-                    t=now,
-                    fault="crash",
-                    step=planned[rank],
-                )
-            _events.emit(
-                _events.FAILURE_DETECTED,
-                t=now,
-                learner=rank,
-                step=planned.get(rank, disconnects.get(rank)),
-                detection_seconds=latency,
-                reason=f"control connection to learner{rank} lost without "
-                "a farewell",
-            )
 
         def _alive(rank: int) -> Optional[bool]:
             if fork_mode:
@@ -1791,7 +1242,7 @@ class NetBackend(Backend):
                 deaths: List[Tuple[int, float]] = []
                 with ctrl.cond:
                     for rank in range(p):
-                        if rank in ctrl.finished or rank in ctrl.dead:
+                        if rank in ctrl.outcomes or rank in ctrl.dead:
                             lost_since.pop(rank, None)
                             continue
                         seen = ctrl.last_seen.get(rank, start)
@@ -1826,244 +1277,44 @@ class NetBackend(Backend):
                     if deaths:
                         ctrl.cond.notify_all()
                 for rank, latency in deaths:
-                    _death_events(rank, latency)
+                    self._on_death(rank, latency)
                 monitor_stop.wait(_POLL)
 
         monitor = threading.Thread(
             target=_monitor, name="net-monitor", daemon=True
         )
+
+        def poll(expected: set, wait: float) -> list:
+            with ctrl.cond:
+                if not expected & ctrl.outcomes.keys():
+                    ctrl.cond.wait(wait)
+                return [ctrl.outcomes[r] for r in expected & ctrl.outcomes.keys()]
+
+        def awaited_dead(expected: set) -> bool:
+            with ctrl.cond:
+                return all(r in ctrl.dead for r in expected)
+
         try:
             if fork_mode:
-                procs = [
-                    self._ctx.Process(
-                        target=_worker_child_main, args=(trainer, lid),
-                        name=trainer.learner_names[lid], daemon=True,
-                    )
-                    for lid in range(p)
-                ]
-                for proc in procs:
-                    proc.start()
+                procs = self._fork_workers(trainer, _worker_child_main)
                 # children own the ring/shard listening fds now; drop the
                 # parent's copies so a dead worker's port refuses, not hangs
                 close_all(self._listeners, keep=("coordinator",))
             monitor.start()
-            # drain results as they arrive; each payload buys the stragglers
-            # a fresh patience budget, and once every still-awaited rank is
-            # known dead a short grace ends the wait (mirrors MPBackend.run)
-            expected = set(range(p))
-            deadline = time.monotonic() + self.timeout + 10.0
-            dead_grace: Optional[float] = None
-            while expected:
-                with ctrl.cond:
-                    got = [r for r in expected if r in ctrl.finished]
-                    if not got:
-                        ctrl.cond.wait(0.25)
-                        got = [r for r in expected if r in ctrl.finished]
-                    for rank in got:
-                        if rank in ctrl.results:
-                            payloads[rank] = ctrl.results[rank]
-                        else:
-                            errors[rank] = ctrl.errors[rank]
-                    awaited_dead = all(r in ctrl.dead for r in expected if r not in got)
-                for rank in got:
-                    expected.discard(rank)
-                    deadline = time.monotonic() + self.timeout + 10.0
-                if got:
-                    dead_grace = None
-                    continue
-                now = time.monotonic()
-                if now > deadline:
-                    break
-                if expected and awaited_dead:
-                    if dead_grace is None:
-                        dead_grace = now + _DEAD_GRACE
-                    elif now > dead_grace:
-                        break
-                else:
-                    dead_grace = None
+            payloads, errors = drain_results(p, self.timeout, poll, awaited_dead)
             self._duration = time.perf_counter() - self._t0
-            for proc in procs:
-                proc.join(timeout=_JOIN_GRACE)
+            reap(procs)
         finally:
             monitor_stop.set()
             if monitor.is_alive():
                 monitor.join(timeout=2.0)
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=_JOIN_GRACE)
+            reap(procs, grace=0.0)
             if self._ps is not None:
                 self._ps.shutdown()
             ctrl.close()
             close_all(self._listeners)
             self._listeners = {}
 
-        return self._conclude(trainer, p, payloads, errors)
-
-    # -- post-run bookkeeping -------------------------------------------------
-
-    def _conclude(self, trainer, p: int, payloads: dict, errors: dict) -> RunStats:
-        for lid in sorted(payloads):
-            failed_at = payloads[lid]["failed_at"]
-            if failed_at is not None:
-                self.note_failure(lid, failed_at)
-        for data in list(payloads.values()) + list(errors.values()):
-            self._retries_total += int(data.get("retries", 0) or 0)
-            self._backoff_total += float(data.get("backoff", 0) or 0)
-            for kind, n in (data.get("fault_counts") or {}).items():
-                self._fault_counts[kind] = self._fault_counts.get(kind, 0) + n
-        if self._ps is not None:
-            for kind, n in self._ps.fault_counts.items():
-                self._fault_counts[kind] = self._fault_counts.get(kind, 0) + n
-            self._fault_events.extend(self._ps.events)
-
-        missing = [
-            lid for lid in range(p) if lid not in payloads and lid not in errors
-        ]
-        # a worker that vanished without any payload was killed outright; a
-        # planned crash is labelled from the plan, anything else from the
-        # connection wreckage
-        planned = self._plan.crash_learners() if self._plan is not None else {}
-        disc = self._plan.disconnect_learners() if self._plan is not None else {}
-        for lid in missing:
-            if self._failure is None:
-                self.note_failure(lid, planned.get(lid, disc.get(lid, -1)))
-            self._fault_counts["crash"] = self._fault_counts.get("crash", 0) + 1
-
-        if errors or missing:
-            if self._failure is not None:
-                lid, step = self._failure
-                at = f"after {step} local steps" if step >= 0 else "mid-run"
-                reason = (
-                    f"learner{lid} died {at} (injected failure); its "
-                    "connections dropped and the surviving workers "
-                    "deadlocked at the next exchange"
-                )
-                failure = LearnerFailure(lid, step if step >= 0 else None, reason)
-                failure.detection_seconds = self._detections.get(lid)
-                if lid not in self._detections:
-                    # self-declared death (fail_at): the monitor never fired,
-                    # so the detection event is emitted here
-                    _events.emit(
-                        _events.FAILURE_DETECTED,
-                        t=self.clock(),
-                        learner=lid,
-                        step=step if step >= 0 else None,
-                        detection_seconds=None,
-                        reason=reason,
-                    )
-                raise failure
-            exhausted = [
-                lid for lid in sorted(errors)
-                if errors[lid].get("retry_exhausted")
-            ]
-            if exhausted:
-                lid = exhausted[0]
-                reason = (
-                    f"learner{lid} exhausted its parameter-server retry "
-                    f"budget ({errors[lid]['error']}); the run deadlocked"
-                )
-                _events.emit(
-                    _events.FAILURE_DETECTED,
-                    t=self.clock(),
-                    learner=lid,
-                    step=None,
-                    detection_seconds=None,
-                    reason=reason,
-                )
-                raise RetryBudgetExhausted(
-                    lid, int(errors[lid].get("attempts", 0)), reason
-                )
-            detail = "; ".join(
-                f"learner{lid}: {errors[lid]['error']}" for lid in sorted(errors)
-            )
-            if missing:
-                sep = "; " if detail else ""
-                detail = f"{detail}{sep}no result from workers {missing}"
-            _events.emit(
-                _events.FAILURE_DETECTED,
-                t=self.clock(),
-                learner=None,
-                reason=f"net backend run failed ({detail})",
-            )
-            raise RuntimeError(f"net backend run failed ({detail})")
-        data0 = payloads[0]
-        trainer.tape.records = data0["records"]
-        trainer.tape.samples = data0["samples"]
-        trainer.tape.epoch = data0["epoch"]
-        trainer.workloads[0].flat.set_data(data0["flat"])
-        for lid in sorted(payloads):
-            trainer._worker_import(lid, payloads[lid]["export"])
-        self._rank_tapes = [
-            dict(payloads[lid]["tape_rank"], rank=lid) for lid in sorted(payloads)
-        ]
-
-        comm = [payloads[lid]["comm_seconds"] for lid in sorted(payloads)]
-        walls = [payloads[lid]["wall_seconds"] for lid in sorted(payloads)]
-        mean_comm = float(np.mean(comm)) if comm else 0.0
-        mean_wall = float(np.mean(walls)) if walls else 0.0
-        extras = {
-            "total_bytes": float(sum(payloads[lid]["bytes"] for lid in payloads)),
-            "comm_seconds_per_learner": mean_comm,
-            "compute_seconds_per_learner": max(0.0, mean_wall - mean_comm),
-            "comm_fraction": (mean_comm / mean_wall) if mean_wall > 0 else 0.0,
-            "workers": p,
-            "rank_tapes": self._rank_tapes,
-            "total_samples": int(sum(rt["samples"] for rt in self._rank_tapes)),
-            "cluster_spec": self._spec.to_json() if self._spec else None,
-        }
-        if self._retries_total:
-            extras["ps_retries"] = self._retries_total
-        if self._backoff_total:
-            extras["ps_retry_backoff_seconds"] = self._backoff_total
-        return RunStats(duration=self._duration, extras=extras)
-
-    def publish_fault_obs(self, trainer, sess) -> None:
-        """Fault/detection metrics alone — safe to emit from a failed run."""
-        labels = dict(
-            algo=trainer.algorithm, p=trainer.config.p, problem=trainer.problem.name
-        )
-        for kind, n in sorted(self._fault_counts.items()):
-            sess.registry.counter(
-                "faults.injected_total", kind=kind, **labels
-            ).inc(n)
-        if self._detections:
-            sess.registry.counter("faults.detected_total", **labels).inc(
-                len(self._detections)
-            )
-            hist = sess.registry.histogram("faults.detection_seconds", **labels)
-            for latency in self._detections.values():
-                hist.observe(latency)
-        if self._retries_total:
-            sess.registry.counter("faults.retries_total", **labels).inc(
-                self._retries_total
-            )
-        if self._backoff_total:
-            sess.registry.counter(
-                "faults.retry_backoff_seconds_total", **labels
-            ).inc(self._backoff_total)
-
-    def publish_obs(self, trainer, sess, wall: float) -> None:
-        self.publish_fault_obs(trainer, sess)
-        labels = dict(
-            algo=trainer.algorithm, p=trainer.config.p, problem=trainer.problem.name
-        )
-        for tape in self._rank_tapes:
-            sess.registry.counter(
-                "train.samples_total", rank=tape["rank"], **labels
-            ).inc(tape["samples"])
-            sess.registry.counter(
-                "train.batches_total", rank=tape["rank"], **labels
-            ).inc(tape["batches"])
-        if trainer._obs is not None:
-            trainer._obs.finish(trainer.tape.samples, self._duration, wall)
-        spans = [
-            Span(actor, kind, t, t) for actor, kind, t in self._fault_events
-        ]
-        sess.add_run(
-            f"{trainer.algorithm} {trainer.problem.name} "
-            f"p={trainer.config.p} (net)",
-            spans,
-            [],
-            self._duration,
-        )
+        stats = self._conclude(trainer, p, payloads, errors)
+        stats.extras["cluster_spec"] = self._spec.to_json() if self._spec else None
+        return stats

@@ -1,9 +1,8 @@
-"""MPBackend — real parallel execution on host cores, under supervision.
+"""MPBackend — the shared-memory transport of the process-backend core.
 
-The same trainer coroutines that run in virtual time on :class:`SimBackend`
-run here as genuine OS processes (``multiprocessing`` with the ``fork``
-start method, so workers inherit the fully-constructed trainer without
-pickling):
+:mod:`repro.runtime.process_backend` holds what every real substrate does;
+this module adds how ``mp`` moves bytes and notices death (``fork`` start
+method, so workers inherit the constructed trainer without pickling):
 
 * **Collectives** move the flat parameter vector through
   ``multiprocessing.shared_memory`` segments: each rank publishes its input
@@ -12,60 +11,27 @@ pickling):
   reduce-scatter), a second barrier publishes the sums, and every rank
   copies the full result back out (the allgather half).  Object allgather
   (compressed SASGD's sparse pieces) rides per-rank queues instead.
-* **Parameter server** shards are separate processes, each exclusively
-  owning a contiguous slice of one shared parameter segment — requests
-  arrive on a per-shard queue and are applied in genuine arrival order, so
-  the staleness the paper measures is real scheduler nondeterminism, not a
-  model of it.
-* **Supervision** (:mod:`repro.faults.supervisor`): every worker runs a
-  heartbeat thread stamping a shared-memory liveness block; the parent runs
-  a monitor that declares a rank dead the moment its process exits (or its
-  heartbeat goes stale), and the barriers are *polling* barriers over the
-  same block — so a killed peer is detected in well under a second instead
-  of a full barrier timeout, the barrier survives failed rounds (elastic
-  recovery restarts on a fresh backend), and the resulting
-  :class:`~repro.runtime.LearnerFailure` carries the measured detection
-  latency.
-* **Fault injection** (:mod:`repro.faults`): planned learner crashes are a
-  real ``os._exit`` inside the worker; stragglers really sleep; dropped
-  parameter-server replies exercise a genuine resend-with-backoff retry
-  protocol (same-seq resends, shard-side dedupe, stale-reply discard) with
-  a typed :class:`~repro.runtime.RetryBudgetExhausted` when the budget
-  runs out; a crashed shard can be respawned from its periodic snapshot
-  (at-least-once apply semantics: work since the snapshot is lost, and a
-  resend that straddles the respawn may double-apply — documented in
-  DESIGN.md §9).
-
-Determinism: per-rank RNG streams and minibatch order are identical to the
-sim backend (same ``SeedSequence`` tree), so SASGD's trajectories differ
-from sim only by floating-point summation order; PS-based algorithms see
-real (nondeterministic) arrival order, which is the point.
-
-Results: rank 0's metrics tape carries the epoch records (it scales each
-recorded batch by ``p`` — ``sample_scale`` — to keep the collective sample
-counter honest), and every rank additionally ships its own *unscaled*
-cumulative tape summary home, merged into ``extras["rank_tapes"]`` with a
-labeled ``rank`` dimension; algorithm-specific state travels back through
-the trainers' ``_worker_export`` / ``_worker_import`` hooks.
-
-Telemetry: when an ambient :class:`repro.obs.events.EventBus` is installed,
-each forked worker swaps the inherited parent bus for a queue-forwarding
-one (the parent's sinks must never be written from two processes); a
-parent-side aggregator thread drains the queue and republishes each event
-on the real bus, which assigns the authoritative gap-free seq order.
-Planned-crash events are emitted parent-side (an ``os._exit`` worker cannot
-reliably flush its queue feeder).
+* **Parameter server** shards each own a contiguous slice of one shared
+  parameter segment; requests arrive as pickled tuples on a per-shard queue
+  and replies return on a per-rank queue (:class:`_QueueChannel`).  A
+  crashed shard can be respawned from its periodic shared-memory snapshot
+  (``restart_shard``; at-least-once apply semantics, DESIGN.md §9).
+* **Supervision** (:mod:`repro.faults.supervisor`): workers stamp a
+  shared-memory liveness block; a parent monitor declares a rank dead when
+  its process exits or its heartbeat goes stale, and the barriers poll the
+  same block — a killed peer aborts the round in well under a second with
+  a :class:`~repro.runtime.LearnerFailure` carrying the measured latency.
+* **Telemetry**: forked workers forward events on a queue; a parent-side
+  aggregator thread republishes them in authoritative seq order.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import queue
 import threading
 import time
 from multiprocessing import shared_memory
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -79,29 +45,23 @@ from ..faults.supervisor import (
     WorkerMonitor,
 )
 from ..obs import events as _events
-from ..ps.server import ShardLayout
-from ..sim.trace import Span
-from .api import (
-    Backend,
-    Collective,
-    LearnerFailure,
-    ParameterServerHandle,
-    PSClientLike,
-    RetryBudgetExhausted,
-    RunStats,
-    blocking,
+from .api import LearnerFailure, RunStats
+from .process_backend import (
+    JOIN_GRACE,
+    BlockingCollective,
+    ProcessBackend,
+    ProcessParameterServer,
+    PSClient,
+    ShardState,
+    drain_results,
+    drive_learner,
+    install_worker_bus,
+    reap,
+    worker_error,
+    worker_result,
 )
 
 __all__ = ["MPBackend", "MPCollective", "MPParameterServer"]
-
-_JOIN_GRACE = 5.0   # seconds to wait for an already-signalled process
-_DEAD_GRACE = 1.0   # drain grace once every awaited rank is known dead
-_CRASH_EXIT = 3     # exit code of a plan-crashed learner
-_PS_CRASH_EXIT = 4  # exit code of a plan-crashed parameter-server shard
-
-
-def _noop() -> None:
-    return None
 
 
 def _unlink_quietly(shm: Optional[shared_memory.SharedMemory]) -> None:
@@ -114,7 +74,7 @@ def _unlink_quietly(shm: Optional[shared_memory.SharedMemory]) -> None:
         pass
 
 
-class MPCollective(Collective):
+class MPCollective(BlockingCollective):
     """Chunked reduce-scatter/allgather allreduce over shared memory.
 
     Synchronisation is a :class:`~repro.faults.supervisor.PollingBarrier`
@@ -125,24 +85,21 @@ class MPCollective(Collective):
     """
 
     def __init__(self, ctx, p: int, timeout: float) -> None:
+        super().__init__(p, timeout)
         self._ctx = ctx
-        self.p = p
-        self.timeout = timeout
-        self.bytes_moved = 0.0  # per-process accumulator after fork
         self._size = 0
         self._dtype: Optional[np.dtype] = None
         self._shm_in: List[shared_memory.SharedMemory] = []
         self._shm_out: Optional[shared_memory.SharedMemory] = None
-        self._liveness: Optional[LivenessBlock] = None
-        self._own_liveness = False
+        self._liveness: Optional[LivenessBlock] = None  # owned by the backend
         self._barriers: Dict[int, PollingBarrier] = {}  # per-process, by rank
         self._queues = None
         self._bounds: List[Any] = []
         self._stash: dict = {}  # tag -> [(src, item)] received out of round
 
-    def allocate(self, size: int, dtype,
-                 liveness: Optional[LivenessBlock] = None) -> None:
-        """Create the shared segments/liveness lane.  Must run before fork."""
+    def allocate(self, size: int, dtype, liveness: LivenessBlock) -> None:
+        """Create the shared segments on the run's liveness block (which needs
+        a ``"coll"`` lane).  Must run before fork."""
         if self._queues is not None:
             raise RuntimeError("collective already allocated")
         self._size = int(size)
@@ -153,12 +110,7 @@ class MPCollective(Collective):
             for _ in range(self.p)
         ]
         self._shm_out = shared_memory.SharedMemory(create=True, size=nbytes)
-        if liveness is not None:
-            self._liveness = liveness
-            self._own_liveness = False
-        else:
-            self._liveness = LivenessBlock(self.p, ["coll"])
-            self._own_liveness = True
+        self._liveness = liveness
         self._queues = [self._ctx.Queue() for _ in range(self.p)]
         edges = np.linspace(0, self._size, self.p + 1).astype(int)
         self._bounds = list(zip(edges[:-1], edges[1:]))
@@ -169,8 +121,6 @@ class MPCollective(Collective):
         _unlink_quietly(self._shm_out)
         self._shm_in = []
         self._shm_out = None
-        if self._own_liveness and self._liveness is not None:
-            self._liveness.close()
         self._liveness = None
         self._barriers = {}
         self._queues = None
@@ -200,10 +150,7 @@ class MPCollective(Collective):
                 "a peer stalled undetected and the surviving ranks deadlocked"
             ) from None
 
-    # -- Collective API -----------------------------------------------------
-
-    def broadcast(self, rank, array, root=0, nbytes=0.0, ctx=0) -> Generator:
-        return blocking(self._broadcast, rank, array, root)
+    # -- BlockingCollective bodies ------------------------------------------
 
     def _broadcast(self, rank: int, array, root: int) -> np.ndarray:
         if self.p == 1:
@@ -215,14 +162,6 @@ class MPCollective(Collective):
         self._wait(rank)  # nobody may overwrite the segment before all copied
         self.bytes_moved += float(out.nbytes)
         return out
-
-    def allreduce(
-        self, rank, array, nbytes=0.0, ctx=0, algorithm="recursive_doubling"
-    ) -> Generator:
-        # `algorithm` picks a wire schedule on the simulated fabric; shared
-        # memory has exactly one sensible schedule, so it is accepted and
-        # ignored here.
-        return blocking(self._allreduce, rank, array)
 
     def _allreduce(self, rank: int, array: np.ndarray) -> np.ndarray:
         if self.p == 1:
@@ -248,9 +187,6 @@ class MPCollective(Collective):
         self.bytes_moved += 2.0 * float(array.nbytes)
         return out
 
-    def allgather(self, rank, item, nbytes=0.0, ctx=0) -> Generator:
-        return blocking(self._allgather, rank, item, ctx, nbytes)
-
     def _allgather(self, rank: int, item, tag, nbytes: float) -> List[Any]:
         if self.p == 1:
             return [item]
@@ -266,11 +202,7 @@ class MPCollective(Collective):
             need -= 1
         deadline = time.monotonic() + self.timeout
         while need > 0:
-            dead = (
-                self._liveness.first_dead(exclude=rank)
-                if self._liveness is not None
-                else None
-            )
+            dead = self._liveness.first_dead(exclude=rank)
             if dead is not None and pieces[dead] is None:
                 step = int(self._liveness.dead_step[dead])
                 raise LearnerFailure(
@@ -297,240 +229,69 @@ class MPCollective(Collective):
         self.bytes_moved += 2.0 * float(nbytes) * (self.p - 1)
         return pieces
 
-
 def _ps_shard_main(ps: "MPParameterServer", sid: int, restored: bool = False) -> None:
-    """One shard process: exclusive owner of x[lo:hi], serves in arrival order.
+    """One shard process: a :class:`ShardState` over x[lo:hi] fed by queues.
 
-    Request protocol: each rank's requests carry a strictly increasing
-    ``seq``; the shard remembers the last ``(seq, reply)`` per rank so a
-    retried (resent) request is answered from cache instead of re-applied —
-    exactly-once application as long as the shard itself survives.  A shard
-    respawned from snapshot forgets the cache (at-least-once semantics).
+    A shard respawned from snapshot starts from the snapshot's version with
+    an empty dedupe cache (at-least-once semantics) and its crash consumed.
     """
     lo, hi = ps.layout.bounds[sid]
     x = np.ndarray((ps.size,), dtype=ps.dtype, buffer=ps._shm.buf)
     snap = ps._snap_view()
     meta = ps._meta_view()
-    version = int(meta[sid]) if (restored and meta is not None) else 0
-    pushes = 0
-    applies = 0
-    crash_at = None if restored else ps.crash_after.get(sid)
-    last_seq: Dict[int, int] = {}
-    last_reply: Dict[int, tuple] = {}
-    if snap is not None and not restored:
+    snapshot = None
+    if snap is not None:
+        def snapshot(version: int) -> None:
+            snap[lo:hi] = x[lo:hi]
+            meta[sid] = version
+    state = ShardState(
+        x[lo:hi], ps.learning_rate,
+        crash_after=None if restored else ps.crash_after.get(sid),
+        version=int(meta[sid]) if (restored and meta is not None) else 0,
+        snapshot=snapshot, snapshot_every=ps.snapshot_every,
+    )
+    if snapshot is not None and not restored:
         # initial snapshot so a crash before the first periodic one still
         # has something to restart from
-        snap[lo:hi] = x[lo:hi]
-        meta[sid] = version
+        snapshot(state.version)
     while True:
         req = ps.req_queues[sid].get()
         if req[0] == "stop":
-            ps.stats_queue.put((sid, version, pushes))
+            ps.stats_queue.put((sid, state.version, state.pushes))
             return
-        kind, rank, seq, payload, extra = req
-        if last_seq.get(rank) == seq:
-            # duplicate of an already-applied request (client retried after
-            # an injected/lost reply): answer from cache, do not re-apply
-            ps.reply_queues[rank].put(last_reply[rank])
-            continue
-        if kind == "push":
-            if payload is not None:
-                x[lo:hi] -= ps.learning_rate * payload
-            version += 1
-            pushes += 1
-            applies += 1
-            reply = (sid, seq, version)
-        elif kind == "pull":
-            reply = (sid, seq, (x[lo:hi].copy(), version))
-        elif kind == "elastic":
-            if payload is None:
-                e = None
-            else:
-                e = extra * (payload - x[lo:hi])
-                x[lo:hi] += e
-            version += 1
-            applies += 1
-            reply = (sid, seq, (e, version))
-        else:
-            reply = (sid, seq, ValueError(f"unknown kind {kind!r}"))
-        last_seq[rank] = seq
-        last_reply[rank] = reply
-        ps.reply_queues[rank].put(reply)
-        if snap is not None and kind in ("push", "elastic"):
-            if applies % ps.snapshot_every == 0:
-                snap[lo:hi] = x[lo:hi]
-                meta[sid] = version
-        if crash_at is not None and applies >= crash_at:
-            # injected shard death: the reply to the fatal apply got out,
-            # the dedupe cache and post-snapshot applies die with us
-            os._exit(_PS_CRASH_EXIT)
+        op, rank, seq, payload, alpha = req
+        ps.reply_queues[rank].put(
+            (sid, seq) + state.apply(rank, seq, op, payload, alpha)
+        )
+        state.settle()
 
 
-class MPPSClient(PSClientLike):
-    """One rank's blocking connection to every shard (same staleness
-    accounting as the simulated :class:`~repro.ps.server.PSClient`).
+class _QueueChannel:
+    """PS request/reply as pickled tuples: one request queue per shard, one
+    reply queue per rank."""
 
-    Reply loss — genuine (a dead shard) or injected (a ``drop`` fault) — is
-    handled by a resend-with-exponential-backoff protocol: the client
-    resends the *same* ``seq`` after each backoff sleep (the shard dedupes),
-    discards stale replies from abandoned attempts, and raises
-    :class:`RetryBudgetExhausted` when ``retry.max_retries`` resends go
-    unanswered.
-    """
+    lost_where = ""
 
     def __init__(self, ps: "MPParameterServer", rank: int) -> None:
-        self.ps = ps
+        self._requests = ps.req_queues
+        self._replies = ps.reply_queues[rank]
         self.rank = rank
-        self._seq = 0
-        self._op_ordinal = 0  # one push/pull/elastic call = one fault ordinal
-        self.staleness_samples: List[int] = []
-        self._pull_version = 0
-        self._pull_versions = [0] * ps.layout.n_shards
 
-    def _fault_gate(self) -> int:
-        """Per-op fault decisions: sleep injected delays, return drop count."""
-        ordinal = self._op_ordinal
-        self._op_ordinal += 1
-        plan = self.ps.plan
-        if plan is None or not plan:
-            return 0
-        delay = plan.ps_reply_delay(self.rank, ordinal)
-        if delay > 0.0:
-            self.ps.fault_counts["delay"] = self.ps.fault_counts.get("delay", 0) + 1
-            _events.emit(
-                _events.FAULT_INJECTED,
-                source=f"learner{self.rank}",
-                fault="delay",
-                seconds=delay,
-                ordinal=ordinal,
-            )
-            time.sleep(delay)
-        drops = plan.ps_reply_drops(self.rank, ordinal)
-        if drops:
-            self.ps.fault_counts["drop"] = (
-                self.ps.fault_counts.get("drop", 0) + drops
-            )
-            _events.emit(
-                _events.FAULT_INJECTED,
-                source=f"learner{self.rank}",
-                fault="drop",
-                count=drops,
-                ordinal=ordinal,
-            )
-        return drops
+    def send(self, sid: int, op: str, seq: int, payload, alpha) -> None:
+        if payload is not None:
+            # the queue's feeder thread pickles later; the caller's buffer
+            # may have moved on by then
+            payload = np.array(payload, copy=True)
+        self._requests[sid].put((op, self.rank, seq, payload, alpha))
 
-    def _request(self, sid: int, kind: str, payload, extra=None, drops: int = 0):
-        ps = self.ps
-        retry = ps.retry
-        self._seq += 1
-        seq = self._seq
-        msg = (kind, self.rank, seq, payload, extra)
-        ps.req_queues[sid].put(msg)
-        # the overall patience budget is spread over the send + every resend,
-        # so a genuinely dead shard exhausts the typed retry budget in about
-        # ps.timeout seconds total rather than hanging a bare Queue.get
-        attempts_allowed = retry.max_retries + 1
-        per_wait = max(0.05, ps.timeout / attempts_allowed)
-        attempt = 0  # resends performed so far
-        waited = 0.0
-        while True:
-            try:
-                rsid, rseq, reply = ps.reply_queues[self.rank].get(timeout=per_wait)
-            except queue.Empty:
-                waited += per_wait
-                if attempt >= retry.max_retries:
-                    raise RetryBudgetExhausted(
-                        self.rank,
-                        attempt,
-                        f"parameter-server shard {sid} gave no reply to "
-                        f"{kind!r} after {attempt + 1} attempts "
-                        f"(~{waited:.1f}s waited); learner{self.rank} "
-                        "exhausted its retry budget and the run deadlocked",
-                    ) from None
-                time.sleep(retry.backoff(attempt))
-                attempt += 1
-                ps.retries += 1
-                ps.req_queues[sid].put(msg)
-                continue
-            if rsid != sid or rseq < seq:
-                # stale reply from an earlier, abandoned attempt — discard
-                continue
-            if drops > 0:
-                # injected reply loss: pretend this genuine reply never
-                # arrived, then drive the real retry machinery
-                drops -= 1
-                if attempt >= retry.max_retries:
-                    raise RetryBudgetExhausted(
-                        self.rank,
-                        attempt,
-                        f"parameter-server shard {sid}: replies to {kind!r} "
-                        f"kept vanishing; learner{self.rank} exhausted its "
-                        f"retry budget after {attempt + 1} attempts and the "
-                        "run deadlocked",
-                    )
-                time.sleep(retry.backoff(attempt))
-                attempt += 1
-                ps.retries += 1
-                ps.req_queues[sid].put(msg)
-                continue
-            if isinstance(reply, Exception):
-                raise reply
-            return reply
-
-    def push(self, grad: Optional[np.ndarray]) -> Generator:
-        return blocking(self._push, grad)
-
-    def _push(self, grad: Optional[np.ndarray]) -> int:
-        ps = self.ps
-        drops = self._fault_gate()
-        version_now = 0
-        for sid, (lo, hi) in enumerate(ps.layout.bounds):
-            payload = None if grad is None else np.array(grad[lo:hi], copy=True)
-            v = self._request(sid, "push", payload, drops=drops)
-            drops = 0  # the op-level fault applies to the first shard leg
-            version_now += int(v)
-            ps.bytes_moved += ps.layout.slice_bytes(sid, ps.dtype.itemsize)
-        staleness = max(0, version_now - self._pull_version - ps.layout.n_shards)
-        self.staleness_samples.append(staleness)
-        return staleness
-
-    def pull(self) -> Generator:
-        return blocking(self._pull)
-
-    def _pull(self) -> np.ndarray:
-        ps = self.ps
-        drops = self._fault_gate()
-        out = np.empty(ps.size, dtype=ps.dtype)
-        version = 0
-        for sid, (lo, hi) in enumerate(ps.layout.bounds):
-            reply, v = self._request(sid, "pull", None, drops=drops)
-            drops = 0
-            version += int(v)
-            self._pull_versions[sid] = int(v)
-            out[lo:hi] = reply
-            ps.bytes_moved += ps.layout.slice_bytes(sid, ps.dtype.itemsize)
-        self._pull_version = version
-        return out
-
-    def elastic(self, x_local: Optional[np.ndarray], alpha: float) -> Generator:
-        return blocking(self._elastic, x_local, alpha)
-
-    def _elastic(self, x_local: Optional[np.ndarray], alpha: float) -> np.ndarray:
-        ps = self.ps
-        drops = self._fault_gate()
-        out = np.empty(ps.size, dtype=ps.dtype)
-        for sid, (lo, hi) in enumerate(ps.layout.bounds):
-            payload = None if x_local is None else np.array(x_local[lo:hi], copy=True)
-            e, v = self._request(sid, "elastic", payload, extra=alpha, drops=drops)
-            drops = 0
-            self._pull_versions[sid] = int(v)
-            if e is not None:
-                out[lo:hi] = e
-            ps.bytes_moved += 2.0 * ps.layout.slice_bytes(sid, ps.dtype.itemsize)
-        return out
+    def recv(self, wait: float):
+        try:
+            return self._replies.get(timeout=wait)
+        except queue.Empty:
+            return None
 
 
-class MPParameterServer(ParameterServerHandle):
+class MPParameterServer(ProcessParameterServer):
     """Sharded PS over one shared parameter segment + per-shard processes.
 
     When the armed fault plan contains ``ps_crash`` faults, each shard keeps
@@ -543,81 +304,33 @@ class MPParameterServer(ParameterServerHandle):
 
     def __init__(self, ctx, p: int, size: int, n_shards: int,
                  learning_rate: float, dtype, timeout: float) -> None:
-        self._ctx = ctx
-        self.p = p
-        self.size = int(size)
-        self._layout = ShardLayout.even(size, n_shards)
-        self.learning_rate = learning_rate
-        self.dtype = np.dtype(dtype)
-        self.timeout = timeout
-        self.bytes_moved = 0.0  # per-process accumulator after fork
-        self.retries = 0        # per-process resend counter (client side)
-        self.fault_counts: Dict[str, int] = {}  # per-process injection counts
-        # fault configuration, installed by MPBackend before start()
-        self.plan: Optional[FaultPlan] = None
-        self.retry = RetryPolicy()
-        self.crash_after: Dict[int, int] = {}
+        super().__init__(ctx, size, n_shards, learning_rate, dtype, timeout)
         self.restart_shards = False
         self.snapshot_every = 25
-        self.shard_restarts = 0
         self.crashed_shards: set = set()
-        self.events: List[Tuple[str, str, float]] = []  # (actor, kind, wall_t)
         self._shm: Optional[shared_memory.SharedMemory] = shared_memory.SharedMemory(
             create=True, size=max(1, self.size * self.dtype.itemsize)
         )
-        self._x_view: Optional[np.ndarray] = np.ndarray(
+        self._x_local = np.ndarray(
             (self.size,), dtype=self.dtype, buffer=self._shm.buf
         )
-        self._x_view[:] = 0
+        self._x_local[:] = 0
         self._snap_shm: Optional[shared_memory.SharedMemory] = None
         self._meta_shm: Optional[shared_memory.SharedMemory] = None
         self.req_queues = [ctx.Queue() for _ in range(n_shards)]
         self.reply_queues = [ctx.Queue() for _ in range(p)]
         self.stats_queue = ctx.Queue()
-        self._procs: List[multiprocessing.process.BaseProcess] = []
         self._watchdog: Optional[threading.Thread] = None
         self._watchdog_stop = threading.Event()
         self._t0 = 0.0
-        self._pushes_applied = 0
-        self.versions = [0] * n_shards
-        self._x_final: Optional[np.ndarray] = None
 
-    # -- handle surface ------------------------------------------------------
-
-    @property
-    def x(self) -> np.ndarray:
-        if self._x_final is not None:
-            return self._x_final
-        return self._x_view
-
-    @property
-    def layout(self) -> ShardLayout:
-        return self._layout
-
-    @property
-    def pushes_applied(self) -> int:
-        return self._pushes_applied
-
-    def set_params(self, x0: np.ndarray) -> None:
-        if x0.shape != (self.size,):
-            raise ValueError(f"shape mismatch: {x0.shape} vs ({self.size},)")
-        self._x_view[:] = x0
-
-    def client(self, rank: int) -> MPPSClient:
-        return MPPSClient(self, rank)
-
-    # -- fault plumbing ------------------------------------------------------
+    def client(self, rank: int) -> PSClient:
+        return PSClient(self, rank, _QueueChannel(self, rank))
 
     def install_faults(self, plan: FaultPlan, retry: RetryPolicy,
                        recovery: str) -> None:
-        self.plan = plan
-        self.retry = retry
+        super().install_faults(plan, retry, recovery)
         self.restart_shards = recovery == "restart_shard"
-        self.crash_after = {
-            sid: push
-            for sid in range(self._layout.n_shards)
-            if (push := plan.ps_crash_push(sid)) is not None
-        }
 
     def _snap_view(self) -> Optional[np.ndarray]:
         if self._snap_shm is None:
@@ -633,16 +346,8 @@ class MPParameterServer(ParameterServerHandle):
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _spawn_shard(self, sid: int, restored: bool) -> None:
-        proc = self._ctx.Process(
-            target=_ps_shard_main, args=(self, sid, restored),
-            name=f"repro-ps{sid}", daemon=True,
-        )
-        self._procs[sid] = proc
-        proc.start()
-
     def start(self) -> None:
-        if any(p is not None for p in self._procs):
+        if self._procs:
             return
         if self.crash_after:
             # snapshot substrate: a full-size shadow segment (each shard owns
@@ -655,9 +360,10 @@ class MPParameterServer(ParameterServerHandle):
             )
             self._meta_view()[:] = 0
         self._t0 = time.perf_counter()
-        self._procs = [None] * self._layout.n_shards  # type: ignore[list-item]
-        for sid in range(self._layout.n_shards):
-            self._spawn_shard(sid, restored=False)
+        self._procs = [
+            self._fork_shard(_ps_shard_main, sid, False)
+            for sid in range(self._layout.n_shards)
+        ]
         if self.crash_after:
             self._watchdog_stop.clear()
             self._watchdog = threading.Thread(
@@ -669,13 +375,11 @@ class MPParameterServer(ParameterServerHandle):
         """Respawn (or record) shards that die with the crash exit code."""
         while not self._watchdog_stop.is_set():
             for sid, proc in enumerate(self._procs):
-                if proc is None or proc.is_alive() or sid in self.crashed_shards:
+                if proc.is_alive() or sid in self.crashed_shards:
                     continue
                 now = time.perf_counter() - self._t0
                 self.events.append((f"ps{sid}", "fault", now))
-                self.fault_counts["ps_crash"] = (
-                    self.fault_counts.get("ps_crash", 0) + 1
-                )
+                self.fault_counts["ps_crash"] += 1
                 _events.emit(
                     _events.FAULT_INJECTED,
                     source=f"ps{sid}",
@@ -692,8 +396,8 @@ class MPParameterServer(ParameterServerHandle):
                 lo, hi = self._layout.bounds[sid]
                 snap = self._snap_view()
                 if snap is not None:
-                    self._x_view[lo:hi] = snap[lo:hi]
-                self._spawn_shard(sid, restored=True)
+                    self._x_local[lo:hi] = snap[lo:hi]
+                self._procs[sid] = self._fork_shard(_ps_shard_main, sid, True)
                 self.shard_restarts += 1
                 restart_t = time.perf_counter() - self._t0
                 self.events.append((f"ps{sid}", "ps_restart", restart_t))
@@ -714,27 +418,22 @@ class MPParameterServer(ParameterServerHandle):
             self._watchdog_stop.set()
             self._watchdog.join(timeout=2.0)
             self._watchdog = None
-        live = [p for p in self._procs if p is not None]
-        if live:
+        if self._procs:
             for sid in range(self._layout.n_shards):
                 if sid not in self.crashed_shards:
                     self.req_queues[sid].put(("stop",))
             expected = self._layout.n_shards - len(self.crashed_shards)
             for _ in range(expected):
                 try:
-                    sid, version, pushes = self.stats_queue.get(timeout=_JOIN_GRACE)
+                    sid, version, pushes = self.stats_queue.get(timeout=JOIN_GRACE)
                 except queue.Empty:
                     break
                 self.versions[sid] = version
                 self._pushes_applied += pushes
-            for proc in live:
-                proc.join(timeout=_JOIN_GRACE)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=_JOIN_GRACE)
+            reap(self._procs)
             self._procs = []
-        self._x_final = np.array(self._x_view, copy=True)
-        self._x_view = None
+        self._x_final = np.array(self._x_local, copy=True)
+        self._x_local = None
         _unlink_quietly(self._shm)
         self._shm = None
         _unlink_quietly(self._snap_shm)
@@ -742,226 +441,65 @@ class MPParameterServer(ParameterServerHandle):
         _unlink_quietly(self._meta_shm)
         self._meta_shm = None
 
-    def __del__(self):  # safety net; normal path is MPBackend.run's finally
-        try:
-            self.shutdown()
-        except Exception:
-            pass
-
 
 def _worker_main(trainer, lid: int, result_q) -> None:
     """Drive one learner coroutine to completion inside a forked worker."""
     backend = trainer.backend
-    # the forked child inherits the parent's ambient bus (and any open sink
-    # file descriptors) — swap it for a queue-forwarding bus so all worker
-    # events reach the parent aggregator, which assigns the real seq order
-    if backend._event_q is not None:
-        _events.install(
-            _events.EventBus(
-                sinks=[_events.QueueSink(backend._event_q)],
-                clock=backend.clock,
-                keep_snapshot=False,
-            )
-        )
-    else:
-        _events.install(None)
-    liveness: Optional[LivenessBlock] = backend._liveness
-    heartbeat = None
-    if liveness is not None:
-        heartbeat = HeartbeatThread(
-            liveness, lid, interval=backend.heartbeat_interval
-        ).start()
-    t0 = time.perf_counter()
+    install_worker_bus(
+        None if backend._event_q is None else _events.QueueSink(backend._event_q),
+        backend.clock,
+    )
+    liveness: LivenessBlock = backend._liveness  # run() allocates it pre-fork
+    heartbeat = HeartbeatThread(
+        liveness, lid, interval=backend.heartbeat_interval
+    ).start()
     try:
-        for command in trainer._learner_proc(lid):
-            raise RuntimeError(
-                f"trainer yielded simulator command {command!r} on the mp "
-                "backend; route it through the repro.runtime interfaces"
-            )
-        wall = time.perf_counter() - t0
-        if liveness is not None:
-            if backend._failure is not None and backend._failure[0] == lid:
-                # legacy fail_at death: unblock the peers' barriers with the
-                # victim's identity before shipping the farewell payload
-                liveness.declare_dead(lid, backend._failure[1])
-            else:
-                liveness.mark_finished(lid)
-        ps = backend._ps
-        ps_bytes = ps.bytes_moved if ps is not None else 0.0
-        data = {
-            "records": trainer.tape.records if lid == 0 else None,
-            "samples": trainer.tape.samples,
-            "epoch": trainer.tape.epoch,
-            "tape_rank": trainer.tape.rank_summary(),
-            "flat": np.array(trainer.workloads[lid].flat.data, copy=True)
-            if lid == 0
-            else None,
-            "export": trainer._worker_export(lid),
-            "failed_at": None if backend._failure is None else backend._failure[1],
-            "comm_seconds": backend._comm_seconds,
-            "wall_seconds": wall,
-            "bytes": backend.collective.bytes_moved + ps_bytes,
-            "retries": ps.retries if ps is not None else 0,
-            "fault_counts": dict(
-                ps.fault_counts if ps is not None else {},
-                **backend._worker_fault_counts,
-            ),
-        }
-        result_q.put(("done", lid, data))
-    except BaseException as exc:  # noqa: BLE001 - must never hang the parent
-        if liveness is not None:
-            # an erroring worker still exits cleanly (payload below); keep
-            # the monitor from declaring it crashed on exit
+        wall = drive_learner(trainer, lid)
+        if backend._failure is not None and backend._failure[0] == lid:
+            # legacy fail_at death: unblock the peers' barriers with the
+            # victim's identity before shipping the farewell payload
+            liveness.declare_dead(lid, backend._failure[1])
+        else:
             liveness.mark_finished(lid)
-        failed_at = None if backend._failure is None else backend._failure[1]
-        ps = backend._ps
-        result_q.put(
-            ("error", lid, {
-                "error": f"{type(exc).__name__}: {exc}",
-                "failed_at": failed_at,
-                "learner_id": getattr(exc, "learner_id", None),
-                "step": getattr(exc, "step", None),
-                "retry_exhausted": isinstance(exc, RetryBudgetExhausted),
-                "attempts": getattr(exc, "attempts", 0),
-                "retries": ps.retries if ps is not None else 0,
-                "fault_counts": dict(
-                    ps.fault_counts if ps is not None else {},
-                    **backend._worker_fault_counts,
-                ),
-            })
-        )
+        result_q.put(("done", lid, worker_result(trainer, lid, wall)))
+    except BaseException as exc:  # noqa: BLE001 - must never hang the parent
+        # an erroring worker still exits cleanly (payload below); keep the
+        # monitor from declaring it crashed on exit
+        liveness.mark_finished(lid)
+        result_q.put(("error", lid, worker_error(trainer, exc)))
     finally:
-        if heartbeat is not None:
-            heartbeat.stop()
+        heartbeat.stop()
 
 
-class MPBackend(Backend):
+class MPBackend(ProcessBackend):
     """Wall-clock parallel execution: one OS process per learner."""
 
     name = "mp"
+    _death_symptom = (
+        "surviving workers deadlocked at the next collective and were reaped"
+    )
+    _death_reason = "worker learner{rank} exited without a farewell"
 
-    def __init__(self, timeout: float = 120.0, start_method: str = "fork",
+    def __init__(self, timeout: float = 120.0,
                  heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
                  heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT) -> None:
-        if start_method not in multiprocessing.get_all_start_methods():
+        super().__init__(timeout, heartbeat_interval, heartbeat_timeout)
+        if self._ctx is None:
             raise RuntimeError(
-                f"mp backend needs the {start_method!r} start method "
+                "mp backend needs the 'fork' start method "
                 "(workers inherit the constructed trainer); not available "
                 "on this platform"
             )
-        if start_method != "fork":
-            raise RuntimeError(
-                "mp backend currently supports only the 'fork' start method"
-            )
-        if heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be > 0, got {heartbeat_interval}"
-            )
-        if heartbeat_timeout <= heartbeat_interval:
-            raise ValueError(
-                f"heartbeat_timeout ({heartbeat_timeout}) must exceed "
-                f"heartbeat_interval ({heartbeat_interval}) or every worker "
-                "reads as stale"
-            )
-        self._ctx = multiprocessing.get_context(start_method)
-        self.timeout = timeout
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.collective: Optional[MPCollective] = None
-        self._trainer = None
-        self._ps: Optional[MPParameterServer] = None
-        self._seed_seq: Optional[np.random.SeedSequence] = None
-        self._failure = None  # (lid, step) noted in the worker that died
-        self._comm_seconds = 0.0  # per-process accumulator after fork
-        self._t0: Optional[float] = None
-        self._duration = 0.0
-        self._plan: Optional[FaultPlan] = None
-        self._retry = RetryPolicy()
-        self._recovery = "fail_fast"
         self._liveness: Optional[LivenessBlock] = None
-        self._detections: Dict[int, float] = {}
-        self._fault_events: List[Tuple[str, str, float]] = []
-        self._fault_counts: Dict[str, int] = {}
-        self._worker_fault_counts: Dict[str, int] = {}  # per-process after fork
-        self._retries_total = 0
         self._event_q = None  # worker→parent event forwarding (run() arms it)
-        self._rank_tapes: List[Dict[str, Any]] = []
 
-    # -- lifecycle ----------------------------------------------------------
+    def _make_collective(self, p: int) -> MPCollective:
+        return MPCollective(self._ctx, p, self.timeout)
 
-    def bind(self, trainer) -> None:
-        if self._trainer is not None:
-            raise RuntimeError("a backend instance drives exactly one trainer")
-        self._trainer = trainer
-        self.sample_scale = trainer.config.p
-        self._seed_seq = np.random.SeedSequence(trainer.config.seed)
-        self.collective = MPCollective(self._ctx, trainer.config.p, self.timeout)
-
-    def clock(self) -> float:
-        if self._t0 is None:
-            return 0.0
-        return time.perf_counter() - self._t0
-
-    def spawn_rngs(self, n: int) -> List[np.random.Generator]:
-        return [np.random.default_rng(s) for s in self._seed_seq.spawn(n)]
-
-    # -- per-step primitives ------------------------------------------------
-
-    def compute(self, lid: int, flops: float, scale: float = 1.0) -> Generator:
-        # real math *is* the compute cost; straggle scale is charged by the
-        # trainer through fault_sleep (a measured real sleep), not here
-        return blocking(_noop)
-
-    def comm(self, lid: int, coroutine: Generator) -> Generator:
-        t0 = time.perf_counter()
-        result = yield from coroutine
-        self._comm_seconds += time.perf_counter() - t0
-        return result
-
-    def make_ps(self, size, n_shards, learning_rate, dtype) -> MPParameterServer:
-        if self._ps is not None:
-            raise RuntimeError("mp backend supports one parameter server per run")
-        self._ps = MPParameterServer(
-            self._ctx, self._trainer.config.p, size, n_shards,
-            learning_rate, dtype, self.timeout,
+    def _make_ps(self, p, size, n_shards, learning_rate, dtype) -> MPParameterServer:
+        return MPParameterServer(
+            self._ctx, p, size, n_shards, learning_rate, dtype, self.timeout
         )
-        if self._plan is not None:
-            self._ps.install_faults(self._plan, self._retry, self._recovery)
-        return self._ps
-
-    def should_record(self, lid: int) -> bool:
-        return lid == 0  # only rank 0's tape survives the fork
-
-    def note_failure(self, lid: int, step: int) -> None:
-        if self._failure is None:
-            self._failure = (lid, step)
-
-    # -- fault hooks ---------------------------------------------------------
-
-    def install_faults(self, plan, retry=None, recovery: str = "fail_fast") -> None:
-        self._plan = plan
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._recovery = recovery
-        if self._ps is not None:
-            self._ps.install_faults(self._plan, self._retry, self._recovery)
-
-    def fault_crash(self, lid: int, step: int) -> bool:
-        """Planned crash on the real substrate: the worker process dies, no
-        farewell, no cleanup — detection is the supervisor's job."""
-        os._exit(_CRASH_EXIT)
-        return True  # pragma: no cover - unreachable
-
-    def fault_sleep(self, lid: int, seconds: float) -> Generator:
-        self._worker_fault_counts["straggle"] = (
-            self._worker_fault_counts.get("straggle", 0) + 1
-        )
-        _events.emit(
-            _events.FAULT_INJECTED,
-            source=f"learner{lid}",
-            fault="straggle",
-            seconds=seconds,
-        )
-        return blocking(time.sleep, seconds)
 
     def respawn(self) -> "MPBackend":
         return MPBackend(
@@ -980,8 +518,6 @@ class MPBackend(Backend):
         if self._ps is not None:
             self._ps.start()
         result_q = self._ctx.Queue()
-        payloads: dict = {}
-        errors: dict = {}
         procs = []
         monitor: Optional[WorkerMonitor] = None
         self._t0 = time.perf_counter()
@@ -1016,274 +552,46 @@ class MPBackend(Backend):
             )
             aggregator.start()
         try:
-            procs = [
-                self._ctx.Process(
-                    target=_worker_main, args=(trainer, lid, result_q),
-                    name=trainer.learner_names[lid], daemon=True,
-                )
-                for lid in range(p)
-            ]
-            for proc in procs:
-                proc.start()
-
-            planned = self._plan.crash_learners() if self._plan is not None else {}
-
-            def _on_death(rank: int, latency: float) -> None:
-                self._detections[rank] = latency
-                now = self.clock()
-                self._fault_events.append(
-                    (trainer.learner_names[rank], "fault", now)
-                )
-                # the dying worker could not flush its own queue (os._exit),
-                # so the parent emits the crash + detection pair on its behalf
-                if rank in planned:
-                    _events.emit(
-                        _events.FAULT_INJECTED,
-                        source=trainer.learner_names[rank],
-                        t=now,
-                        fault="crash",
-                        step=planned[rank],
-                    )
-                _events.emit(
-                    _events.FAILURE_DETECTED,
-                    t=now,
-                    learner=rank,
-                    step=planned.get(rank),
-                    detection_seconds=latency,
-                    reason=f"worker learner{rank} exited without a farewell",
-                )
-
+            procs = self._fork_workers(trainer, _worker_main, result_q)
             monitor = WorkerMonitor(
                 self._liveness,
                 {lid: procs[lid].is_alive for lid in range(p)},
                 heartbeat_timeout=self.heartbeat_timeout,
-                on_death=_on_death,
+                on_death=self._on_death,
             ).start()
-            # drain results BEFORE joining: a worker blocks at exit until its
-            # queue payload is flushed, so join-first would deadlock.  The
-            # loop polls in short slices so a detected death can end the wait
-            # early: once every still-awaited rank is dead with its process
-            # gone (no payload will ever come), a short grace ends the drain.
-            expected = set(range(p))
-            deadline = time.monotonic() + self.timeout + 10.0
-            dead_grace: Optional[float] = None
-            while expected:
+
+            def poll(expected: set, wait: float) -> list:
                 try:
-                    kind, lid, data = result_q.get(timeout=0.25)
+                    kind, lid, data = result_q.get(timeout=wait)
                 except queue.Empty:
-                    now = time.monotonic()
-                    if now > deadline:
-                        break
-                    if all(
-                        self._liveness.is_dead(r) and not procs[r].is_alive()
-                        for r in expected
-                    ):
-                        if dead_grace is None:
-                            dead_grace = now + _DEAD_GRACE
-                        elif now > dead_grace:
-                            break
-                    else:
-                        dead_grace = None
-                    continue
-                if kind == "done":
-                    payloads[lid] = data
-                else:
-                    errors[lid] = data
-                expected.discard(lid)
+                    return []
                 monitor.mark_finished(lid)
-                # each payload buys the stragglers a fresh patience budget
-                # (matching the old per-get timeout semantics)
-                deadline = time.monotonic() + self.timeout + 10.0
+                return [(kind, lid, data)]
+
+            def awaited_dead(expected: set) -> bool:
+                # dead with its process gone: no payload will ever come
+                return all(
+                    self._liveness.is_dead(r) and not procs[r].is_alive()
+                    for r in expected
+                )
+
+            payloads, errors = drain_results(p, self.timeout, poll, awaited_dead)
             self._duration = time.perf_counter() - self._t0
-            for proc in procs:
-                proc.join(timeout=_JOIN_GRACE)
+            reap(procs)
         finally:
             if monitor is not None:
                 monitor.stop()
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=_JOIN_GRACE)
+            reap(procs, grace=0.0)
             if self._ps is not None:
                 self._ps.shutdown()
             if aggregator is not None:
                 # every producer is dead by now; the aggregator drains what
                 # is left and exits on its first empty poll
                 aggregator_stop.set()
-                aggregator.join(timeout=_JOIN_GRACE)
+                aggregator.join(timeout=JOIN_GRACE)
                 self._event_q = None
             self.collective.teardown()
-            if self._liveness is not None:
-                self._liveness.close()
-                self._liveness = None
+            self._liveness.close()
+            self._liveness = None
 
         return self._conclude(trainer, p, payloads, errors)
-
-    # -- post-run bookkeeping -------------------------------------------------
-
-    def _conclude(self, trainer, p: int, payloads: dict, errors: dict) -> RunStats:
-        for lid in sorted(payloads):
-            failed_at = payloads[lid]["failed_at"]
-            if failed_at is not None:
-                self.note_failure(lid, failed_at)
-        for data in list(payloads.values()) + list(errors.values()):
-            self._retries_total += int(data.get("retries", 0) or 0)
-            for kind, n in (data.get("fault_counts") or {}).items():
-                self._fault_counts[kind] = self._fault_counts.get(kind, 0) + n
-        if self._ps is not None:
-            for kind, n in self._ps.fault_counts.items():
-                self._fault_counts[kind] = self._fault_counts.get(kind, 0) + n
-            self._fault_events.extend(self._ps.events)
-
-        missing = [
-            lid for lid in range(p) if lid not in payloads and lid not in errors
-        ]
-        # a worker that vanished without any payload was killed outright; a
-        # planned crash is labelled from the plan, anything else from the
-        # liveness wreckage
-        planned = self._plan.crash_learners() if self._plan is not None else {}
-        for lid in missing:
-            if self._failure is None:
-                self.note_failure(lid, planned.get(lid, -1))
-            self._fault_counts["crash"] = self._fault_counts.get("crash", 0) + 1
-
-        if errors or missing:
-            if self._failure is not None:
-                lid, step = self._failure
-                at = f"after {step} local steps" if step >= 0 else "mid-run"
-                reason = (
-                    f"learner{lid} died {at} (injected failure); surviving "
-                    "workers deadlocked at the next collective and were "
-                    "reaped"
-                )
-                failure = LearnerFailure(lid, step if step >= 0 else None, reason)
-                failure.detection_seconds = self._detections.get(lid)
-                if lid not in self._detections:
-                    # self-declared death (fail_at): the monitor never fired
-                    # _on_death, so the detection event is emitted here
-                    _events.emit(
-                        _events.FAILURE_DETECTED,
-                        t=self.clock(),
-                        learner=lid,
-                        step=step if step >= 0 else None,
-                        detection_seconds=None,
-                        reason=reason,
-                    )
-                raise failure
-            exhausted = [
-                lid for lid in sorted(errors)
-                if errors[lid].get("retry_exhausted")
-            ]
-            if exhausted:
-                lid = exhausted[0]
-                reason = (
-                    f"learner{lid} exhausted its parameter-server retry "
-                    f"budget ({errors[lid]['error']}); the run deadlocked"
-                )
-                _events.emit(
-                    _events.FAILURE_DETECTED,
-                    t=self.clock(),
-                    learner=lid,
-                    step=None,
-                    detection_seconds=None,
-                    reason=reason,
-                )
-                raise RetryBudgetExhausted(
-                    lid, int(errors[lid].get("attempts", 0)), reason
-                )
-            detail = "; ".join(
-                f"learner{lid}: {errors[lid]['error']}" for lid in sorted(errors)
-            )
-            if missing:
-                sep = "; " if detail else ""
-                detail = f"{detail}{sep}no result from workers {missing}"
-            _events.emit(
-                _events.FAILURE_DETECTED,
-                t=self.clock(),
-                learner=None,
-                reason=f"mp backend run failed ({detail})",
-            )
-            raise RuntimeError(f"mp backend run failed ({detail})")
-        data0 = payloads[0]
-        trainer.tape.records = data0["records"]
-        trainer.tape.samples = data0["samples"]
-        trainer.tape.epoch = data0["epoch"]
-        trainer.workloads[0].flat.set_data(data0["flat"])
-        for lid in sorted(payloads):
-            trainer._worker_import(lid, payloads[lid]["export"])
-        # every rank's own (unscaled) tape summary survives the fork, not
-        # just rank 0's — labeled per-rank attribution for obs and results
-        self._rank_tapes = [
-            dict(payloads[lid]["tape_rank"], rank=lid) for lid in sorted(payloads)
-        ]
-
-        comm = [payloads[lid]["comm_seconds"] for lid in sorted(payloads)]
-        walls = [payloads[lid]["wall_seconds"] for lid in sorted(payloads)]
-        mean_comm = float(np.mean(comm)) if comm else 0.0
-        mean_wall = float(np.mean(walls)) if walls else 0.0
-        extras = {
-            "total_bytes": float(sum(payloads[lid]["bytes"] for lid in payloads)),
-            "comm_seconds_per_learner": mean_comm,
-            # wall minus comm: includes rank 0's eval overhead, documented
-            # as an approximation in DESIGN.md §8
-            "compute_seconds_per_learner": max(0.0, mean_wall - mean_comm),
-            "comm_fraction": (mean_comm / mean_wall) if mean_wall > 0 else 0.0,
-            "workers": p,
-            "rank_tapes": self._rank_tapes,
-            "total_samples": int(sum(rt["samples"] for rt in self._rank_tapes)),
-        }
-        if self._retries_total:
-            extras["ps_retries"] = self._retries_total
-        if self._ps is not None and self._ps.shard_restarts:
-            extras["ps_shard_restarts"] = self._ps.shard_restarts
-        return RunStats(duration=self._duration, extras=extras)
-
-    def publish_fault_obs(self, trainer, sess) -> None:
-        """Fault/detection metrics alone — safe to emit from a failed run."""
-        labels = dict(
-            algo=trainer.algorithm, p=trainer.config.p, problem=trainer.problem.name
-        )
-        for kind, n in sorted(self._fault_counts.items()):
-            sess.registry.counter(
-                "faults.injected_total", kind=kind, **labels
-            ).inc(n)
-        if self._detections:
-            sess.registry.counter("faults.detected_total", **labels).inc(
-                len(self._detections)
-            )
-            hist = sess.registry.histogram("faults.detection_seconds", **labels)
-            for latency in self._detections.values():
-                hist.observe(latency)
-        if self._retries_total:
-            sess.registry.counter("faults.retries_total", **labels).inc(
-                self._retries_total
-            )
-        if self._ps is not None and self._ps.shard_restarts:
-            sess.registry.counter(
-                "faults.recoveries_total", action="restart_shard", **labels
-            ).inc(self._ps.shard_restarts)
-
-    def publish_obs(self, trainer, sess, wall: float) -> None:
-        self.publish_fault_obs(trainer, sess)
-        labels = dict(
-            algo=trainer.algorithm, p=trainer.config.p, problem=trainer.problem.name
-        )
-        for tape in self._rank_tapes:
-            sess.registry.counter(
-                "train.samples_total", rank=tape["rank"], **labels
-            ).inc(tape["samples"])
-            sess.registry.counter(
-                "train.batches_total", rank=tape["rank"], **labels
-            ).inc(tape["batches"])
-        if trainer._obs is not None:
-            trainer._obs.finish(trainer.tape.samples, self._duration, wall)
-        spans = [
-            Span(actor, kind, t, t) for actor, kind, t in self._fault_events
-        ]
-        sess.add_run(
-            f"{trainer.algorithm} {trainer.problem.name} "
-            f"p={trainer.config.p} (mp)",
-            spans,
-            [],
-            self._duration,
-        )

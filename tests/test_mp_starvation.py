@@ -3,9 +3,11 @@
 Pins the supervision contract: a dead peer aborts a collective round with a
 typed :class:`LearnerFailure` naming the victim (not a bare timeout), a
 genuinely stalled round still times out with a message naming the phase,
-parameter-server reply starvation surfaces as
-:class:`RetryBudgetExhausted`, and a worker killed mid-run is detected by
-the heartbeat monitor in well under the barrier timeout.
+a parameter-server request starved past ``RetryPolicy.deadline_seconds``
+surfaces as :class:`RetryBudgetExhausted` (the budget/drop cases both
+transports share live in ``test_process_backend.py``), and a worker killed
+mid-run is detected by the heartbeat monitor in well under the barrier
+timeout.
 """
 
 import multiprocessing
@@ -13,18 +15,13 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.algos import (
-    DownpourOptions,
-    DownpourTrainer,
-    SASGDOptions,
-    SASGDTrainer,
-    TrainerConfig,
-)
+from repro.algos import SASGDOptions, SASGDTrainer, TrainerConfig
 from repro.algos.problems import cifar_problem
 from repro.faults import FaultContext, FaultPlan
+from repro.faults.plan import RetryPolicy
 from repro.faults.supervisor import LivenessBlock
 from repro.runtime import LearnerFailure, MPBackend, RetryBudgetExhausted
-from repro.runtime.mp_backend import MPCollective
+from repro.runtime.mp_backend import MPCollective, MPParameterServer
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="mp backend needs fork")
@@ -34,9 +31,11 @@ needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="mp backend needs fork")
 def collective():
     ctx = multiprocessing.get_context("fork" if HAVE_FORK else None)
     coll = MPCollective(ctx, p=2, timeout=0.6)
-    coll.allocate(4, np.float64)
+    liveness = LivenessBlock(2, ["coll"])
+    coll.allocate(4, np.float64, liveness)
     yield coll
     coll.teardown()
+    liveness.close()
 
 
 # --------------------------------------------------------------------------
@@ -150,38 +149,20 @@ def test_mp_killed_worker_detected_fast_with_labels():
     assert 0.0 <= failure.detection_seconds < 5.0
 
 
-@needs_fork
-def test_mp_ps_reply_starvation_exhausts_retry_budget():
-    # four stacked drops of learner 0's first PS request outlast the default
-    # 3-retry budget: the client must give up with a typed, shard-naming
-    # RetryBudgetExhausted instead of hanging on the queue forever
-    spec = ";".join(["drop:learner=0,nth=0"] * 4)
-    trainer = DownpourTrainer(
-        cifar_problem(scale="unit", seed=1),
-        _p2_config(),
-        DownpourOptions(T=2),
-        backend=MPBackend(timeout=3.0),
-        fault_ctx=FaultContext(plan=FaultPlan.parse(spec)),
-    )
-    with pytest.raises(RetryBudgetExhausted) as err:
-        trainer.train()
-    assert err.value.learner_id == 0
-    assert err.value.attempts >= 3
-    msg = str(err.value)
-    assert "parameter-server shard" in msg
-    assert "deadlocked" in msg
-
-
-@needs_fork
-def test_mp_ps_drops_within_budget_are_retried_and_counted():
-    spec = ";".join(["drop:learner=0,nth=0"] * 2)
-    trainer = DownpourTrainer(
-        cifar_problem(scale="unit", seed=1),
-        _p2_config(),
-        DownpourOptions(T=2),
-        backend=MPBackend(timeout=10.0),
-        fault_ctx=FaultContext(plan=FaultPlan.parse(spec)),
-    )
-    res = trainer.train()
-    assert res.records
-    assert res.extras["ps_retries"] >= 2
+def test_mp_ps_retry_deadline_caps_a_starved_request():
+    # no shard process ever serves the request queue.  RetryPolicy's
+    # deadline_seconds must end the wait after the first unanswered attempt
+    # (per-attempt wait 0.1 s > deadline 0.05 s) instead of spending all
+    # three resends — the mp client used to ignore the deadline
+    ctx = multiprocessing.get_context("fork" if HAVE_FORK else None)
+    ps = MPParameterServer(ctx, 1, 4, 1, 0.1, np.float32, timeout=0.4)
+    try:
+        retry = RetryPolicy(max_retries=3, base_seconds=0.01, deadline_seconds=0.05)
+        ps.install_faults(FaultPlan(), retry, "fail_fast")
+        with pytest.raises(RetryBudgetExhausted) as err:
+            ps.client(0)._push(np.ones(4, np.float32))
+        assert err.value.attempts < retry.max_retries
+        assert "retry deadline exceeded" in str(err.value)
+        assert "parameter-server shard 0" in str(err.value)
+    finally:
+        ps.shutdown()

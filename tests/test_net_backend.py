@@ -7,8 +7,8 @@ Mirrors the mp-backend guarantees on real sockets:
   fp summation order differs); PS algorithms complete with finite losses.
 * **Failure** — a killed learner process surfaces as a typed
   :class:`LearnerFailure` naming the victim, detected via connection loss;
-  injected frame drops are retried, counted, and bounded by the retry
-  budget; elastic recovery finishes the run with the survivors.
+  elastic recovery finishes the run with the survivors (injected frame
+  drops and the retry budget: ``test_process_backend.py``, both transports).
 * **Capability honesty** — options and recovery modes the backend cannot
   honour raise :class:`BackendCapabilityError` that names a backend that
   can, instead of a traceback.
@@ -40,7 +40,6 @@ from repro.obs import events as obs_events
 from repro.runtime import (
     BackendCapabilityError,
     LearnerFailure,
-    RetryBudgetExhausted,
     make_backend,
 )
 
@@ -137,40 +136,6 @@ def test_net_killed_learner_detected_via_connection_loss():
     assert "deadlocked" in str(failure)
     assert failure.detection_seconds is not None
     assert 0.0 <= failure.detection_seconds < 5.0
-
-
-@needs_fork
-def test_net_ps_frame_drops_are_retried_and_counted():
-    # two deterministic drops of learner 0's frames: the same request seq
-    # is resent, the shard's dedupe cache absorbs any duplicate apply, and
-    # the run completes with the retries counted
-    trainer = _make_trainer(
-        "downpour",
-        backend=NetBackend(timeout=30.0),
-        fault_ctx=FaultContext(
-            plan=FaultPlan.parse("drop:learner=0,nth=1,count=2")
-        ),
-    )
-    res = trainer.train()
-    assert res.records
-    assert res.extras["ps_retries"] == 2  # deterministic: count= is exact
-
-
-@needs_fork
-def test_net_ps_starvation_exhausts_retry_budget():
-    # four stacked drops of the first request outlast the 3-retry budget:
-    # a typed, shard-naming error instead of a silent hang
-    spec = ";".join(["drop:learner=0,nth=0"] * 4)
-    trainer = _make_trainer(
-        "downpour",
-        backend=NetBackend(timeout=5.0),
-        fault_ctx=FaultContext(plan=FaultPlan.parse(spec)),
-    )
-    with pytest.raises(RetryBudgetExhausted) as err:
-        trainer.train()
-    assert err.value.learner_id == 0
-    assert err.value.attempts >= 3
-    assert "deadlocked" in str(err.value)
 
 
 @needs_fork
