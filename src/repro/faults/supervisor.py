@@ -23,10 +23,11 @@ Everything here is dependency-pure (stdlib + numpy) so
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -158,14 +159,29 @@ class PollingBarrier:
     """A reusable p-way barrier over a :class:`LivenessBlock` lane.
 
     Each rank keeps a private monotone round counter.  ``wait`` publishes
-    the new round into the rank's arrival slot and polls until every
+    the new round into the rank's arrival slot and probes until every
     *living* peer has published a round at least as new, a peer is declared
-    dead (→ ``DeadPeer``), or ``timeout`` passes (→ ``Timeout``).  Unlike
-    ``multiprocessing.Barrier``, a failed round leaves the barrier usable —
-    elastic recovery depends on that.
+    dead (→ ``DeadPeer``), or ``timeout`` passes (→ ``Timeout``).  Peers in
+    step arrive within microseconds of each other, so the first
+    ``SPIN_PROBES`` probes only yield the core (``os.sched_yield``: on an
+    oversubscribed box the peer that is still computing runs instead);
+    a peer that stays away longer is waited out asleep, ``POLL_SECONDS``
+    per probe, at no CPU cost.  Unlike ``multiprocessing.Barrier``, a
+    failed round leaves the barrier usable — elastic recovery depends on
+    that.
+
+    A rank that only ever yields is never placed anew by the scheduler, and
+    the load balancer was seen to leave two such ranks on one core beside
+    an idle one for a second at a time, every step serialised (one run in
+    six, +10 % wall).  A yield that returns late ran somebody else on this
+    core; every ``NAP_EVERY``-th such yield the rank blocks for an instant,
+    and the wake-up puts it on the idle core (20 ms instead of 1 s).
     """
 
     POLL_SECONDS = 0.0005
+    SPIN_PROBES = 200
+    STOLEN_YIELD_SECONDS = 0.00005  # on a core of its own a yield returns in ~1 µs
+    NAP_EVERY = 32
 
     class DeadPeer(Exception):
         def __init__(self, rank: int, step: int) -> None:
@@ -181,24 +197,35 @@ class PollingBarrier:
         self.lane = lane
         self.rank = rank
         self.round = int(block.arrivals[lane][rank])
+        self._stolen = 0  # yields that ran somebody else on this core
 
     def wait(self, timeout: float) -> None:
         self.round += 1
         arrivals = self.block.arrivals[self.lane]
         arrivals[self.rank] = self.round
         deadline = time.monotonic() + timeout
+        probes = 0
         while True:
             dead = self.block.first_dead(exclude=self.rank)
             if dead is not None:
                 raise PollingBarrier.DeadPeer(dead, int(self.block.dead_step[dead]))
             if bool(np.all(arrivals >= self.round)):
                 return
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now > deadline:
                 raise PollingBarrier.Timeout(
                     f"barrier lane {self.lane!r} round {self.round} timed out "
                     f"after {timeout:.0f}s"
                 )
-            time.sleep(self.POLL_SECONDS)
+            if probes < self.SPIN_PROBES:
+                probes += 1
+                os.sched_yield()
+                if time.monotonic() - now > self.STOLEN_YIELD_SECONDS:
+                    self._stolen += 1
+                    if self._stolen % self.NAP_EVERY == 0:
+                        time.sleep(1e-6)  # any real sleep: the wake-up is the point
+            else:
+                time.sleep(self.POLL_SECONDS)
 
 
 class HeartbeatThread:

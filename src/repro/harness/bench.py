@@ -261,6 +261,94 @@ def _bench_mp_interval(
     }
 
 
+def _fork_allreduce_peer(ctx, coll, dim: int):
+    """Fork rank 1 of a two-rank collective: it answers allreduces until its
+    round fails (the parent tore the transport down or declared itself dead)."""
+
+    def peer_main() -> None:
+        arr = np.ones(dim, dtype=np.float32)
+        try:
+            while True:
+                coll._allreduce(1, arr)
+        except BaseException:
+            os._exit(0)
+
+    peer = ctx.Process(target=peer_main, name="repro-bench-peer", daemon=True)
+    peer.start()
+    return peer
+
+
+def _reap_peer(peer) -> None:
+    peer.join(timeout=10.0)
+    if peer.is_alive():  # pragma: no cover - defensive
+        peer.terminate()
+
+
+def _time_push_pull(ps, dim: int, reps: int) -> Dict[str, object]:
+    """One push + one pull of a ``dim`` float32 vector against a started PS."""
+    client = ps.client(0)
+    grad = np.ones(dim, dtype=np.float32)
+
+    def push_pull() -> None:
+        client._push(grad)
+        client._pull()
+
+    seconds, done = _time(push_pull, reps)
+    return _entry(seconds, done, dim=dim, n_shards=1)
+
+
+def _bench_mp_roundtrips(
+    reps: int, timeout: float = 30.0
+) -> Dict[str, Dict[str, object]]:
+    """Latency of the mp backend's two hand-offs, shaped like the net pair
+    below so the two transports read side by side.
+
+    ``mp_allreduce_roundtrip`` is one three-barrier shared-memory allreduce
+    of the same model-sized float32 vector between two real processes;
+    ``mp_ps_push_pull`` is one push + one pull against a live shard process
+    through the mailbox and header pipes.  Skipped (empty dict) where fork
+    is unavailable.
+    """
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return {}
+    from ..faults.supervisor import LivenessBlock
+    from ..runtime.mp_backend import MPCollective, MPParameterServer
+
+    dim = 65_536  # as _bench_net_roundtrips
+    ctx = multiprocessing.get_context("fork")
+    out: Dict[str, Dict[str, object]] = {}
+
+    # -- allreduce: parent is rank 0, a forked peer is rank 1 --------------
+    liveness = LivenessBlock(2, ["coll"])
+    coll = MPCollective(ctx, p=2, timeout=timeout)
+    coll.allocate(dim, np.float32, liveness)
+
+    peer = _fork_allreduce_peer(ctx, coll, dim)
+    try:
+        mine = np.ones(dim, dtype=np.float32)
+        ar_s, ar_r = _time(lambda: coll._allreduce(0, mine), reps)
+        out["mp_allreduce_roundtrip"] = _entry(ar_s, ar_r, dim=dim, p=2)
+    finally:
+        liveness.declare_dead(0)  # aborts the peer's barrier wait
+        _reap_peer(peer)
+        coll.teardown()
+        liveness.close()
+
+    # -- PS push/pull: one live shard process, one client ------------------
+    ps = MPParameterServer(
+        ctx, p=1, size=dim, n_shards=1, learning_rate=0.01,
+        dtype=np.float32, timeout=timeout,
+    )
+    ps.start()
+    try:
+        out["mp_ps_push_pull"] = _time_push_pull(ps, dim, reps)
+    finally:
+        ps.shutdown()
+    return out
+
+
 def _bench_net_roundtrips(
     reps: int, timeout: float = 30.0
 ) -> Dict[str, Dict[str, object]]:
@@ -289,44 +377,25 @@ def _bench_net_roundtrips(
     coll = NetCollective(p=2, timeout=timeout)
     coll.install(spec, {0: listeners["worker0"], 1: listeners["worker1"]})
 
-    def peer_main() -> None:
-        arr = np.ones(dim, dtype=np.float32)
-        try:
-            while True:  # keep answering until the parent tears the ring down
-                coll._allreduce(1, arr)
-        except BaseException:
-            os._exit(0)
-
-    peer = ctx.Process(target=peer_main, name="repro-bench-peer", daemon=True)
-    peer.start()
+    peer = _fork_allreduce_peer(ctx, coll, dim)
     try:
         mine = np.ones(dim, dtype=np.float32)
         ar_s, ar_r = _time(lambda: coll._allreduce(0, mine), reps)
         out["net_allreduce_roundtrip"] = _entry(ar_s, ar_r, dim=dim, p=2)
     finally:
-        coll.teardown_rank()
-        peer.join(timeout=10.0)
-        if peer.is_alive():  # pragma: no cover - defensive
-            peer.terminate()
+        coll.teardown_rank()  # the peer's next hop fails and it exits
+        _reap_peer(peer)
         close_all(listeners)
 
     # -- PS push/pull: one live shard process, one client ------------------
     spec, listeners = allocate_loopback(p=0, n_shards=1)
     ps = NetParameterServer(
         ctx, p=1, size=dim, n_shards=1, learning_rate=0.01,
-        dtype=np.float32, timeout=timeout,
+        dtype=np.float32, timeout=timeout, addrs=spec.ps,
     )
-    ps.start(spec.ps, listeners)
+    ps.start(listeners)
     try:
-        client = ps.client(0)
-        grad = np.ones(dim, dtype=np.float32)
-
-        def push_pull() -> None:
-            client._push(grad)
-            client._pull()
-
-        pp_s, pp_r = _time(push_pull, reps)
-        out["net_ps_push_pull"] = _entry(pp_s, pp_r, dim=dim, n_shards=1)
+        out["net_ps_push_pull"] = _time_push_pull(ps, dim, reps)
     finally:
         ps.shutdown()
         close_all(listeners)
@@ -496,8 +565,12 @@ def run_benchmarks(
     if include_experiment:
         if want("sasgd_interval_mp_backend"):
             benches.update(_bench_mp_interval(2 if quick else 3, timeout=mp_timeout))
+        # sub-millisecond round trips: best-of-20 even under --quick, or the
+        # mp/net ratio held by DERIVED_FLOORS is decided by one cold call
+        if want("mp_allreduce_roundtrip", "mp_ps_push_pull"):
+            benches.update(_bench_mp_roundtrips(20, timeout=mp_timeout))
         if want("net_allreduce_roundtrip", "net_ps_push_pull"):
-            benches.update(_bench_net_roundtrips(max(5, reps), timeout=mp_timeout))
+            benches.update(_bench_net_roundtrips(20, timeout=mp_timeout))
         if want("experiment_fig2_unit"):
             benches.update(_bench_experiment())
     if name_filter is not None:
@@ -525,6 +598,9 @@ def run_benchmarks(
     r = ratio("fabric_message_rate", "fabric_wave_rate")
     if r is not None:
         derived["fabric_wave_speedup_vs_message"] = round(r, 3)
+    r = ratio("net_allreduce_roundtrip", "mp_allreduce_roundtrip")
+    if r is not None:
+        derived["mp_vs_net_allreduce"] = round(r, 3)
 
     return {
         "schema": BENCH_SCHEMA,
@@ -561,11 +637,13 @@ def load_bench(path: Union[str, Path]) -> Dict[str, object]:
 
 #: Minimum derived speedups a BENCH document must hold.  These are the
 #: "honest vs the code this PR replaced" gates: the batched engine must stay
-#: ≥ 5× the verbatim legacy engine on the lockstep event storm.  Checked
-#: only when the document actually contains the derived entry, so filtered
-#: or historical documents pass untouched.
+#: ≥ 5× the verbatim legacy engine on the lockstep event storm, and one
+#: shared-memory allreduce must not be slower than the same allreduce over
+#: loopback TCP.  Checked only when the document actually contains the
+#: derived entry, so filtered or historical documents pass untouched.
 DERIVED_FLOORS: Dict[str, float] = {
     "engine_speedup_vs_legacy": 5.0,
+    "mp_vs_net_allreduce": 1.0,
 }
 
 

@@ -12,13 +12,14 @@ method, so workers inherit the constructed trainer without pickling):
   copies the full result back out (the allgather half).  Object allgather
   (compressed SASGD's sparse pieces) rides per-rank queues instead.
 * **Parameter server** shards each own a contiguous slice of one shared
-  parameter segment; requests arrive as pickled tuples on a per-shard queue
-  and replies return on a per-rank queue (:class:`_QueueChannel`).  A
-  crashed shard can be respawned from its periodic shared-memory snapshot
+  parameter segment.  Tensors travel through a shared *mailbox* (a request
+  and a reply slot per rank); only a few-byte header crosses a pipe, written
+  by the calling thread and awaited in the kernel (:class:`_MailboxChannel`).
+  A crashed shard can be respawned from its periodic shared-memory snapshot
   (``restart_shard``; at-least-once apply semantics, DESIGN.md §9).
 * **Supervision** (:mod:`repro.faults.supervisor`): workers stamp a
   shared-memory liveness block; a parent monitor declares a rank dead when
-  its process exits or its heartbeat goes stale, and the barriers poll the
+  its process exits or its heartbeat goes stale, and the barriers probe the
   same block — a killed peer aborts the round in well under a second with
   a :class:`~repro.runtime.LearnerFailure` carrying the measured latency.
 * **Telemetry**: forked workers forward events on a queue; a parent-side
@@ -27,6 +28,7 @@ method, so workers inherit the constructed trainer without pickling):
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -65,12 +67,18 @@ __all__ = ["MPBackend", "MPCollective", "MPParameterServer"]
 
 
 def _unlink_quietly(shm: Optional[shared_memory.SharedMemory]) -> None:
+    """Unmap and remove a segment.  The two steps fail independently: a numpy
+    view still alive makes ``close`` raise ``BufferError``, and the name must
+    be unlinked regardless or the segment outlives the run."""
     if shm is None:
         return
     try:
         shm.close()
+    except (BufferError, OSError):  # still viewed / torn down twice
+        pass
+    try:
         shm.unlink()
-    except (FileNotFoundError, OSError):  # already gone / torn down twice
+    except OSError:  # already gone
         pass
 
 
@@ -91,6 +99,8 @@ class MPCollective(BlockingCollective):
         self._dtype: Optional[np.dtype] = None
         self._shm_in: List[shared_memory.SharedMemory] = []
         self._shm_out: Optional[shared_memory.SharedMemory] = None
+        self._in: List[np.ndarray] = []  # views of the segments, built once
+        self._out: Optional[np.ndarray] = None
         self._liveness: Optional[LivenessBlock] = None  # owned by the backend
         self._barriers: Dict[int, PollingBarrier] = {}  # per-process, by rank
         self._queues = None
@@ -110,12 +120,16 @@ class MPCollective(BlockingCollective):
             for _ in range(self.p)
         ]
         self._shm_out = shared_memory.SharedMemory(create=True, size=nbytes)
+        self._in = [self._view(shm) for shm in self._shm_in]
+        self._out = self._view(self._shm_out)
         self._liveness = liveness
         self._queues = [self._ctx.Queue() for _ in range(self.p)]
         edges = np.linspace(0, self._size, self.p + 1).astype(int)
         self._bounds = list(zip(edges[:-1], edges[1:]))
 
     def teardown(self) -> None:
+        self._in = []
+        self._out = None
         for shm in self._shm_in:
             _unlink_quietly(shm)
         _unlink_quietly(self._shm_out)
@@ -156,9 +170,9 @@ class MPCollective(BlockingCollective):
         if self.p == 1:
             return np.array(array, copy=True)
         if rank == root:
-            self._view(self._shm_out)[:] = array
+            self._out[:] = array
         self._wait(rank)  # result segment holds the root's data
-        out = np.array(self._view(self._shm_out), copy=True)
+        out = self._out.copy()
         self._wait(rank)  # nobody may overwrite the segment before all copied
         self.bytes_moved += float(out.nbytes)
         return out
@@ -171,18 +185,18 @@ class MPCollective(BlockingCollective):
                 f"allreduce expects a ({self._size},) {self._dtype} vector, "
                 f"got {array.shape} {array.dtype}"
             )
-        self._view(self._shm_in[rank])[:] = array
+        self._in[rank][:] = array
         self._wait(rank)  # every rank's input is published
         lo, hi = self._bounds[rank]
         if hi > lo:
             # reduce-scatter: this rank owns [lo, hi) and sums it in a fixed
             # peer order, so the result is deterministic given the inputs
-            acc = np.array(self._view(self._shm_in[0])[lo:hi], copy=True)
-            for peer in range(1, self.p):
-                acc += self._view(self._shm_in[peer])[lo:hi]
-            self._view(self._shm_out)[lo:hi] = acc
+            acc = self._out[lo:hi]
+            np.add(self._in[0][lo:hi], self._in[1][lo:hi], out=acc)
+            for peer in range(2, self.p):
+                acc += self._in[peer][lo:hi]
         self._wait(rank)  # every chunk is reduced
-        out = np.array(self._view(self._shm_out), copy=True)
+        out = self._out.copy()
         self._wait(rank)  # allgather complete; segments may be reused
         self.bytes_moved += 2.0 * float(array.nbytes)
         return out
@@ -230,13 +244,14 @@ class MPCollective(BlockingCollective):
         return pieces
 
 def _ps_shard_main(ps: "MPParameterServer", sid: int, restored: bool = False) -> None:
-    """One shard process: a :class:`ShardState` over x[lo:hi] fed by queues.
+    """One shard process: a :class:`ShardState` over x[lo:hi], fed by request
+    headers on its pipe and the ranks' mailbox slots.
 
     A shard respawned from snapshot starts from the snapshot's version with
     an empty dedupe cache (at-least-once semantics) and its crash consumed.
     """
     lo, hi = ps.layout.bounds[sid]
-    x = np.ndarray((ps.size,), dtype=ps.dtype, buffer=ps._shm.buf)
+    x = ps._x_local
     snap = ps._snap_view()
     meta = ps._meta_view()
     snapshot = None
@@ -254,45 +269,79 @@ def _ps_shard_main(ps: "MPParameterServer", sid: int, restored: bool = False) ->
         # initial snapshot so a crash before the first periodic one still
         # has something to restart from
         snapshot(state.version)
+    requests = ps._request_pipes[sid][0]
+    replies = [writer for _, writer in ps._reply_pipes]
     while True:
-        req = ps.req_queues[sid].get()
-        if req[0] == "stop":
+        op, rank, seq, has_payload, alpha = requests.recv()
+        if op == "stop":
             ps.stats_queue.put((sid, state.version, state.pushes))
             return
-        op, rank, seq, payload, alpha = req
-        ps.reply_queues[rank].put(
-            (sid, seq) + state.apply(rank, seq, op, payload, alpha)
-        )
+        if seq != ps._stamps[rank]:
+            # the rank has moved on (it got this request's reply from an
+            # earlier attempt) and its request slot holds other data by now
+            continue
+        payload = ps._mail[rank, 0, lo:hi] if has_payload else None
+        version, array, error = state.apply(rank, seq, op, payload, alpha)
+        if array is not None:
+            ps._mail[rank, 1, lo:hi] = array
+        replies[rank].send((sid, seq, version, array is not None, error))
         state.settle()
 
 
-class _QueueChannel:
-    """PS request/reply as pickled tuples: one request queue per shard, one
-    reply queue per rank."""
+class _MailboxChannel:
+    """PS request/reply through shared memory: a tensor is written into the
+    rank's request or reply slot of the mailbox at its shard's ``[lo:hi]``,
+    and only a header — ``(op, rank, seq, has_payload, alpha)`` out,
+    ``(sid, seq, version, has_array, error)`` back — crosses a pipe.  A header
+    is far below ``PIPE_BUF``, so the one ``write`` the calling thread makes
+    is atomic and many ranks can share a shard's pipe without a lock."""
 
     lost_where = ""
 
     def __init__(self, ps: "MPParameterServer", rank: int) -> None:
-        self._requests = ps.req_queues
-        self._replies = ps.reply_queues[rank]
+        # the mailbox is reached through ``ps`` on every call: a view kept
+        # here would pin the segment's mapping past ``ps.shutdown()``
+        self._ps = ps
         self.rank = rank
+        self._requests = [writer for _, writer in ps._request_pipes]
+        self._replies = ps._reply_pipes[rank][0]
 
     def send(self, sid: int, op: str, seq: int, payload, alpha) -> None:
+        ps = self._ps
+        # the stamp tells the shard which request the slot belongs to: a
+        # header carrying any other seq is stale and must not be applied.
+        # Stamped before the slot is touched, so a stale header read while
+        # the slot is half rewritten is already recognisable
+        ps._stamps[self.rank] = seq
         if payload is not None:
-            # the queue's feeder thread pickles later; the caller's buffer
-            # may have moved on by then
-            payload = np.array(payload, copy=True)
-        self._requests[sid].put((op, self.rank, seq, payload, alpha))
+            lo, hi = ps.layout.bounds[sid]
+            ps._mail[self.rank, 0, lo:hi] = payload
+        try:
+            self._requests[sid].send((op, self.rank, seq, payload is not None, alpha))
+        except OSError:
+            # pipe full (a dead shard drains nothing) or closed: the request
+            # is lost, and the client's retry budget decides what that means
+            pass
 
     def recv(self, wait: float):
-        try:
-            return self._replies.get(timeout=wait)
-        except queue.Empty:
+        if not self._replies.poll(wait):
             return None
+        sid, seq, version, has_array, error = self._replies.recv()
+        array = None
+        if has_array:
+            lo, hi = self._ps.layout.bounds[sid]
+            array = self._ps._mail[self.rank, 1, lo:hi].copy()
+        return sid, seq, version, array, error
 
 
 class MPParameterServer(ProcessParameterServer):
     """Sharded PS over one shared parameter segment + per-shard processes.
+
+    The request/reply substrate is allocated here, before any fork, so every
+    learner and every shard — a respawned one included — inherits it: the
+    mailbox segment (``p`` ranks × request/reply × ``size``, behind the
+    per-rank ``seq`` stamps) and one header pipe per shard and per rank.
+    A shard's single pipe is what keeps its applies in arrival order.
 
     When the armed fault plan contains ``ps_crash`` faults, each shard keeps
     a periodic snapshot of its slice (plus its version counter) in a second
@@ -317,15 +366,28 @@ class MPParameterServer(ProcessParameterServer):
         self._x_local[:] = 0
         self._snap_shm: Optional[shared_memory.SharedMemory] = None
         self._meta_shm: Optional[shared_memory.SharedMemory] = None
-        self.req_queues = [ctx.Queue() for _ in range(n_shards)]
-        self.reply_queues = [ctx.Queue() for _ in range(p)]
+        slots = p * 2 * self.size * self.dtype.itemsize
+        self._mail_shm: Optional[shared_memory.SharedMemory] = (
+            shared_memory.SharedMemory(create=True, size=8 * p + max(1, slots))
+        )
+        self._stamps = np.ndarray((p,), dtype=np.int64, buffer=self._mail_shm.buf)
+        self._stamps[:] = 0
+        self._mail = np.ndarray(
+            (p, 2, self.size), dtype=self.dtype, buffer=self._mail_shm.buf,
+            offset=8 * p,
+        )
+        # (reader, writer) pairs; a request must never block its sender
+        self._request_pipes = [ctx.Pipe(duplex=False) for _ in range(n_shards)]
+        self._reply_pipes = [ctx.Pipe(duplex=False) for _ in range(p)]
+        for _, writer in self._request_pipes:
+            os.set_blocking(writer.fileno(), False)
         self.stats_queue = ctx.Queue()
         self._watchdog: Optional[threading.Thread] = None
         self._watchdog_stop = threading.Event()
         self._t0 = 0.0
 
     def client(self, rank: int) -> PSClient:
-        return PSClient(self, rank, _QueueChannel(self, rank))
+        return PSClient(self, rank, _MailboxChannel(self, rank))
 
     def install_faults(self, plan: FaultPlan, retry: RetryPolicy,
                        recovery: str) -> None:
@@ -420,8 +482,12 @@ class MPParameterServer(ProcessParameterServer):
             self._watchdog = None
         if self._procs:
             for sid in range(self._layout.n_shards):
-                if sid not in self.crashed_shards:
-                    self.req_queues[sid].put(("stop",))
+                if sid in self.crashed_shards:
+                    continue
+                try:
+                    self._request_pipes[sid][1].send(("stop", -1, 0, False, None))
+                except OSError:  # full pipe: nothing reads it, reap() below
+                    pass
             expected = self._layout.n_shards - len(self.crashed_shards)
             for _ in range(expected):
                 try:
@@ -440,6 +506,13 @@ class MPParameterServer(ProcessParameterServer):
         self._snap_shm = None
         _unlink_quietly(self._meta_shm)
         self._meta_shm = None
+        self._stamps = self._mail = None  # type: ignore[assignment]
+        _unlink_quietly(self._mail_shm)
+        self._mail_shm = None
+        for reader, writer in self._request_pipes + self._reply_pipes:
+            reader.close()
+            writer.close()
+        self._request_pipes = self._reply_pipes = []
 
 
 def _worker_main(trainer, lid: int, result_q) -> None:
