@@ -17,7 +17,6 @@ methodology):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from ..data.datasets import ArrayDataset, SequenceDataset
 from ..data.sampler import MinibatchSampler
+from ..nn.dropout import Dropout
 from ..nn.loss import CrossEntropyLoss, accuracy
 from ..nn.models import ModelInfo
 from ..nn.module import FlatParams, Module, flatten_module
@@ -121,24 +121,28 @@ class LearnerWorkload:
         """
         xb, yb = self.problem.train_set.batch(idx)
         self.model.train()
-        self.flat.zero_grad()
-        logits = self.model.forward(xb)
-        loss = self.criterion.forward(logits, yb)
-        self.model.backward(self.criterion.backward())
-        self.last_logits = logits
-        return loss, accuracy(logits, yb), len(idx)
+        return self._gradient(xb, yb)
 
     def compute_gradient_eval(self, idx: np.ndarray) -> Tuple[float, float, int]:
-        """Deterministic (eval-mode, dropout-free) gradient for surface
-        probing by :mod:`repro.theory.estimators`; leaves the model in eval
-        mode (callers restore training mode)."""
+        """Deterministic (dropout-free) gradient for surface probing by
+        :mod:`repro.theory.estimators`.  Eval-mode layers keep nothing for
+        ``backward``, so the model stays in training mode with only its
+        dropout layers switched off (callers restore training mode)."""
         xb, yb = self.problem.train_set.batch(idx)
-        self.model.eval()
+        self.model.train()
+        for mod in self.model.modules():
+            if isinstance(mod, Dropout):
+                mod.training = False
+        return self._gradient(xb, yb)
+
+    def _gradient(self, xb: np.ndarray, yb: np.ndarray) -> Tuple[float, float, int]:
         self.flat.zero_grad()
         logits = self.model.forward(xb)
         loss = self.criterion.forward(logits, yb)
-        self.model.backward(self.criterion.backward())
-        return loss, accuracy(logits, yb), len(idx)
+        # nobody reads the gradient with respect to the input batch
+        self.model.backward(self.criterion.backward(), input_grad=False)
+        self.last_logits = logits
+        return loss, accuracy(logits, yb), len(yb)
 
     def batch_flops(self, nb: int) -> float:
         return self.info.flops_train_per_example * nb
@@ -162,9 +166,6 @@ def evaluate_model(
             correct += accuracy(logits, yb) * len(idx)
     finally:
         model.train()
-        # eval batches are larger than train batches; drop the eval-sized
-        # pooled scratch so peak memory returns to the training footprint
-        model.release_buffers()
     return correct / n, total_loss / n
 
 

@@ -265,7 +265,12 @@ class Endpoint:
 
     def recv(self, src: str, tag: Any) -> Generator:
         """Coroutine: wait for and return the next message matching (src, tag)."""
-        msg = yield from self._channel(src, tag).get()
+        chan = self._channel(src, tag)
+        msg = yield from chan.get()
+        if not chan._items and not chan._getters:
+            # drained: one-shot tags (PS replies) would otherwise leave a Store
+            # each — 40 000 per simulated Downpour cell, all cyclic garbage
+            self._mailbox.pop((src, tag), None)
         self.bytes_received += msg.nbytes
         return msg
 

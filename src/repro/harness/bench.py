@@ -2,7 +2,8 @@
 
 ``repro bench`` times the hot kernels the trainers spend their lives in —
 Conv2d forward/backward at the bench CIFAR shape, the temporal (1-D)
-convolution, im2col/col2im, optimiser steps over flat parameters, one SASGD
+convolution, im2col/col2im, max pooling, whole bench-scale training steps
+and a test-set evaluation, optimiser steps over flat parameters, one SASGD
 aggregation interval — plus one small end-to-end figure experiment, and
 writes the numbers to ``BENCH_<git-rev>.json``.
 
@@ -164,6 +165,33 @@ def _bench_temporal(reps: int) -> Dict[str, Dict[str, object]]:
         "temporal_conv_forward_backward": _entry(fb_s, fb_r, **shape),
         "temporal_conv_forward_backward_legacy": _entry(lg_s, lg_r, **shape),
     }
+
+
+def _bench_nn_step(reps: int) -> Dict[str, Dict[str, object]]:
+    """The first CIFAR pool's shape alone, then whole bench-scale steps (at the
+    e2e batch sizes) and one test-set evaluation."""
+    from ..algos.base import LearnerWorkload, evaluate_model, spawn_rngs
+    from ..algos.problems import cifar_problem, nlcf_problem
+    from ..nn.pool import MaxPool2d
+
+    rng = np.random.default_rng(3)
+    pool = MaxPool2d(2)
+    x = rng.standard_normal((16, 16, 32, 32), dtype=np.float32)
+    gout = rng.standard_normal((16, 16, 16, 16), dtype=np.float32)
+    pool_t = _time(lambda: (pool.forward(x), pool.backward(gout)), reps)
+    out = {"maxpool2d_forward_backward": _entry(*pool_t, x_shape=list(x.shape))}
+
+    def step(problem, batch: int):
+        wl = LearnerWorkload(problem, batch, *spawn_rngs(5, 3))
+        idx = wl.next_batch()  # one fixed batch: NLC-F sentences vary in length
+        return wl, _entry(*_time(lambda: wl.compute_gradient(idx), reps), batch_size=batch)
+
+    cifar = cifar_problem(scale="bench", seed=5)
+    wl, out["cifar_train_step"] = step(cifar, 16)
+    eval_t = _time(lambda: evaluate_model(wl.model, cifar.test_set, 64), reps)
+    out["cifar_evaluate_model"] = _entry(*eval_t, samples=len(cifar.test_set), eval_batch=64)
+    _, out["nlcf_train_step"] = step(nlcf_problem(scale="bench", seed=5), 1)
+    return out
 
 
 def _bench_sgd(reps: int) -> Dict[str, Dict[str, object]]:
@@ -554,6 +582,10 @@ def run_benchmarks(
         benches.update(_bench_im2col(reps))
     if want("temporal_conv_forward_backward", "temporal_conv_forward_backward_legacy"):
         benches.update(_bench_temporal(reps))
+    if want(
+        "maxpool2d_forward_backward", "cifar_train_step", "nlcf_train_step", "cifar_evaluate_model"
+    ):
+        benches.update(_bench_nn_step(reps))
     if want("sgd_step", "momentum_sgd_step"):
         benches.update(_bench_sgd(reps))
     if want("sasgd_interval"):

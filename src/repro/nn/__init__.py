@@ -7,7 +7,7 @@ the distributed algorithms broadcast and allreduce.
 
 from .activations import Flatten, ReLU, Tanh
 from .avgpool import AvgPool2d, GlobalAvgPool2d
-from .bufferpool import BufferPool, pooling_enabled, set_pooling
+from .bufferpool import BufferPool
 from .conv import Conv2d
 from .dropout import Dropout
 from .functional import ConvPlan, col2im, conv_plan, im2col, log_softmax, one_hot, softmax
@@ -66,7 +66,5 @@ __all__ = [
     "log_softmax",
     "numeric_gradient",
     "one_hot",
-    "pooling_enabled",
-    "set_pooling",
     "softmax",
 ]

@@ -41,10 +41,6 @@ class ReLU(Module):
         np.multiply(grad_out, mask, out=gx)
         return gx
 
-    def _release_buffers(self) -> None:
-        self._pool.release()
-        self._mask = None
-
     def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return in_shape
 
@@ -76,10 +72,6 @@ class Tanh(Module):
         np.subtract(1.0, gx, out=gx)
         np.multiply(gx, grad_out, out=gx)
         return gx
-
-    def _release_buffers(self) -> None:
-        self._pool.release()
-        self._y = None
 
     def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return in_shape

@@ -1,11 +1,9 @@
 """Reusable scratch buffers for the layer hot paths.
 
-Every training step of the pure-NumPy layers used to allocate its large
-temporaries (im2col matrices, GEMM outputs, gradient scatter buffers) from
-scratch, so a convergence run spent a measurable slice of wall-clock in the
-allocator and kept the peak RSS high.  A :class:`BufferPool` gives each
-module a small named set of buffers that are handed out again on the next
-step whenever shape and dtype match.
+A :class:`BufferPool` gives each module a small named set of flat
+allocations, each grown to the largest request seen under its name and
+handed out as a prefix view in the asked shape — so a batch-64 evaluation
+and a batch-16 training step share storage, and neither faults fresh pages.
 
 Contract
 --------
@@ -16,56 +14,43 @@ Contract
   module's next ``forward``/``backward`` call.  The training loops consume
   layer outputs immediately (``Sequential`` chains them straight into the
   next layer), so this is invisible there; code that must retain a layer
-  output across steps should ``copy()`` it or disable pooling.
-* :func:`set_pooling` is a global kill-switch (useful when debugging
-  aliasing): with pooling off, ``get`` degenerates to ``np.empty``.
+  output across steps should ``copy()`` it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = ["BufferPool", "pooling_enabled", "set_pooling"]
-
-_ENABLED = True
-
-
-def pooling_enabled() -> bool:
-    """Whether pools reuse storage (the default) or allocate fresh arrays."""
-    return _ENABLED
-
-
-def set_pooling(enabled: bool) -> bool:
-    """Enable/disable buffer reuse globally; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
+__all__ = ["BufferPool"]
 
 
 class BufferPool:
-    """Named scratch buffers, reused across calls when shape/dtype match.
+    """Named scratch buffers, reused across calls.
 
-    One buffer lives under each name: requesting the same name with a
-    different shape or dtype drops the old buffer and allocates a new one
-    (so a pool never holds more than one array per name — e.g. an eval-batch
-    im2col does not stay alive alongside the train-batch one).
+    One flat allocation lives under each name.  A request that fits (same
+    dtype, no more elements) is a C-contiguous view of its prefix; a larger
+    one or another dtype replaces the allocation, so a pool never holds more
+    than one array per name.
     """
 
     def __init__(self) -> None:
+        # name -> the view handed out last; its ``.base`` is the flat storage
         self._bufs: Dict[str, np.ndarray] = {}
 
     def get(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """A buffer of ``shape``/``dtype``; contents are unspecified."""
-        if not _ENABLED:
-            return np.empty(shape, dtype)
-        buf = self._bufs.get(name)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != np.dtype(dtype):
-            buf = np.empty(shape, dtype)
-            self._bufs[name] = buf
-        return buf
+        view = self._bufs.get(name)
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view
+        size = math.prod(shape)
+        flat = None if view is None else view.base
+        if flat is None or flat.dtype != dtype or flat.size < size:
+            flat = np.empty(size, dtype)
+        view = self._bufs[name] = flat[:size].reshape(shape)
+        return view
 
     def zeros(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """Like :meth:`get` but zero-filled."""
@@ -73,14 +58,10 @@ class BufferPool:
         buf[...] = 0
         return buf
 
-    def release(self) -> None:
-        """Drop every held buffer (frees the memory)."""
-        self._bufs.clear()
-
     @property
     def nbytes(self) -> int:
-        """Total bytes currently held."""
-        return sum(b.nbytes for b in self._bufs.values())
+        """Total bytes of storage held (not of the views handed out)."""
+        return sum(v.base.nbytes for v in self._bufs.values())
 
     def __contains__(self, name: str) -> bool:
         return name in self._bufs

@@ -88,7 +88,7 @@ class Conv2d(Module):
             y += self.bias.data[:, None]
         return y.reshape(n, self.out_channels, plan.oh, plan.ow)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         col, plan = self._col, self._plan
         if col is None or plan is None:
             raise RuntimeError("backward before forward")
@@ -106,14 +106,11 @@ class Conv2d(Module):
         self.weight.grad += gw.reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += gof.sum(axis=(0, 2))
+        if not input_grad:
+            return None
         gcol = self._pool.get("gcol", col.shape, out_dtype)
         np.matmul(wmat.T, gof, out=gcol)  # (K, F) @ (N, F, P) -> (N, K, P)
         return plan.fold(gcol, pool=self._pool)
-
-    def _release_buffers(self) -> None:
-        self._pool.release()
-        self._col = None
-        self._plan = None
 
     def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         c, h, w = in_shape

@@ -32,9 +32,8 @@ class Dropout(Module):
             self._mask = None
             return x
         keep = 1.0 - self.p
-        mask = (self.rng.random(x.shape) < keep).astype(x.dtype)
-        mask /= keep
-        self._mask = mask
+        scale = x.dtype.type(1) / x.dtype.type(keep)
+        self._mask = mask = np.multiply(self.rng.random(x.shape) < keep, scale)
         return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ Two layouts exist:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -34,6 +34,7 @@ __all__ = [
     "conv2d_output_hw",
     "im2col",
     "col2im",
+    "max_over_views",
     "log_softmax",
     "softmax",
     "one_hot",
@@ -96,16 +97,13 @@ class ConvPlan:
             strides=(s0, s1, s2, s3, self.stride * s2, self.stride * s3),
         )
 
-    def extract(
-        self, x: np.ndarray, pool: Optional[BufferPool] = None, name: str = "col"
-    ) -> np.ndarray:
+    def extract(self, x: np.ndarray, pool: BufferPool, name: str = "col") -> np.ndarray:
         """Materialise the GEMM matrix ``(N, C*kh*kw, OH*OW)`` (channel-major).
 
         One copy total: padding writes into a pooled scratch, the window view
         is free, and the single gather writes straight into the pooled col
         buffer in its final order.
         """
-        pool = pool if pool is not None else BufferPool()
         if not x.flags.c_contiguous:
             x = np.ascontiguousarray(x)
         if self.pad > 0:
@@ -120,16 +118,13 @@ class ConvPlan:
 
     # -- adjoint ----------------------------------------------------------
 
-    def fold(
-        self, gcol: np.ndarray, pool: Optional[BufferPool] = None, name: str = "fold"
-    ) -> np.ndarray:
+    def fold(self, gcol: np.ndarray, pool: BufferPool, name: str = "fold") -> np.ndarray:
         """Scatter-add a ``(N, C*kh*kw, OH*OW)`` gradient back onto the input.
 
         Returns the ``(N, C, H, W)`` input gradient; when ``pad > 0`` it is a
         view into the pool's padded scratch (valid until the next ``fold`` on
         the same pool/name).
         """
-        pool = pool if pool is not None else BufferPool()
         c6 = gcol.reshape(self.n, self.c, self.kh, self.kw, self.oh, self.ow)
         gxp = pool.get(name, self.padded_shape, gcol.dtype)
         first, rest = self.fold_slices[0], self.fold_slices[1:]
@@ -203,6 +198,33 @@ def col2im(
     if pad > 0:
         grad = grad[:, :, pad : pad + h, pad : pad + w]
     return grad
+
+
+def max_over_views(
+    views: Sequence[np.ndarray], pool: BufferPool, route: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Running elementwise maximum of same-shaped ``views`` (max pooling).
+
+    With ``route``, also boolean ``hits[k]`` = "``views[k]`` is the first view
+    equal to the maximum" — ``(v_k == out) & ~taken``, so a tie routes to the
+    earliest view only, as ``argmax`` would.  Both results live in ``pool``.
+    """
+    out = pool.get("y", views[0].shape, views[0].dtype)
+    np.maximum(views[0], views[-1], out=out)  # a lone view is its own maximum
+    for v in views[1:-1]:
+        np.maximum(out, v, out=out)
+    if not route:
+        return out, None
+    hits = pool.get("hits", (len(views),) + out.shape, np.bool_)
+    taken = pool.get("taken", out.shape, np.bool_)
+    np.equal(views[0], out, out=hits[0])
+    seen = hits[0]
+    for k in range(1, len(views)):
+        if k > 1:
+            seen = np.logical_or(seen, hits[k - 1], out=taken)
+        np.equal(views[k], out, out=hits[k])
+        np.greater(hits[k], seen, out=hits[k])  # bool a > b is a & ~b
+    return out, hits
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .functional import log_softmax, softmax
+from .functional import log_softmax
 
 __all__ = ["CrossEntropyLoss", "accuracy"]
 

@@ -17,7 +17,7 @@ those arrays, and layer code keeps working because it only ever reads
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,9 +55,11 @@ class Module:
     Subclass contract:
 
     * ``forward(x)`` computes the output and caches whatever ``backward``
-      needs on ``self`` (inputs, masks, argmax indices, ...).
+      needs on ``self`` (inputs, masks, ...).
     * ``backward(grad_out)`` consumes that cache exactly once, accumulates
-      into each parameter's ``.grad`` and returns ``grad_in``.
+      into each parameter's ``.grad`` and returns ``grad_in``.  Layers with
+      parameters also take ``input_grad=False`` (their input is the network's
+      input, nobody reads ``grad_in``) and then return ``None`` instead.
     * ``output_shape(in_shape)`` propagates a per-example shape (no batch dim).
     * ``flops_per_example(in_shape)`` returns the *forward* FLOP count for one
       example; training cost is conventionally ``3×`` forward (fwd + input
@@ -93,11 +95,6 @@ class Module:
         for child in self._children:
             yield from child.modules()
 
-    def apply(self, fn: Callable[["Module"], None]) -> "Module":
-        for mod in self.modules():
-            fn(mod)
-        return self
-
     # -- modes -------------------------------------------------------------
 
     def train(self, mode: bool = True) -> "Module":
@@ -118,20 +115,6 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
-
-    def release_buffers(self) -> None:
-        """Drop pooled scratch buffers and cached forward context everywhere.
-
-        Layers that keep a :class:`~repro.nn.bufferpool.BufferPool` override
-        ``_release_buffers``; calling this after a large-batch pass (e.g. a
-        full test-set evaluation) returns peak memory to the training-batch
-        footprint.
-        """
-        for mod in self.modules():
-            mod._release_buffers()
-
-    def _release_buffers(self) -> None:
-        pass
 
     # -- compute contract ---------------------------------------------------
 
@@ -189,10 +172,15 @@ class Sequential(Module):
             x = layer.forward(x)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        for layer in reversed(self.layers[1:]):
             grad_out = layer.backward(grad_out)
-        return grad_out
+        if not self.layers:
+            return grad_out
+        first = self.layers[0]
+        if input_grad or not first.parameters():
+            return first.backward(grad_out)
+        return first.backward(grad_out, input_grad=False)
 
     def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         for layer in self.layers:

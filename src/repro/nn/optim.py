@@ -12,8 +12,6 @@ learning-rate schedule commonly paired with the paper's networks.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .module import FlatParams

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import itertools
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .bufferpool import BufferPool
+from .functional import max_over_views
 from .module import Module
 
 __all__ = ["MaxPool2d"]
@@ -17,9 +19,11 @@ class MaxPool2d(Module):
 
     Kernel equals stride (the paper's "(height, width) = (2, 2)" rows), with
     floor division: trailing rows/columns that don't fill a window are
-    dropped, matching Torch's ``SpatialMaxPooling`` default.  The backward
-    pass routes the gradient to each window's argmax (first occurrence on
-    ties, as a deterministic convention).
+    dropped, matching Torch's ``SpatialMaxPooling`` default.  The maximum is
+    a running ``np.maximum`` over the ``kh*kw`` window-offset views of the
+    input; in training mode one boolean mask per offset routes the gradient
+    (first occurrence on ties), and backward is one masked multiply per
+    offset.  Eval-mode forward keeps no routing state.
     """
 
     def __init__(self, kernel_size: int | Tuple[int, int]) -> None:
@@ -30,46 +34,36 @@ class MaxPool2d(Module):
         if self.kh < 1 or self.kw < 1:
             raise ValueError(f"bad kernel size {kernel_size}")
         self._pool = BufferPool()
-        self._argmax: Optional[np.ndarray] = None
+        self._hits: Optional[np.ndarray] = None
         self._x_shape: Optional[Tuple[int, ...]] = None
 
+    def _offset_views(self, a: np.ndarray, oh: int, ow: int) -> List[np.ndarray]:
+        """``a``'s ``kh*kw`` window-offset views, each ``(N, C, oh, ow)``."""
+        he, we = oh * self.kh, ow * self.kw
+        offsets = itertools.product(range(self.kh), range(self.kw))
+        return [a[:, :, i : he : self.kh, j : we : self.kw] for i, j in offsets]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+        h, w = x.shape[2:]
         oh, ow = h // self.kh, w // self.kw
         if oh < 1 or ow < 1:
             raise ValueError(f"input {h}x{w} smaller than pool {self.kh}x{self.kw}")
-        xc = x[:, :, : oh * self.kh, : ow * self.kw]
-        win = xc.reshape(n, c, oh, self.kh, ow, self.kw)
-        win = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, self.kh * self.kw)
-        arg = win.argmax(axis=-1)
-        out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-        self._argmax = arg
+        out, self._hits = max_over_views(self._offset_views(x, oh, ow), self._pool, self.training)
         self._x_shape = x.shape
-        return np.ascontiguousarray(out)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        arg, x_shape = self._argmax, self._x_shape
-        if arg is None or x_shape is None:
+        hits, x_shape = self._hits, self._x_shape
+        if hits is None or x_shape is None:
             raise RuntimeError("backward before forward")
-        self._argmax = None
-        self._x_shape = None
-        n, c, h, w = x_shape
-        oh, ow = h // self.kh, w // self.kw
-        gwin = self._pool.zeros(
-            "gwin", (n, c, oh, ow, self.kh * self.kw), grad_out.dtype
-        )
-        np.put_along_axis(gwin, arg[..., None], grad_out[..., None], axis=-1)
-        gx = self._pool.zeros("gx", x_shape, grad_out.dtype)
-        gwin6 = gwin.reshape(n, c, oh, ow, self.kh, self.kw).transpose(0, 1, 2, 4, 3, 5)
-        gx[:, :, : oh * self.kh, : ow * self.kw] = gwin6.reshape(
-            n, c, oh * self.kh, ow * self.kw
-        )
+        self._hits = None
+        oh, ow = grad_out.shape[2:]
+        gx = self._pool.get("gx", x_shape, grad_out.dtype)
+        gx[:, :, oh * self.kh :, :] = 0  # floor-division remainder only
+        gx[:, :, : oh * self.kh, ow * self.kw :] = 0
+        for hit, gv in zip(hits, self._offset_views(gx, oh, ow)):
+            np.multiply(grad_out, hit, out=gv)
         return gx
-
-    def _release_buffers(self) -> None:
-        self._pool.release()
-        self._argmax = None
-        self._x_shape = None
 
     def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         c, h, w = in_shape

@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import as_strided
 from .bufferpool import BufferPool
 from .init import torch_uniform_
 from .module import Module, Parameter
+from .pool import MaxPool2d
 
 __all__ = ["TemporalConvolution", "TemporalMaxPooling", "MaxOverTime"]
 
@@ -93,7 +94,7 @@ class TemporalConvolution(Module):
             y += self.bias.data
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         col, x_shape = self._col, self._x_shape
         if col is None or x_shape is None:
             raise RuntimeError("backward before forward")
@@ -109,6 +110,8 @@ class TemporalConvolution(Module):
         self.weight.grad += gw
         if self.bias is not None:
             self.bias.grad += go2.sum(axis=0)
+        if not input_grad:
+            return None
         gcol = self._pool.get("gcol", (n, lo, self.kw * c), out_dtype)
         np.matmul(grad_out, self.weight.data, out=gcol)
         # overlap-add without a kw loop: writing window offset k's plane onto a
@@ -121,11 +124,6 @@ class TemporalConvolution(Module):
         gx = self._pool.get("gx", x_shape, out_dtype)
         scat.sum(axis=1, out=gx)
         return gx
-
-    def _release_buffers(self) -> None:
-        self._pool.release()
-        self._col = None
-        self._x_shape = None
 
     def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         ell, c = in_shape
@@ -142,41 +140,23 @@ class TemporalConvolution(Module):
 
 
 class TemporalMaxPooling(Module):
-    """Non-overlapping max pooling over time: ``(N, L, C) → (N, L//kw, C)``."""
+    """Non-overlapping max pooling over time: ``(N, L, C) → (N, L//kw, C)``,
+    run as a ``(kw, 1)`` :class:`MaxPool2d` over the ``(N, 1, L, C)`` image."""
 
     def __init__(self, kw: int) -> None:
         super().__init__()
         if kw < 1:
             raise ValueError(f"kw must be >= 1, got {kw}")
         self.kw = kw
-        self._argmax: Optional[np.ndarray] = None
-        self._x_shape: Optional[Tuple[int, ...]] = None
+        self._pool2d = self.register_child(MaxPool2d((kw, 1)))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, ell, c = x.shape
-        lo = ell // self.kw
-        if lo < 1:
-            raise ValueError(f"sequence length {ell} shorter than pool {self.kw}")
-        win = x[:, : lo * self.kw, :].reshape(n, lo, self.kw, c)
-        arg = win.argmax(axis=2)
-        out = np.take_along_axis(win, arg[:, :, None, :], axis=2)[:, :, 0, :]
-        self._argmax = arg
-        self._x_shape = x.shape
-        return out
+        if x.shape[1] < self.kw:
+            raise ValueError(f"sequence length {x.shape[1]} shorter than pool {self.kw}")
+        return self._pool2d.forward(x[:, None])[:, 0]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        arg, x_shape = self._argmax, self._x_shape
-        if arg is None or x_shape is None:
-            raise RuntimeError("backward before forward")
-        self._argmax = None
-        self._x_shape = None
-        n, ell, c = x_shape
-        lo = ell // self.kw
-        gwin = np.zeros((n, lo, self.kw, c), dtype=grad_out.dtype)
-        np.put_along_axis(gwin, arg[:, :, None, :], grad_out[:, :, None, :], axis=2)
-        gx = np.zeros(x_shape, dtype=grad_out.dtype)
-        gx[:, : lo * self.kw, :] = gwin.reshape(n, lo * self.kw, c)
-        return gx
+        return self._pool2d.backward(grad_out[:, None])[:, 0]
 
     def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         ell, c = in_shape
@@ -194,28 +174,35 @@ class TemporalMaxPooling(Module):
 
 
 class MaxOverTime(Module):
-    """Global max over the sequence axis: ``(N, L, C) → (N, C)``."""
+    """Global max over the sequence axis: ``(N, L, C) → (N, C)``; training mode
+    also masks the first time step equal to it, which is where backward routes."""
 
     def __init__(self) -> None:
         super().__init__()
-        self._argmax: Optional[np.ndarray] = None
-        self._x_shape: Optional[Tuple[int, ...]] = None
+        self._pool = BufferPool()
+        self._hits: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        arg = x.argmax(axis=1)
-        out = np.take_along_axis(x, arg[:, None, :], axis=1)[:, 0, :]
-        self._argmax = arg
-        self._x_shape = x.shape
+        n, _, c = x.shape
+        out = self._pool.get("y", (n, c), x.dtype)
+        x.max(axis=1, out=out)
+        self._hits = None
+        if self.training:
+            self._hits = hits = self._pool.get("hits", x.shape, np.bool_)
+            np.equal(x, out[:, None, :], out=hits)
+            # a repeated maximum keeps only its first time step
+            seen = self._pool.get("seen", x.shape, np.bool_)
+            np.logical_or.accumulate(hits, axis=1, out=seen)
+            np.greater(hits[:, 1:], seen[:, :-1], out=hits[:, 1:])
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        arg, x_shape = self._argmax, self._x_shape
-        if arg is None or x_shape is None:
+        hits = self._hits
+        if hits is None:
             raise RuntimeError("backward before forward")
-        self._argmax = None
-        self._x_shape = None
-        gx = np.zeros(x_shape, dtype=grad_out.dtype)
-        np.put_along_axis(gx, arg[:, None, :], grad_out[:, None, :], axis=1)
+        self._hits = None
+        gx = self._pool.get("gx", hits.shape, grad_out.dtype)
+        np.multiply(grad_out[:, None, :], hits, out=gx)
         return gx
 
     def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -36,8 +36,7 @@ def full_gradient(wl: LearnerWorkload, batch: int = 64) -> Tuple[float, np.ndarr
     n = len(wl.problem.train_set)
     total = np.zeros_like(wl.flat.grad)
     loss_sum = 0.0
-    wl.model.eval()  # deterministic: no dropout while probing the surface
-    try:
+    try:  # compute_gradient_eval switches dropout off: deterministic probing
         for lo in range(0, n, batch):
             idx = np.arange(lo, min(lo + batch, n))
             loss, _acc, nb = wl.compute_gradient_eval(idx)
@@ -66,7 +65,6 @@ def estimate_sigma2(
     _, grad_full = full_gradient(wl, batch)
     n = len(wl.problem.train_set)
     total = 0.0
-    wl.model.eval()
     try:
         for _ in range(n_samples):
             idx = rng.choice(n, size=min(M, n), replace=False)

@@ -283,3 +283,55 @@ def test_nbytes_inferred_from_array_payload():
 
     eng.spawn(sender())
     assert eng.run_process(receiver()) == 200.0
+
+
+def test_drained_mailboxes_are_dropped_not_accumulated():
+    # one-shot tags (a PS reply per request) used to leave one Store each:
+    # 40 000 per simulated Downpour cell, all of it cyclic garbage
+    eng, fab = make_fabric()
+    a = fab.attach("a", "gpu0")
+    b = fab.attach("b", "gpu1")
+    got = []
+
+    def sender():
+        for k in range(50):
+            yield from a.send("b", ("reply", k), nbytes=8.0)
+        # two messages queued on one tag: the first recv must not drop the second
+        yield from a.send("b", "twice", payload=1, nbytes=8.0)
+        yield from a.send("b", "twice", payload=2, nbytes=8.0)
+
+    def receiver():
+        for k in range(50):
+            got.append((yield from b.recv("a", ("reply", k))).tag)
+        yield Delay(1.0)  # both "twice" messages are waiting by now
+        assert len(b._mailbox) == 1
+        got.append((yield from b.recv("a", "twice")).payload)
+        assert len(b._mailbox) == 1
+        got.append((yield from b.recv("a", "twice")).payload)
+
+    eng.spawn(sender())
+    eng.run_process(receiver())
+    assert got == [("reply", k) for k in range(50)] + [1, 2]
+    assert not b._mailbox  # every drained channel is gone
+
+
+def test_mailbox_with_a_second_waiter_survives_the_first_receive():
+    eng, fab = make_fabric()
+    a = fab.attach("a", "gpu0")
+    b = fab.attach("b", "gpu1")
+    got = []
+
+    def receiver(label):
+        got.append((label, (yield from b.recv("a", "t")).payload))
+
+    def sender():
+        yield Delay(1.0)  # both receivers are blocked on the same channel
+        yield from a.send("b", "t", payload="first", nbytes=8.0)
+        yield from a.send("b", "t", payload="second", nbytes=8.0)
+
+    eng.spawn(receiver("r0"))
+    eng.spawn(receiver("r1"))
+    eng.run_process(sender())
+    eng.run()
+    assert got == [("r0", "first"), ("r1", "second")]
+    assert not b._mailbox

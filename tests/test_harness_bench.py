@@ -42,6 +42,10 @@ def test_expected_benches_present(doc):
         "col2im_plan",
         "temporal_conv_forward_backward",
         "temporal_conv_forward_backward_legacy",
+        "maxpool2d_forward_backward",
+        "cifar_train_step",
+        "nlcf_train_step",
+        "cifar_evaluate_model",
         "sgd_step",
         "momentum_sgd_step",
         "sasgd_interval",

@@ -135,3 +135,25 @@ def test_public_api_surface():
     assert repro.__version__
     assert callable(repro.run_experiment)
     assert "fig7" in repro.list_experiments()
+
+
+def test_training_imports_do_not_load_scipy():
+    # scipy.optimize (0.46 s, ~40 MB) serves one theory function; a training
+    # process must not pay for it at import
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys; import repro.algos, repro.runtime, repro.spec; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,4 @@
-"""Buffer-pool reuse, the pooling kill-switch, and allocation-free steps."""
+"""Buffer-pool reuse (capacity pools) and allocation-free steps."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from repro.nn import (
     Conv2d,
     FlatParams,
     MomentumSGD,
-    ReLU,
     build_cifar10_cnn,
     flatten_module,
-    set_pooling,
 )
-from repro.nn.bufferpool import BufferPool, pooling_enabled
+from repro.nn.bufferpool import BufferPool
 
 
 class TestBufferPool:
@@ -46,25 +44,43 @@ class TestBufferPool:
         assert b is a
         assert np.all(b == 0.0)
 
-    def test_release_empties(self):
+    def test_nbytes_reports_storage_held(self):
         pool = BufferPool()
-        pool.get("x", (3,), np.float32)
-        assert "x" in pool and len(pool) == 1 and pool.nbytes > 0
-        pool.release()
-        assert "x" not in pool and len(pool) == 0 and pool.nbytes == 0
+        pool.get("x", (8, 4), np.float32)
+        assert "x" in pool and len(pool) == 1 and pool.nbytes == 8 * 4 * 4
+        small = pool.get("x", (3,), np.float32)
+        assert small.nbytes == 12
+        # the view handed out shrank; the storage behind it did not
+        assert "x" in pool and len(pool) == 1 and pool.nbytes == 8 * 4 * 4
+        assert "y" not in pool
 
-    def test_kill_switch(self):
+    def test_smaller_request_reuses_larger_storage(self):
         pool = BufferPool()
-        prev = set_pooling(False)
-        try:
-            assert not pooling_enabled()
-            a = pool.get("x", (3,), np.float32)
-            b = pool.get("x", (3,), np.float32)
-            assert a is not b  # every call a fresh array
-            assert len(pool) == 0
-        finally:
-            set_pooling(prev)
-        assert pooling_enabled() == prev
+        big = pool.get("x", (64, 3, 5), np.float32)
+        small = pool.get("x", (16, 3, 5), np.float32)
+        assert small.shape == (16, 3, 5) and small.flags.c_contiguous
+        assert np.shares_memory(big, small)
+        # ... and going back up to the large shape allocates nothing new
+        again = pool.get("x", (64, 3, 5), np.float32)
+        assert again.flags.c_contiguous and np.shares_memory(again, big)
+        assert again.ctypes.data == big.ctypes.data
+        # a different rank with no more elements fits too
+        other = pool.get("x", (4, 240), np.float32)
+        assert other.flags.c_contiguous and np.shares_memory(other, big)
+
+    def test_dtype_change_does_not_share_storage(self):
+        pool = BufferPool()
+        a = pool.get("x", (64,), np.float64)
+        b = pool.get("x", (8,), np.float32)  # fewer bytes, but another dtype
+        assert b.dtype == np.float32 and not np.shares_memory(a, b)
+        assert pool.nbytes == 8 * 4
+
+    def test_shape_given_as_list_or_numpy_ints(self):
+        pool = BufferPool()
+        a = pool.get("x", (2, 3), np.float32)
+        assert pool.get("x", [2, 3], np.float32).shape == (2, 3)
+        b = pool.get("x", (np.int64(2), np.int64(3)), np.dtype("float32"))
+        assert np.shares_memory(a, b) and b.shape == (2, 3)
 
 
 class TestModulePooling:
@@ -96,39 +112,50 @@ class TestModulePooling:
         after = {name: buf.ctypes.data for name, buf in conv._pool._bufs.items()}
         assert ptrs == after  # steady state: no buffer was reallocated
 
-    def test_relu_output_identical_with_and_without_pooling(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((4, 7)).astype(np.float32)
-        relu = ReLU()
-        y_pooled = relu.forward(x).copy()
-        relu.forward(x)
-        gx_pooled = relu.backward(x).copy()
-        prev = set_pooling(False)
-        try:
-            relu2 = ReLU()
-            y_plain = relu2.forward(x)
-            relu2.forward(x)
-            gx_plain = relu2.backward(x)
-        finally:
-            set_pooling(prev)
-        assert np.array_equal(y_pooled, y_plain)
-        assert np.array_equal(gx_pooled, gx_plain)
-
-    def test_release_buffers_walks_model(self):
+    def test_eval_batch_and_train_batch_share_conv_storage(self):
         rng = np.random.default_rng(3)
         model, _, _ = build_cifar10_cnn(width=0.1, rng=rng)
-        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        small = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        large = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
         model.eval()
-        model.forward(x)
-        pooled = [
-            m for m in model.modules() if getattr(m, "_pool", None) and len(m._pool)
-        ]
-        assert pooled  # forward populated some pools
-        model.release_buffers()
-        for mod in model.modules():
-            pool = getattr(mod, "_pool", None)
-            if pool is not None:
-                assert len(pool) == 0
+        model.forward(large)
+        pools = [m._pool for m in model.modules() if hasattr(m, "_pool")]
+        ptrs = [{k: b.ctypes.data for k, b in p._bufs.items()} for p in pools]
+        assert sum(p.nbytes for p in pools) > 0
+        for _ in range(2):
+            model.train()
+            model.zero_grad()
+            model.backward(np.ones_like(model.forward(small)))
+            model.eval()
+            model.forward(large)
+        # the batch-8 storage served every batch-2 step and was never
+        # replaced; training only added the names backward needs
+        for p, before in zip(pools, ptrs):
+            after = {k: b.ctypes.data for k, b in p._bufs.items()}
+            assert {k: after[k] for k in before} == before
+
+
+    @pytest.mark.parametrize("which", ["cifar", "nlcf"])
+    def test_evaluation_between_steps_does_not_disturb_training(self, which):
+        # evaluate_model runs batch-64 forwards on the very storage the
+        # training step uses; 8 steps must not notice one in their middle
+        from repro.algos.base import LearnerWorkload, evaluate_model, spawn_rngs
+        from repro.algos.problems import cifar_problem, nlcf_problem
+
+        make, batch = (cifar_problem, 8) if which == "cifar" else (nlcf_problem, 1)
+        problem = make(scale="unit", seed=3)
+
+        def train(evaluate_at):
+            wl = LearnerWorkload(problem, batch, *spawn_rngs(9, 3))
+            opt = SGD(wl.flat, lr=0.05)
+            for step in range(8):
+                if step == evaluate_at:
+                    evaluate_model(wl.model, problem.test_set, 64)
+                wl.compute_gradient(wl.next_batch())
+                opt.step()
+            return wl.flat.copy_data()
+
+        assert train(evaluate_at=4).tobytes() == train(evaluate_at=None).tobytes()
 
 
 def _flat(dim, seed):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     Conv2d,
@@ -297,3 +299,249 @@ def test_maxovertime_backward_scatters_to_argmax():
     mot.forward(x)
     gx = mot.backward(np.array([[7.0]]))
     np.testing.assert_array_equal(gx, [[[0.0], [7.0], [0.0]]])
+
+
+# -- pooling against the argmax oracle ----------------------------------------------
+#
+# The layers take the maximum as a running np.maximum over window-offset views
+# and route gradients through first-occurrence boolean masks.  The argmax /
+# take_along_axis / put_along_axis code they replaced stays here as the oracle:
+# outputs and input gradients must be equal element for element (array_equal,
+# so a +0.0 / -0.0 pair counts as equal), ties included.
+
+
+def _oracle_maxpool2d(x, kh, kw, grad_of):
+    n, c, h, w = x.shape
+    oh, ow = h // kh, w // kw
+    win = x[:, :, : oh * kh, : ow * kw].reshape(n, c, oh, kh, ow, kw)
+    win = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, kh * kw)
+    arg = win.argmax(axis=-1)
+    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    grad_out = grad_of(out)
+    gwin = np.zeros((n, c, oh, ow, kh * kw), dtype=grad_out.dtype)
+    np.put_along_axis(gwin, arg[..., None], grad_out[..., None], axis=-1)
+    gx = np.zeros(x.shape, dtype=grad_out.dtype)
+    gwin6 = gwin.reshape(n, c, oh, ow, kh, kw).transpose(0, 1, 2, 4, 3, 5)
+    gx[:, :, : oh * kh, : ow * kw] = gwin6.reshape(n, c, oh * kh, ow * kw)
+    return out, grad_out, gx
+
+
+def _oracle_temporal_maxpool(x, kw, grad_of):
+    n, ell, c = x.shape
+    lo = ell // kw
+    win = x[:, : lo * kw, :].reshape(n, lo, kw, c)
+    arg = win.argmax(axis=2)
+    out = np.take_along_axis(win, arg[:, :, None, :], axis=2)[:, :, 0, :]
+    grad_out = grad_of(out)
+    gwin = np.zeros((n, lo, kw, c), dtype=grad_out.dtype)
+    np.put_along_axis(gwin, arg[:, :, None, :], grad_out[:, :, None, :], axis=2)
+    gx = np.zeros(x.shape, dtype=grad_out.dtype)
+    gx[:, : lo * kw, :] = gwin.reshape(n, lo * kw, c)
+    return out, grad_out, gx
+
+
+def _oracle_maxovertime(x, grad_of):
+    arg = x.argmax(axis=1)
+    out = np.take_along_axis(x, arg[:, None, :], axis=1)[:, 0, :]
+    grad_out = grad_of(out)
+    gx = np.zeros(x.shape, dtype=grad_out.dtype)
+    np.put_along_axis(gx, arg[:, None, :], grad_out[:, None, :], axis=1)
+    return out, grad_out, gx
+
+
+def _pool_input(seed, shape, dtype, kind):
+    """Inputs whose windows tie: ``kind`` picks how hard."""
+    rng = np.random.default_rng(seed)
+    if kind == "distinct":
+        x = rng.standard_normal(shape)
+    elif kind == "few_values":  # many repeated maxima per window
+        x = rng.integers(-1, 2, size=shape).astype(np.float64)
+    elif kind == "relu":  # the post-ReLU case: about half the entries are 0
+        x = np.maximum(rng.standard_normal(shape), 0.0)
+    elif kind == "all_equal":  # every window all-zero
+        x = np.zeros(shape)
+    else:  # signed zeros: value-equal, the gradient goes to the first one
+        x = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    return x.astype(dtype)
+
+
+def _nonzero_grad(seed):
+    def grad_of(out):
+        g = np.random.default_rng(seed + 1).standard_normal(out.shape)
+        return (g + np.sign(g)).astype(out.dtype)  # |g| >= 1: routing is visible
+
+    return grad_of
+
+
+_POOL_KINDS = st.sampled_from(["distinct", "few_values", "relu", "all_equal", "signed_zero"])
+_POOL_DTYPES = st.sampled_from([np.float32, np.float64])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 3),
+    c=st.integers(1, 3),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    kernel=st.sampled_from([(2, 2), (2, 3), (3, 2), (1, 1), (1, 2), (3, 3)]),
+    dtype=_POOL_DTYPES,
+    kind=_POOL_KINDS,
+)
+def test_maxpool_matches_argmax_oracle(seed, n, c, h, w, kernel, dtype, kind):
+    kh, kw = kernel
+    h, w = max(h, kh), max(w, kw)
+    x = _pool_input(seed, (n, c, h, w), dtype, kind)
+    want_out, grad_out, want_gx = _oracle_maxpool2d(x, kh, kw, _nonzero_grad(seed))
+    pool = MaxPool2d(kernel)
+    for _ in range(2):  # second round runs on reused buffers
+        out = pool.forward(x.copy())
+        assert out.dtype == x.dtype and out.shape == want_out.shape
+        np.testing.assert_array_equal(out, want_out)
+        gx = pool.backward(grad_out)
+        assert gx.dtype == grad_out.dtype
+        np.testing.assert_array_equal(gx, want_gx)
+        # one routed element per window, nothing in the floor-division remainder
+        assert np.count_nonzero(gx) == want_out.size
+        oh, ow = want_out.shape[2:]
+        assert not gx[:, :, oh * kh :, :].any() and not gx[:, :, :, ow * kw :].any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 3),
+    ell=st.integers(1, 9),
+    c=st.integers(1, 4),
+    kw=st.integers(1, 3),
+    dtype=_POOL_DTYPES,
+    kind=_POOL_KINDS,
+)
+def test_temporal_maxpool_matches_argmax_oracle(seed, n, ell, c, kw, dtype, kind):
+    ell = max(ell, kw)
+    x = _pool_input(seed, (n, ell, c), dtype, kind)
+    want_out, grad_out, want_gx = _oracle_temporal_maxpool(x, kw, _nonzero_grad(seed))
+    pool = TemporalMaxPooling(kw)
+    for _ in range(2):
+        np.testing.assert_array_equal(pool.forward(x.copy()), want_out)
+        gx = pool.backward(grad_out)
+        np.testing.assert_array_equal(gx, want_gx)
+        assert np.count_nonzero(gx) == want_out.size
+        assert not gx[:, (ell // kw) * kw :, :].any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 3),
+    ell=st.integers(1, 9),
+    c=st.integers(1, 4),
+    dtype=_POOL_DTYPES,
+    kind=_POOL_KINDS,
+)
+def test_maxovertime_matches_argmax_oracle(seed, n, ell, c, dtype, kind):
+    # few_values / all_equal / signed_zero repeat the maximum along time
+    x = _pool_input(seed, (n, ell, c), dtype, kind)
+    want_out, grad_out, want_gx = _oracle_maxovertime(x, _nonzero_grad(seed))
+    mot = MaxOverTime()
+    for _ in range(2):
+        np.testing.assert_array_equal(mot.forward(x.copy()), want_out)
+        gx = mot.backward(grad_out)
+        np.testing.assert_array_equal(gx, want_gx)
+        assert np.count_nonzero(gx) == want_out.size
+
+
+def test_pooling_tie_goes_to_first_occurrence():
+    x = np.array([[[[-0.0, 0.0], [0.0, -0.0]]]])
+    pool = MaxPool2d(2)
+    assert pool.forward(x)[0, 0, 0, 0] == 0.0
+    np.testing.assert_array_equal(pool.backward(np.full((1, 1, 1, 1), 3.0))[0, 0], [[3, 0], [0, 0]])
+    seq = np.array([[[2.0], [5.0], [5.0], [5.0]]])
+    tmp = TemporalMaxPooling(2)
+    tmp.forward(seq)
+    np.testing.assert_array_equal(tmp.backward(np.array([[[1.0], [4.0]]]))[0, :, 0], [0, 1, 4, 0])
+    mot = MaxOverTime()
+    mot.forward(seq)
+    np.testing.assert_array_equal(mot.backward(np.array([[7.0]]))[0, :, 0], [0, 7, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "layer, shape",
+    [(MaxPool2d(2), (2, 2, 4, 4)), (TemporalMaxPooling(2), (2, 6, 3)), (MaxOverTime(), (2, 6, 3))],
+    ids=["MaxPool2d", "TemporalMaxPooling", "MaxOverTime"],
+)
+def test_eval_mode_pooling_keeps_no_routing_state(layer, shape):
+    x = RNG.standard_normal(shape)
+    trained = layer.forward(x).copy()  # training mode: routing state cached ...
+    layer.eval()
+    np.testing.assert_array_equal(layer.forward(x), trained)
+    held = getattr(layer, "_pool2d", layer)  # TemporalMaxPooling wraps a MaxPool2d
+    assert held._hits is None  # ... and an eval forward drops it, keeps none
+    with pytest.raises(RuntimeError, match="backward before forward"):
+        layer.backward(np.ones_like(trained))
+
+
+# -- input_grad=False and rank-1 weight gradients ---------------------------------
+
+
+def _param_grads(module, x, grad_out, **kwargs):
+    module.zero_grad()
+    module.forward(x)
+    gin = module.backward(grad_out, **kwargs)
+    return gin, [p.grad.copy() for p in module.parameters()]
+
+
+@pytest.mark.parametrize(
+    "make, shape",
+    [
+        (lambda: Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(5)), (2, 3, 6, 6)),
+        (lambda: Linear(5, 3, rng=np.random.default_rng(5)), (4, 5)),
+        (lambda: Linear(5, 3, rng=np.random.default_rng(5)), (1, 5)),
+        (lambda: TemporalConvolution(3, 4, 2, rng=np.random.default_rng(5)), (2, 6, 3)),
+    ],
+    ids=["Conv2d", "Linear", "Linear-one-row", "TemporalConvolution"],
+)
+def test_input_grad_false_skips_only_the_input_gradient(make, shape):
+    layer = make()
+    x = np.random.default_rng(6).standard_normal(shape).astype(np.float32)
+    grad_out = np.random.default_rng(7).standard_normal(layer.forward(x).shape).astype(np.float32)
+    gin, want = _param_grads(layer, x, grad_out)
+    assert gin.shape == x.shape
+    none, got = _param_grads(layer, x, grad_out, input_grad=False)
+    assert none is None
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()  # bit-equal, not merely close
+    # the layer is still usable the ordinary way afterwards
+    again, _ = _param_grads(layer, x, grad_out)
+    np.testing.assert_array_equal(again, gin)
+
+
+@pytest.mark.parametrize("lead", [(1,), (1, 1)], ids=["2d", "3d"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_one_row_weight_grad_is_bit_equal_to_matmul(lead, dtype):
+    rng = np.random.default_rng(8)
+    lin = Linear(150, 64, dtype=dtype, rng=rng)
+    x = rng.standard_normal(lead + (150,)).astype(dtype)
+    grad_out = rng.standard_normal(lead + (64,)).astype(dtype)
+    lin.forward(x)
+    lin.backward(grad_out)
+    want = np.matmul(grad_out.reshape(1, -1).T, x.reshape(1, -1))
+    assert lin.weight.grad.tobytes() == want.tobytes()
+
+
+def test_dropout_consumes_the_same_random_stream():
+    # the training curves depend on the draw sequence: mask k must come from
+    # the same rng.random(x.shape) call it always did, scaled by 1/keep in x's
+    # own precision
+    for dtype, p in [(np.float32, 0.5), (np.float32, 0.3), (np.float64, 0.3)]:
+        d = Dropout(p, rng=np.random.default_rng(42))
+        ref = np.random.default_rng(42)
+        for shape in [(4, 3, 5, 5), (2, 7)]:
+            x = RNG.standard_normal(shape).astype(dtype)
+            want = (ref.random(shape) < 1.0 - p).astype(dtype)
+            want /= 1.0 - p
+            out = d.forward(x)
+            assert out.dtype == dtype
+            assert out.tobytes() == (x * want).tobytes()
+            assert d.backward(x).tobytes() == (x * want).tobytes()
+        assert d.rng.random() == ref.random()  # generators still in step

@@ -13,6 +13,8 @@ from repro.nn import (
     ReLU,
     Sequential,
     Tanh,
+    build_cifar10_cnn,
+    build_nlcf_net,
     flatten_module,
 )
 
@@ -108,6 +110,45 @@ def test_layer_summary_columns():
 def test_repr_nested():
     text = repr(small_net())
     assert "Sequential" in text and "Linear" in text
+
+
+# -- Sequential.backward(input_grad=False) ---------------------------------------
+
+
+def _flat_grad(net, x, grad_out, **kwargs):
+    net.zero_grad()
+    net.forward(x)
+    gin = net.backward(grad_out, **kwargs)
+    return gin, np.concatenate([p.grad.ravel() for p in net.parameters()])
+
+
+@pytest.mark.parametrize("which", ["cifar", "nlcf", "nlcf-batch1"])
+def test_input_grad_false_leaves_paper_model_gradients_bit_equal(which):
+    rng = np.random.default_rng(11)
+    if which == "cifar":
+        net, _, _ = build_cifar10_cnn(width=0.1, dropout=0.0, rng=rng)
+        x = rng.standard_normal((3, 3, 32, 32)).astype(np.float32)
+    else:
+        net, _, _ = build_nlcf_net(width=0.05, num_classes=7, rng=rng)
+        x = rng.standard_normal((1 if which == "nlcf-batch1" else 3, 9, 100)).astype(np.float32)
+    grad_out = rng.standard_normal(net.forward(x).shape).astype(np.float32)
+    gin, want = _flat_grad(net, x, grad_out)
+    assert gin.shape == x.shape
+    none, got = _flat_grad(net, x, grad_out, input_grad=False)
+    assert none is None
+    assert got.tobytes() == want.tobytes()
+
+
+def test_input_grad_false_with_a_parameter_free_first_layer():
+    # nothing to skip: the first layer just runs its ordinary backward
+    rng = np.random.default_rng(12)
+    net = Sequential(Flatten(), Linear(12, 3, dtype=np.float64, rng=rng))
+    x = rng.standard_normal((2, 3, 4))
+    gin, want = _flat_grad(net, x, np.ones((2, 3)))
+    got_in, got = _flat_grad(net, x, np.ones((2, 3)), input_grad=False)
+    np.testing.assert_array_equal(got_in, gin)
+    np.testing.assert_array_equal(got, want)
+    assert Sequential().backward(x, input_grad=False) is x  # empty chain: identity
 
 
 # -- flatten_module -----------------------------------------------------------
