@@ -13,7 +13,11 @@ on the host channel), neither of which the algorithm bounds.
 
 The server itself comes from the backend (:meth:`Backend.make_ps`): shard
 coroutines on the simulated host in virtual time, or real shard processes
-over a shared parameter segment under ``--backend mp``.
+over a shared parameter segment under ``--backend mp``.  The push and the
+pull after it are one call, ``client.push(gs, pull=True)``: a real backend
+sends every shard its slice of the gradient at once and each reply carries
+that shard's parameters right after the apply (one round trip per step, as
+EASGD's exchange has always been); the simulator runs push then pull.
 """
 
 from __future__ import annotations
@@ -112,11 +116,7 @@ class DownpourTrainer(DistributedTrainer):
             if crossed:
                 self.record_now(crossed, lid)
             if step % T == 0 or step == total:
-                def round_trip() -> Generator:
-                    yield from client.push(gs)
-                    fresh = yield from client.pull()
-                    return fresh
-                x = yield from self.comm(lid, round_trip())
+                x = yield from self.comm(lid, client.push(gs, pull=True))
                 wl.flat.set_data(x)
                 gs[...] = 0.0
                 if _events.active_bus() is not None:

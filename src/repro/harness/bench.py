@@ -312,17 +312,26 @@ def _reap_peer(peer) -> None:
         peer.terminate()
 
 
-def _time_push_pull(ps, dim: int, reps: int) -> Dict[str, object]:
-    """One push + one pull of a ``dim`` float32 vector against a started PS."""
+#: per transport, (suffix, shards, fused): two ops against one shard, and a
+#: Downpour step's real traffic, ``push(g, pull=True)`` with a leg to each of two
+_PS_BENCHES = (("ps_push_pull", 1, False), ("ps_exchange", 2, True))
+
+
+def _time_push_pull(ps, dim: int, reps: int, fused: bool) -> Dict[str, object]:
+    """Push and pull a ``dim`` float32 vector against a started PS, as two
+    ops or as the one fused exchange."""
     client = ps.client(0)
     grad = np.ones(dim, dtype=np.float32)
 
     def push_pull() -> None:
-        client._push(grad)
-        client._pull()
+        if fused:
+            client._push(grad, pull=True)
+        else:
+            client._push(grad)
+            client._pull()
 
     seconds, done = _time(push_pull, reps)
-    return _entry(seconds, done, dim=dim, n_shards=1)
+    return _entry(seconds, done, dim=dim, n_shards=ps.layout.n_shards)
 
 
 def _bench_mp_roundtrips(
@@ -334,8 +343,9 @@ def _bench_mp_roundtrips(
     ``mp_allreduce_roundtrip`` is one three-barrier shared-memory allreduce
     of the same model-sized float32 vector between two real processes;
     ``mp_ps_push_pull`` is one push + one pull against a live shard process
-    through the mailbox and header pipes.  Skipped (empty dict) where fork
-    is unavailable.
+    through the mailbox and header pipes, ``mp_ps_exchange`` the fused push
+    against two (:data:`_PS_BENCHES`).  Skipped (empty dict) where fork is
+    unavailable.
     """
     import multiprocessing
 
@@ -364,16 +374,17 @@ def _bench_mp_roundtrips(
         coll.teardown()
         liveness.close()
 
-    # -- PS push/pull: one live shard process, one client ------------------
-    ps = MPParameterServer(
-        ctx, p=1, size=dim, n_shards=1, learning_rate=0.01,
-        dtype=np.float32, timeout=timeout,
-    )
-    ps.start()
-    try:
-        out["mp_ps_push_pull"] = _time_push_pull(ps, dim, reps)
-    finally:
-        ps.shutdown()
+    # -- PS: live shard processes, one client -------------------------------
+    for suffix, n_shards, fused in _PS_BENCHES:
+        ps = MPParameterServer(
+            ctx, p=1, size=dim, n_shards=n_shards, learning_rate=0.01,
+            dtype=np.float32, timeout=timeout,
+        )
+        ps.start()
+        try:
+            out[f"mp_{suffix}"] = _time_push_pull(ps, dim, reps, fused)
+        finally:
+            ps.shutdown()
     return out
 
 
@@ -386,8 +397,9 @@ def _bench_net_roundtrips(
     model-sized float32 vector between two real processes (the framed
     protocol end to end: reduce-scatter + allgather, 2 hops each).
     ``net_ps_push_pull`` is one push + one pull against a live PS shard
-    process — the per-step cost every Downpour/EAMSGD learner pays.
-    Skipped (empty dict) where fork is unavailable.
+    process; ``net_ps_exchange`` is the fused push against two — the
+    per-step cost every Downpour learner pays.  Skipped (empty dict) where
+    fork is unavailable.
     """
     import multiprocessing
 
@@ -415,18 +427,19 @@ def _bench_net_roundtrips(
         _reap_peer(peer)
         close_all(listeners)
 
-    # -- PS push/pull: one live shard process, one client ------------------
-    spec, listeners = allocate_loopback(p=0, n_shards=1)
-    ps = NetParameterServer(
-        ctx, p=1, size=dim, n_shards=1, learning_rate=0.01,
-        dtype=np.float32, timeout=timeout, addrs=spec.ps,
-    )
-    ps.start(listeners)
-    try:
-        out["net_ps_push_pull"] = _time_push_pull(ps, dim, reps)
-    finally:
-        ps.shutdown()
-        close_all(listeners)
+    # -- PS: live shard processes, one client -------------------------------
+    for suffix, n_shards, fused in _PS_BENCHES:
+        spec, listeners = allocate_loopback(p=0, n_shards=n_shards)
+        ps = NetParameterServer(
+            ctx, p=1, size=dim, n_shards=n_shards, learning_rate=0.01,
+            dtype=np.float32, timeout=timeout, addrs=spec.ps,
+        )
+        ps.start(listeners)
+        try:
+            out[f"net_{suffix}"] = _time_push_pull(ps, dim, reps, fused)
+        finally:
+            ps.shutdown()
+            close_all(listeners)
     return out
 
 
@@ -599,9 +612,9 @@ def run_benchmarks(
             benches.update(_bench_mp_interval(2 if quick else 3, timeout=mp_timeout))
         # sub-millisecond round trips: best-of-20 even under --quick, or the
         # mp/net ratio held by DERIVED_FLOORS is decided by one cold call
-        if want("mp_allreduce_roundtrip", "mp_ps_push_pull"):
+        if want("mp_allreduce_roundtrip", "mp_ps_push_pull", "mp_ps_exchange"):
             benches.update(_bench_mp_roundtrips(20, timeout=mp_timeout))
-        if want("net_allreduce_roundtrip", "net_ps_push_pull"):
+        if want("net_allreduce_roundtrip", "net_ps_push_pull", "net_ps_exchange"):
             benches.update(_bench_net_roundtrips(20, timeout=mp_timeout))
         if want("experiment_fig2_unit"):
             benches.update(_bench_experiment())

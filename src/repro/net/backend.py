@@ -11,11 +11,12 @@ this module adds how ``net`` moves bytes and notices death:
   chunked ring (p−1 reduce-scatter steps + p−1 allgather steps, tensors
   framed zero-copy); broadcast forwards hop by hop; object allgather
   rotates pickled items around the ring.
-* **Parameter server** shards are TCP servers (:func:`serve_shard`): every
-  client connection's PS_REQ frames funnel through one queue into the
-  shard state, and PS_REP frames answer on the same connection
-  (:class:`_FrameChannel`) — an injected ``drop`` consumes a genuine frame
-  off the wire, a cut connection is redialled by the next resend.
+* **Parameter server** shards are TCP servers (:func:`serve_shard`): one
+  selector loop over the listener and every client connection feeds PS_REQ
+  frames into the shard state in readiness order, and PS_REP frames answer
+  on the same connection (:class:`_FrameChannel`) — an injected ``drop``
+  consumes a genuine frame off the wire, a cut connection is redialled by
+  the next resend.
 * **Supervision** is connection-loss based: every worker heartbeats on a
   control connection to the coordinator, which declares a rank dead when
   that connection drops without a RESULT frame (milliseconds after a
@@ -38,7 +39,8 @@ Two modes share all of the above:
 from __future__ import annotations
 
 import os
-import queue
+import select
+import selectors
 import socket
 import threading
 import time
@@ -487,13 +489,15 @@ def _send_reply(conn: Conn, seq: int, reply: Reply) -> None:
     meta: Dict[str, Any] = {"version": version}
     if error is not None:
         meta["error"] = error
-    try:
-        if array is None:
-            conn.send(PS_REP, meta, seq=seq)
-        else:
-            conn.send_tensor(PS_REP, array, meta, seq=seq)
-    except ConnectionLost:
-        pass  # the client vanished or reconnected; its retry resends
+    if array is None:
+        conn.send(PS_REP, meta, seq=seq)
+    else:
+        conn.send_tensor(PS_REP, array, meta, seq=seq)
+
+
+#: seconds a shard waits on one client for the rest of a frame it has begun (or
+#: for room to write a reply) before hanging up; the client's retry redials
+_CLIENT_STALL = 1.0
 
 
 def serve_shard(
@@ -508,49 +512,64 @@ def serve_shard(
     counters).
 
     Shared verbatim by the fork-mode shard child and the external
-    ``repro launch --role ps:K`` process.  Requests from every client
-    connection funnel through one queue, so arrival order — the staleness
-    the paper measures — is real scheduler/network nondeterminism.
+    ``repro launch --role ps:K`` process.  The process has one thread: a
+    selector over the listener and the client sockets, so readiness order —
+    real scheduler/network nondeterminism — is the arrival order the paper's
+    staleness measures.  A connection that stalls mid-frame, resets or sends
+    garbage is closed and forgotten; the others keep being served.
     """
-    inbox: "queue.Queue" = queue.Queue()
-    closing = threading.Event()
-
-    def _reader(conn: Conn) -> None:
-        while True:
-            try:
-                frame = conn.recv()
-            except (ConnectionLost, ProtocolError, OSError):
-                return
-            inbox.put((conn, frame))
-
-    _accept_forever(listener, "client", _reader, closing.is_set, f"ps{sid}-accept")
     state = ShardState(xs, learning_rate, crash_after)
-    while True:
-        conn, frame = inbox.get()
-        if frame.kind == STOP:
-            closing.set()
-            try:
-                listener.close()
-            except OSError:
-                pass
-            try:
-                conn.send_obj(STATS, {
-                    "sid": sid, "version": state.version,
-                    "pushes": state.pushes, "x": np.array(xs, copy=True),
-                })
-            except ConnectionLost:
-                pass
-            return
-        if frame.kind != PS_REQ:
-            continue
-        meta = frame.meta
-        reply = state.apply(
-            int(meta.get("rank", -1)), frame.seq, meta.get("op"),
-            frame.tensor() if len(frame.payload) else None,
-            float(meta.get("alpha", 0.0)),
-        )
-        _send_reply(conn, frame.seq, reply)
-        state.settle()
+    with selectors.DefaultSelector() as ready:
+
+        def hang_up(conn: Conn) -> None:
+            ready.unregister(conn.sock)
+            conn.close()
+
+        ready.register(listener, selectors.EVENT_READ)
+        while True:
+            for key, _ in ready.select():
+                conn: Optional[Conn] = key.data
+                if conn is None:
+                    try:
+                        sock, _ = listener.accept()
+                    except OSError:
+                        continue  # the dialler gave up between SYN and accept
+                    conn = Conn(sock, "client")
+                    conn.settimeout(_CLIENT_STALL)
+                    ready.register(sock, selectors.EVENT_READ, conn)
+                    continue
+                try:
+                    frame = conn.recv()
+                except (ConnectionLost, ProtocolError, OSError, ValueError):
+                    # gone, stalled mid-frame (timeout), or no peer of ours
+                    # (bad magic, meta that is not JSON)
+                    hang_up(conn)
+                    continue
+                if frame.kind == STOP:
+                    listener.close()
+                    try:
+                        conn.send_obj(STATS, {
+                            "sid": sid, "version": state.version,
+                            "pushes": state.pushes, "x": np.array(xs, copy=True),
+                        })
+                    except ConnectionLost:
+                        pass
+                    return
+                if frame.kind != PS_REQ:
+                    continue
+                meta = frame.meta
+                reply = state.apply(
+                    int(meta.get("rank", -1)), frame.seq, meta.get("op"),
+                    frame.tensor() if len(frame.payload) else None,
+                    float(meta.get("alpha", 0.0)),
+                )
+                try:
+                    _send_reply(conn, frame.seq, reply)
+                except ConnectionLost:
+                    # vanished, reconnected, or not reading: its retry
+                    # redials and resends
+                    hang_up(conn)
+                state.settle()
 
 
 def _shard_child_main(ps: "NetParameterServer", sid: int,
@@ -593,10 +612,8 @@ class _FrameChannel:
         self.ps = ps
         self.rank = rank
         self.conns: Dict[int, Optional[Conn]] = {}
-        self._sid = 0  # shard of the request in flight
 
     def send(self, sid: int, op: str, seq: int, payload, alpha) -> None:
-        self._sid = sid
         meta: Dict[str, Any] = {"op": op, "rank": self.rank}
         if alpha is not None:
             meta["alpha"] = alpha
@@ -609,18 +626,24 @@ class _FrameChannel:
             if payload is None:
                 conn.send(PS_REQ, meta, seq=seq)
             else:
-                conn.send_tensor(PS_REQ, np.ascontiguousarray(payload), meta, seq=seq)
+                conn.send_tensor(PS_REQ, payload, meta, seq=seq)
         except ConnectionLost:
             self.conns[sid] = None
 
     def recv(self, wait: float):
-        sid = self._sid
-        conn = self.conns.get(sid)
-        if conn is None:
-            # unreachable shard: burn this attempt's wait so the budget
-            # drains at the same rate as a silent one
+        live = {
+            conn.sock: sid for sid, conn in self.conns.items() if conn is not None
+        }
+        if not live:
+            # no shard is reachable: burn this attempt's wait so the budget
+            # drains at the same rate as for a silent one
             time.sleep(wait)
             return None
+        readable = select.select(list(live), [], [], wait)[0]
+        if not readable:
+            return None
+        sid = live[readable[0]]
+        conn = self.conns[sid]
         try:
             conn.settimeout(wait)
             frame = conn.recv()

@@ -299,11 +299,12 @@ class PSClient:
         msg = yield from self.ep.recv(f"{server.name}{sid}", ("rep", server.name, sid, seq))
         return msg.payload
 
-    def push(self, grad: Optional[np.ndarray]) -> Generator:
+    def push(self, grad: Optional[np.ndarray], pull: bool = False) -> Generator:
         """Send accumulated gradients shard by shard; returns mean staleness.
 
         Staleness of this push = pushes applied by others between our last
-        pull and this push landing (per shard, then summed).
+        pull and this push landing (per shard, then summed).  ``pull=True``
+        follows the push with :meth:`pull` and returns the fetched vector.
         """
         server = self.server
         sess = _obs_active()
@@ -322,7 +323,9 @@ class PSClient:
         # exclude our own p pushes (one per shard) from the staleness count
         staleness = max(0, version_now - self._pull_version - server.layout.n_shards)
         self.staleness_samples.append(staleness)
-        return staleness
+        if not pull:
+            return staleness
+        return (yield from self.pull())
 
     def pull(self) -> Generator:
         """Fetch the full parameter vector (may mix shard versions)."""

@@ -198,8 +198,15 @@ class PSClientLike(ABC):
     staleness_samples: List[int]
 
     @abstractmethod
-    def push(self, grad: Optional[np.ndarray]) -> Generator:
-        """Apply an accumulated gradient at the server; returns staleness."""
+    def push(self, grad: Optional[np.ndarray], pull: bool = False) -> Generator:
+        """Apply an accumulated gradient at the server; returns staleness.
+
+        ``pull=True`` is Downpour's whole exchange: push, fetch the parameters
+        and return *them* (the staleness still lands in ``staleness_samples``).
+        A process backend makes it one request per shard, answered with the
+        slice right after the apply; the simulator runs the push, then the
+        pull.  Either way it is two fault ordinals, the push's and the pull's.
+        """
 
     @abstractmethod
     def pull(self) -> Generator:

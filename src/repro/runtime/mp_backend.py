@@ -310,8 +310,10 @@ class _MailboxChannel:
         ps = self._ps
         # the stamp tells the shard which request the slot belongs to: a
         # header carrying any other seq is stale and must not be applied.
-        # Stamped before the slot is touched, so a stale header read while
-        # the slot is half rewritten is already recognisable
+        # An op's legs all carry the op's one seq, so the one stamp stays
+        # true while they are in flight to different shards.  Stamped before
+        # the slot is touched, so a stale header read while the slot is half
+        # rewritten is already recognisable
         ps._stamps[self.rank] = seq
         if payload is not None:
             lo, hi = ps.layout.bounds[sid]

@@ -8,10 +8,12 @@ noticed; this module owns the rest (DESIGN.md §8):
   the per-rank ``seq`` dedupe cache, snapshot cadence, the ``ps_crash`` exit.
 * :class:`PSClient` — fault gate, same-``seq`` resend with jittered backoff
   and deadline, stale-reply discard, typed :class:`RetryBudgetExhausted`,
-  staleness accounting.  It is written against a *channel* —
-  ``send(sid, op, seq, payload, alpha)`` and ``recv(wait) -> (sid, seq,
-  version, array, error) | None`` — which hides the wire format (pickled
-  tuples vs JSON-meta + tensor frames) and lets a test substitute a fake.
+  staleness accounting.  One op is one ``seq`` and one leg per shard, all in
+  flight at once.  It is written against a *channel* — ``send(sid, op, seq,
+  payload, alpha)`` puts one leg on the wire (a lost send is silent),
+  ``recv(wait) -> (sid, seq, version, array, error) | None`` is the next reply
+  from any shard — which hides the wire format (mailbox slots + pipe headers
+  vs JSON-meta + tensor frames) and lets a test substitute a fake.
 * :func:`worker_result` / :func:`worker_error` / :func:`drain_results` — what
   a worker ships home and how the parent waits for it.
 * :class:`ProcessParameterServer` / :class:`ProcessBackend` — the handle and
@@ -128,14 +130,17 @@ class ShardState:
             # a dropped/lost reply): answer from cache, do not re-apply
             return self._last_reply[rank]
         xs = self.xs
-        if op == "push":
+        if op == "push" or op == "push_pull":
             if payload is not None:
                 xs -= self.learning_rate * payload
             self.version += 1
             self.pushes += 1
             self.applies += 1
             self._applied = True
-            reply: Reply = (self.version, None, None)
+            # the fused push answers with the slice right after this apply:
+            # what a pull returns when nobody else's push lands in between
+            fresh = xs.copy() if op == "push_pull" else None
+            reply: Reply = (self.version, fresh, None)
         elif op == "pull":
             reply = (self.version, xs.copy(), None)
         elif op == "elastic":
@@ -184,7 +189,7 @@ class PSClient(PSClientLike):
         self.rank = rank
         self.channel = channel
         self._seq = 0
-        self._op_ordinal = 0  # one push/pull/elastic call = one fault ordinal
+        self._op_ordinal = 0  # one push/pull/elastic = one fault ordinal, a fused push two
         self.staleness_samples: List[int] = []
         self._pull_version = 0
 
@@ -230,12 +235,24 @@ class PSClient(PSClientLike):
         ps.backoff_seconds += pause
         return pause
 
-    def _request(self, sid: int, op: str, payload, alpha=None, drops: int = 0):
+    def _request(self, op: str, vec: Optional[np.ndarray], alpha=None,
+                 drops: int = 0) -> Tuple[int, np.ndarray]:
+        """One op: one ``seq``, one leg per shard (its slice of ``vec``), every
+        leg sent before the first reply is awaited, replies taken in arrival
+        order.  Returns the sum of the shard versions and the reply arrays
+        assembled in place.  ``drops`` (injected loss) hits shard 0's leg."""
         ps = self.ps
         retry = ps.retry
         channel = self.channel
+        bounds = ps.layout.bounds
         self._seq += 1
         seq = self._seq
+
+        def send(sids) -> None:
+            for sid in sids:
+                lo, hi = bounds[sid]
+                channel.send(sid, op, seq, None if vec is None else vec[lo:hi], alpha)
+
         # the overall patience budget is spread over the send + every resend,
         # so a genuinely dead shard exhausts the typed retry budget in about
         # ps.timeout seconds total rather than hanging a bare receive; an
@@ -243,9 +260,12 @@ class PSClient(PSClientLike):
         per_wait = ps.per_wait()
         patience = retry.deadline_seconds
         started = time.monotonic()
-        attempt = 0  # resends performed so far
+        attempt = 0  # resend rounds performed so far
         waited = 0.0
-        channel.send(sid, op, seq, payload, alpha)
+        out = np.empty(ps.size, dtype=ps.dtype)
+        version_sum = 0
+        unanswered = set(range(len(bounds)))
+        send(sorted(unanswered))
         while True:
             reply = channel.recv(per_wait)
             if reply is None:
@@ -258,22 +278,31 @@ class PSClient(PSClientLike):
                     raise RetryBudgetExhausted(
                         self.rank,
                         attempt,
-                        f"parameter-server shard {sid} gave no reply to "
-                        f"{op!r} after {attempt + 1} attempts "
+                        f"parameter-server shard {min(unanswered)} gave no "
+                        f"reply to {op!r} after {attempt + 1} attempts "
                         f"(~{waited:.1f}s waited"
                         f"{', retry deadline exceeded' if out_of_time else ''}"
                         f"); learner{self.rank} "
                         "exhausted its retry budget and the run deadlocked",
                     )
+                lost = sorted(unanswered)
             else:
-                rsid, rseq, version, array, error = reply
-                if rsid != sid or rseq < seq:
-                    # stale reply from an earlier, abandoned attempt — discard
+                sid, rseq, version, array, error = reply
+                if sid not in unanswered or rseq < seq:
+                    # stale: from an earlier, abandoned attempt, or a second
+                    # answer to a leg that is already in — discard
                     continue
-                if drops <= 0:
+                if drops <= 0 or sid != 0:
                     if error is not None:
                         raise ValueError(error)
-                    return version, array
+                    unanswered.discard(sid)
+                    version_sum += version
+                    if array is not None:
+                        lo, hi = bounds[sid]
+                        out[lo:hi] = array
+                    if not unanswered:
+                        return version_sum, out
+                    continue
                 # injected reply loss: pretend this genuine reply never
                 # arrived, then drive the real retry machinery
                 drops -= 1
@@ -286,43 +315,40 @@ class PSClient(PSClientLike):
                         f"learner{self.rank} exhausted its retry budget "
                         f"after {attempt + 1} attempts and the run deadlocked",
                     )
+                lost = [sid]
             time.sleep(self._backoff_pause(attempt, seq))
             attempt += 1
             ps.retries += 1
-            channel.send(sid, op, seq, payload, alpha)
+            send(lost)  # same seq: a shard that already applied it answers from cache
 
-    def push(self, grad: Optional[np.ndarray]) -> Generator:
-        return blocking(self._push, grad)
+    def push(self, grad: Optional[np.ndarray], pull: bool = False) -> Generator:
+        return blocking(self._push, grad, pull)
 
-    def _push(self, grad: Optional[np.ndarray]) -> int:
+    def _push(self, grad: Optional[np.ndarray], pull: bool = False):
         ps = self.ps
         drops = self._fault_gate()
-        version_now = 0
-        for sid, (lo, hi) in enumerate(ps.layout.bounds):
-            payload = None if grad is None else grad[lo:hi]
-            version, _ = self._request(sid, "push", payload, drops=drops)
-            drops = 0  # the op-level fault applies to the first shard leg
-            version_now += version
-            ps.bytes_moved += ps.layout.slice_bytes(sid, ps.dtype.itemsize)
+        if pull:
+            # the fused exchange stands for the push's and the pull's request
+            # ordinals: both delays are slept, both drop counts stack
+            drops += self._fault_gate()
+        version_now, fresh = self._request(
+            "push_pull" if pull else "push", grad, drops=drops
+        )
+        ps.bytes_moved += (2.0 if pull else 1.0) * ps.size * ps.dtype.itemsize
         staleness = max(0, version_now - self._pull_version - ps.layout.n_shards)
         self.staleness_samples.append(staleness)
-        return staleness
+        if not pull:
+            return staleness
+        self._pull_version = version_now
+        return fresh
 
     def pull(self) -> Generator:
         return blocking(self._pull)
 
     def _pull(self) -> np.ndarray:
         ps = self.ps
-        drops = self._fault_gate()
-        out = np.empty(ps.size, dtype=ps.dtype)
-        total = 0
-        for sid, (lo, hi) in enumerate(ps.layout.bounds):
-            version, array = self._request(sid, "pull", None, drops=drops)
-            drops = 0
-            out[lo:hi] = array
-            total += version
-            ps.bytes_moved += ps.layout.slice_bytes(sid, ps.dtype.itemsize)
-        self._pull_version = total
+        self._pull_version, out = self._request("pull", None, drops=self._fault_gate())
+        ps.bytes_moved += ps.size * ps.dtype.itemsize
         return out
 
     def elastic(self, x_local: Optional[np.ndarray], alpha: float) -> Generator:
@@ -330,16 +356,9 @@ class PSClient(PSClientLike):
 
     def _elastic(self, x_local: Optional[np.ndarray], alpha: float) -> np.ndarray:
         ps = self.ps
-        drops = self._fault_gate()
-        out = np.empty(ps.size, dtype=ps.dtype)
-        for sid, (lo, hi) in enumerate(ps.layout.bounds):
-            payload = None if x_local is None else x_local[lo:hi]
-            _, e = self._request(sid, "elastic", payload, alpha, drops)
-            drops = 0
-            if e is not None:
-                out[lo:hi] = e
-            ps.bytes_moved += 2.0 * ps.layout.slice_bytes(sid, ps.dtype.itemsize)
-        return out
+        _, e = self._request("elastic", x_local, alpha, self._fault_gate())
+        ps.bytes_moved += 2.0 * ps.size * ps.dtype.itemsize
+        return e
 
 
 class ProcessParameterServer(ParameterServerHandle):

@@ -125,7 +125,8 @@ class FaultySimPSClient(PSClientLike):
     """Injects drop/delay faults around a :class:`PSClient`, op by op.
 
     One ``push``/``pull``/``elastic`` call is one request *ordinal* — the
-    unit the :class:`~repro.faults.FaultPlan` selects on in both backends.
+    unit the :class:`~repro.faults.FaultPlan` selects on in both backends —
+    and ``push(g, pull=True)`` is the two ordinals of its push and its pull.
     A dropped reply costs the retry policy's backoff schedule in virtual
     time (the request is eventually answered — the sim models the retries,
     it doesn't replay them); more drops than ``max_retries`` raises
@@ -180,8 +181,11 @@ class FaultySimPSClient(PSClientLike):
         result = yield from op
         return result
 
-    def push(self, grad) -> Generator:
-        return self._faulted(self.inner.push(grad))
+    def push(self, grad, pull: bool = False) -> Generator:
+        staleness = yield from self._faulted(self.inner.push(grad))
+        if not pull:
+            return staleness
+        return (yield from self.pull())
 
     def pull(self) -> Generator:
         return self._faulted(self.inner.pull())

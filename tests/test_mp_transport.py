@@ -5,7 +5,8 @@ how one process hands work to another — the bounded yield-spin of
 :class:`PollingBarrier` (progress, dead-peer abort and timeout in both the
 spin and the sleep phase, the heartbeat thread alive meanwhile) and the
 shared-memory mailbox + header pipes of the parameter server (bit-equality
-with the :class:`ShardState` oracle, stale headers, same-``seq`` resends, a
+with the :class:`ShardState` oracle, the fused push and its legs in flight
+under one stamp included; stale headers, same-``seq`` resends, a
 shard that never drains its pipe, segment cleanup).
 """
 
@@ -242,17 +243,21 @@ def test_push_pull_elastic_equal_the_shard_oracle_bit_for_bit(make_ps, n_shards)
     pulled = client._pull()
     e = client._elastic(local, 0.25)
     after = client._pull()
+    fresh = client._push(local, pull=True)  # the fused exchange, all legs at once
 
     want_e = np.empty(SIZE, dtype=np.float32)
     for shard, (lo, hi) in zip(shards, ps.layout.bounds):
         shard.apply(0, 1, "push", grad[lo:hi])
         np.testing.assert_array_equal(pulled[lo:hi], shard.apply(0, 2, "pull", None)[1])
         want_e[lo:hi] = shard.apply(0, 3, "elastic", local[lo:hi], 0.25)[1]
+        np.testing.assert_array_equal(after[lo:hi], x[lo:hi])
+        shard.apply(0, 5, "push", local[lo:hi])
     np.testing.assert_array_equal(e, want_e)
-    np.testing.assert_array_equal(after, x)
+    assert fresh.tobytes() == x.tobytes()
+    assert client.staleness_samples == [0, 0]  # nothing landed since the pull
     ps.shutdown()
     np.testing.assert_array_equal(ps.x, x)
-    assert ps.pushes_applied == n_shards and ps.versions == [2] * n_shards
+    assert ps.pushes_applied == 2 * n_shards and ps.versions == [3] * n_shards
 
 
 @needs_fork

@@ -12,6 +12,9 @@ Mirrors the mp-backend guarantees on real sockets:
 * **Capability honesty** — options and recovery modes the backend cannot
   honour raise :class:`BackendCapabilityError` that names a backend that
   can, instead of a traceback.
+* **Shard loop** — the frame channel against the :class:`ShardState`
+  oracle, bit for bit; a shard process is one thread, and a client that
+  stalls mid-frame or sends garbage loses its connection, nobody else's.
 * **Telemetry** — :class:`TcpEventSink` hands a late subscriber one
   snapshot then live deltas; ``repro launch`` brings up a real loopback
   cluster from a spec file.
@@ -19,6 +22,9 @@ Mirrors the mp-backend guarantees on real sockets:
 
 import json
 import multiprocessing
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +41,9 @@ from repro.algos import (
 from repro.algos.problems import cifar_problem
 from repro.faults import FaultContext, FaultPlan
 from repro.net import ClusterSpec, NetBackend
+from repro.net import backend as net_backend
+from repro.net.cluster import allocate_loopback, close_all
+from repro.net.frames import parse_addr
 from repro.net.events import TcpEventSink, iter_remote_events, strip_scheme
 from repro.obs import events as obs_events
 from repro.runtime import (
@@ -42,6 +51,7 @@ from repro.runtime import (
     LearnerFailure,
     make_backend,
 )
+from repro.runtime.process_backend import ShardState
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="net backend needs fork")
@@ -110,6 +120,121 @@ def test_net_ps_algorithms_complete(algo):
     assert float(np.abs(np.asarray(trainer.server.x, np.float64)).sum()) > 0
     if algo == "downpour":
         assert trainer.server.pushes_applied > 0
+
+
+# --------------------------------------------------------------------------
+# the PS frame channel and the one-thread shard loop
+# --------------------------------------------------------------------------
+
+SIZE = 10
+LR = 0.5
+
+
+class _ThreadProbe(ShardState):
+    """Answers the made-up op ``threads`` with the serving process's thread
+    count (in the reply's error field) and everything else as usual."""
+
+    def apply(self, rank, seq, op, payload, alpha=None):
+        if op == "threads":
+            return self.version, None, str(threading.active_count())
+        return super().apply(rank, seq, op, payload, alpha)
+
+
+def _probed_shard_main(ps, sid, listeners):
+    net_backend.ShardState = _ThreadProbe
+    net_backend._shard_child_main(ps, sid, listeners)
+
+
+@pytest.fixture
+def make_net_ps():
+    made = []
+
+    def make(n_shards=2, timeout=5.0):
+        ctx = multiprocessing.get_context("fork")
+        spec, listeners = allocate_loopback(0, n_shards)
+        ps = net_backend.NetParameterServer(
+            ctx, 2, SIZE, n_shards, LR, np.float32, timeout, addrs=spec.ps
+        )
+        made.append(ps)
+        ps.set_params(np.linspace(-1.0, 1.0, SIZE, dtype=np.float32))
+        ps._procs = [
+            ps._fork_shard(_probed_shard_main, sid, listeners)
+            for sid in range(n_shards)
+        ]
+        close_all(listeners)
+        return ps
+
+    yield make
+    for ps in made:
+        ps.shutdown()
+
+
+@needs_fork
+def test_frame_channel_equals_the_shard_oracle_bit_for_bit(make_net_ps):
+    ps = make_net_ps(n_shards=2)
+    x = np.array(ps.x, copy=True)
+    shards = [ShardState(x[lo:hi], LR) for lo, hi in ps.layout.bounds]
+    client = ps.client(0)
+    rng = np.random.default_rng(2)
+    grad, local, grad2 = rng.standard_normal((3, SIZE)).astype(np.float32)
+
+    client._push(grad)
+    pulled = client._pull()
+    e = client._elastic(local, 0.25)
+    fresh = client._push(grad2, pull=True)
+
+    want_e = np.empty(SIZE, dtype=np.float32)
+    for shard, (lo, hi) in zip(shards, ps.layout.bounds):
+        shard.apply(0, 1, "push", grad[lo:hi])
+        assert pulled[lo:hi].tobytes() == shard.apply(0, 2, "pull", None)[1].tobytes()
+        want_e[lo:hi] = shard.apply(0, 3, "elastic", local[lo:hi], 0.25)[1]
+        shard.apply(0, 4, "push", grad2[lo:hi])
+    assert e.tobytes() == want_e.tobytes()
+    assert fresh.tobytes() == x.tobytes()
+    # the elastic in between moved each shard's version once since the pull
+    assert client.staleness_samples == [0, 2]
+    ps.shutdown()
+    assert ps.x.tobytes() == x.tobytes()
+    assert ps.pushes_applied == 4 and ps.versions == [3, 3]
+
+
+@needs_fork
+def test_shard_process_is_one_thread_and_outlives_a_stalled_client(
+    make_net_ps, monkeypatch
+):
+    monkeypatch.setattr(net_backend, "_CLIENT_STALL", 0.2)  # inherited by fork
+    ps = make_net_ps(n_shards=1, timeout=8.0)
+    channel = ps.client(0).channel
+    channel.send(0, "threads", 1, None, None)
+    assert channel.recv(2.0)[4] == "1"  # no acceptor, no readers: the loop
+
+    # one client sends half a frame header and goes quiet, another sends
+    # bytes that are no frame at all
+    stalled = socket.create_connection(parse_addr(ps.addrs[0]))
+    stalled.sendall(b"rN\x01\x04" + b"\x00" * 6)
+    garbage = socket.create_connection(parse_addr(ps.addrs[0]))
+    garbage.sendall(b"GET / HTTP/1.1\r\n\r\n" + b"\x00" * 8)
+
+    client = ps.client(1)
+    grad = np.ones(SIZE, dtype=np.float32)
+    t0 = time.monotonic()
+    fresh = client._push(grad, pull=True)
+    assert time.monotonic() - t0 < 1.5  # held for one stall bound at most
+    assert ps.retries == 0
+    np.testing.assert_array_equal(
+        fresh, np.linspace(-1.0, 1.0, SIZE, dtype=np.float32) - LR * grad
+    )
+    for sock in (stalled, garbage):
+        sock.settimeout(2.0)
+        try:
+            assert sock.recv(1) == b""  # the shard hung up on it
+        except ConnectionResetError:
+            pass  # hung up with our bytes unread: a reset, same verdict
+        sock.close()
+    channel.send(0, "threads", 2, None, None)  # the first client still has its line
+    assert channel.recv(2.0)[4] == "1"
+    ps.shutdown()  # STOP is still answered with STATS
+    assert ps.pushes_applied == 1 and ps.versions == [1]
 
 
 # --------------------------------------------------------------------------

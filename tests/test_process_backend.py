@@ -42,6 +42,7 @@ SHARD_TABLE = [
     # op, payload, alpha, expected xs, version, pushes, reply array, error
     ("push", G, None, [0.0, 0.0, 0.0], 1, 1, None, None),
     ("push", None, None, X0, 1, 1, None, None),
+    ("push_pull", G, None, [0.0, 0.0, 0.0], 1, 1, [0.0, 0.0, 0.0], None),
     ("pull", None, None, X0, 0, 0, X0, None),
     ("elastic", G, 0.5, [5.5, 11.0, 16.5], 1, 0, [4.5, 9.0, 13.5], None),
     ("elastic", None, 0.5, X0, 1, 0, None, None),
@@ -51,7 +52,7 @@ SHARD_TABLE = [
 
 @pytest.mark.parametrize(
     "op,payload,alpha,xs_after,version,pushes,array,error", SHARD_TABLE,
-    ids=["push", "push-none", "pull", "elastic", "elastic-none", "unknown"],
+    ids=["push", "push-none", "fused", "pull", "elastic", "elastic-none", "unknown"],
 )
 def test_shard_state_applies_each_op(
     op, payload, alpha, xs_after, version, pushes, array, error
@@ -81,6 +82,11 @@ def test_shard_state_answers_a_duplicate_seq_from_cache():
     # the cache is per rank, and a newer seq from the same rank applies
     assert state.apply(1, 7, "push", None)[0] == 2
     assert state.apply(0, 8, "push", None)[0] == 3
+    # a fused push too: its cached reply carries the slice it answered with
+    fused = state.apply(0, 9, "push_pull", G)
+    assert state.apply(0, 9, "push_pull", G) is fused
+    np.testing.assert_allclose(fused[1], [-1.0, -2.0, -3.0])
+    np.testing.assert_allclose(xs, fused[1])  # applied once
 
 
 def test_shard_state_snapshot_cadence_and_crash_after(monkeypatch):
@@ -125,16 +131,19 @@ class FakePS(ProcessParameterServer):
 class FakeChannel:
     """Delivers each request straight into the shard's ShardState and queues
     the reply; ``silent`` shards swallow requests, ``recv`` never blocks
-    (a silent wait costs ``tick`` seconds of real time)."""
+    (a silent wait costs ``tick`` seconds of real time) and hands out the
+    queued replies oldest first, or newest first when ``newest_first``."""
 
     lost_where = ""
 
-    def __init__(self, ps, rank, silent=(), tick=0.0):
+    def __init__(self, ps, rank, silent=(), tick=0.0, newest_first=False):
         self.ps = ps
         self.rank = rank
         self.silent = set(silent)
         self.tick = tick
+        self.newest_first = newest_first
         self.sent = []
+        self.recvs_before = []  # how many sends had happened at each recv
         self.inbox = deque()
 
     def send(self, sid, op, seq, payload, alpha):
@@ -146,8 +155,9 @@ class FakeChannel:
         shard.settle()
 
     def recv(self, wait):
+        self.recvs_before.append(len(self.sent))
         if self.inbox:
-            return self.inbox.popleft()
+            return self.inbox.pop() if self.newest_first else self.inbox.popleft()
         time.sleep(self.tick)
         return None
 
@@ -163,9 +173,56 @@ def test_client_discards_stale_replies():
         (0, 4, 99, None, None),   # an abandoned attempt's late answer
         (1, 6, 99, None, None),   # right seq, wrong shard
     ])
-    assert client._request(0, "push", None) == (1, None)
+    assert client._request("push", None)[0] == 1
     assert not client.channel.inbox
     assert ps.retries == 0
+
+
+def test_client_sends_every_leg_before_it_awaits_the_first_reply():
+    ps = FakePS(size=6, n_shards=3)
+    client = ps.client(0)
+    client._push(np.ones(6))
+    channel = client.channel
+    assert channel.sent == [(0, "push", 1), (1, "push", 1), (2, "push", 1)]
+    assert channel.recvs_before == [3, 3, 3]  # one seq, three legs, then replies
+
+
+@pytest.mark.parametrize("op", ["pull", "elastic", "fused"])
+def test_client_takes_replies_in_any_shard_order(op):
+    def run(**channel_kwargs):
+        ps = FakePS(size=5, n_shards=2)
+        ps.set_params(np.arange(5.0))
+        client = ps.client(0, **channel_kwargs)
+        if op == "pull":
+            return client._pull()
+        if op == "elastic":
+            return client._elastic(np.ones(5), 0.5)
+        return client._push(np.ones(5), pull=True)
+
+    assert run(newest_first=True).tobytes() == run().tobytes()
+
+
+def test_client_resends_only_the_silent_leg_and_names_it():
+    ps = FakePS(size=4, n_shards=2)
+    ps.install_faults(FaultPlan(), NO_SLEEP, "fail_fast")
+    client = ps.client(0, silent=[1])
+    with pytest.raises(RetryBudgetExhausted) as err:
+        client._push(np.ones(4))
+    assert client.channel.sent == [(0, "push", 1)] + [(1, "push", 1)] * 4
+    assert "shard 1 gave no reply to 'push' after 4 attempts" in str(err.value)
+    assert ps.shards[0].pushes == 1 and ps.retries == 3
+
+
+def test_client_discards_a_second_answer_from_a_shard_already_in():
+    ps = FakePS(size=4, n_shards=2)
+    client = ps.client(0)
+    # shard 0's answer to seq 1 is already waiting when the legs go out: the
+    # one the send provokes is a duplicate and must not be counted again
+    client.channel.inbox.append((0, 1, 40, np.full(2, 7.0), None))
+    version_sum, out = client._request("pull", None)
+    assert version_sum == 40 + 0
+    np.testing.assert_array_equal(out, [7.0, 7.0, 0.0, 0.0])
+    assert not client.channel.inbox and ps.retries == 0
 
 
 def test_client_injected_drops_resend_the_same_seq_exactly():
@@ -258,6 +315,56 @@ def test_client_staleness_counts_pushes_since_the_last_pull(n_shards):
     np.testing.assert_allclose(mine._pull(), -2.0)
 
 
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_fused_push_equals_push_then_pull_bit_for_bit(n_shards):
+    rng = np.random.default_rng(n_shards)
+    x0, grads = rng.standard_normal(5), rng.standard_normal((2, 5))
+
+    def run(fused):
+        ps = FakePS(size=5, n_shards=n_shards, lr=0.3)
+        ps.set_params(x0)
+        mine, other = ps.client(0), ps.client(1)
+        mine._pull()
+        other._push(grads[1])
+        if fused:
+            fresh = mine._push(grads[0], pull=True)
+        else:
+            mine._push(grads[0])
+            fresh = mine._pull()
+        return ps, mine, fresh
+
+    ps, mine, fresh = run(fused=True)
+    ps2, mine2, fresh2 = run(fused=False)
+    assert fresh.tobytes() == fresh2.tobytes() == ps.x.tobytes()
+    # one staleness sample (the other rank's push, once per shard), and the
+    # pull version is the exchange's own: the next push sees nothing stale
+    assert mine.staleness_samples == mine2.staleness_samples == [n_shards]
+    assert mine._pull_version == mine2._pull_version == 2 * n_shards
+    # two requests' worth of bytes in half the requests
+    assert ps.bytes_moved == ps2.bytes_moved
+    assert len(mine.channel.sent) + n_shards == len(mine2.channel.sent)
+    assert mine._push(None) == 0
+
+
+def test_fused_push_is_two_fault_ordinals_and_its_resend_is_deduped():
+    ps = FakePS()
+    # ordinals: 0 the pull, 1 + 2 the exchange, 3 the pull after it
+    plan = FaultPlan.parse(
+        "drop:learner=0,nth=1,count=2;delay:learner=0,nth=2,seconds=0.001"
+    )
+    ps.install_faults(plan, NO_SLEEP, "fail_fast")
+    client = ps.client(0)
+    client._pull()
+    client._push(np.ones(4), pull=True)
+    assert client._op_ordinal == 3
+    assert dict(ps.fault_counts) == {"drop": 2, "delay": 1}
+    assert ps.retries == 2  # both ordinals' drops, stacked on the one leg
+    assert client.channel.sent == [(0, "pull", 1)] + [(0, "push_pull", 2)] * 3
+    assert ps.shards[0].pushes == 1  # the resends hit the dedupe cache
+    np.testing.assert_allclose(client._pull(), -0.5)
+    assert ps.retries == 2  # ordinal 3 is clean
+
+
 def test_client_elastic_moves_center_and_returns_the_difference():
     ps = FakePS(size=4, n_shards=2)
     client = ps.client(0)
@@ -270,7 +377,7 @@ def test_client_elastic_moves_center_and_returns_the_difference():
 def test_client_surfaces_an_error_reply():
     ps = FakePS()
     with pytest.raises(ValueError, match="unknown op 'scale'"):
-        ps.client(0)._request(0, "scale", None)
+        ps.client(0)._request("scale", None)
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +453,7 @@ def _downpour(backend, timeout, spec):
         cifar_problem(scale="unit", seed=1),
         TrainerConfig(p=2, epochs=2, batch_size=8, lr=0.02, seed=3),
         DownpourOptions(T=2),
-        backend=make_backend(backend, timeout=timeout),
+        backend=make_backend(backend, timeout=timeout) if backend else None,
         fault_ctx=FaultContext(plan=FaultPlan.parse(spec)),
     )
 
@@ -386,3 +493,21 @@ def test_ps_drops_within_budget_are_retried_and_counted(backend, timeout, spec):
     assert res.records
     assert res.extras["ps_retries"] == 2  # deterministic: the counts are exact
     assert res.extras["ps_retry_backoff_seconds"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "spec,virtual_seconds",
+    [
+        (";".join(["drop:learner=0,nth=0"] * 2), 0.15204487321690752),
+        ("drop:learner=0,nth=1,count=2", 0.1020452986397787),
+    ],
+    ids=["stacked", "count"],
+)
+def test_sim_reads_the_same_plan_as_the_same_two_retries(spec, virtual_seconds):
+    # on sim the exchange still runs as a push and a pull, an ordinal each:
+    # the plan that costs mp/net two resends above costs sim two backoffs,
+    # at the virtual time it had before the fused push existed, to the bit
+    trainer = _downpour(None, None, spec)
+    res = trainer.train()
+    assert trainer.backend._retries_total == 2
+    assert float(res.virtual_seconds) == virtual_seconds
