@@ -282,6 +282,12 @@ def _cmd_bench(args) -> int:
         save_bench,
     )
 
+    if args.check:
+        try:
+            baseline = load_bench(args.check)
+        except (OSError, ValueError, json.JSONDecodeError) as exc:
+            print(f"cannot load baseline {args.check}: {exc}", file=sys.stderr)
+            return 1
     doc = run_benchmarks(
         quick=args.quick,
         include_experiment=not args.no_experiment,
@@ -290,15 +296,13 @@ def _cmd_bench(args) -> int:
     )
     print(format_bench(doc))
     out = Path(args.out) if args.out else default_bench_path(doc)
-    save_bench(doc, out)
-    print(f"\nbaseline written to {out}")
+    if args.check and out.resolve() == Path(args.check).resolve():
+        print(f"\nnot overwriting {out}: it is the baseline under check", file=sys.stderr)
+    else:
+        save_bench(doc, out)
+        print(f"\nbaseline written to {out}")
 
     if args.check:
-        try:
-            baseline = load_bench(args.check)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"cannot load baseline {args.check}: {exc}", file=sys.stderr)
-            return 1
         ok, messages = compare_to_baseline(doc, baseline, args.threshold)
         print(f"\nregression check vs {args.check} (threshold {args.threshold}x):")
         for line in messages:

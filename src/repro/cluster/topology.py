@@ -15,18 +15,19 @@ Two communication patterns matter:
   host channel, so p learners' traffic serialises there (O(m·p) bytes through
   one link), which is the mechanism behind the Fig. 1 communication fractions.
 
-Routing is shortest-path (networkx) computed once and cached.
+Routes are cached per pair: trees walk parent pointers, cyclic graphs use networkx.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 import networkx as nx
 
 __all__ = [
     "LinkSpec",
+    "Route",
     "Topology",
     "build_binary_tree_topology",
     "build_multinode_topology",
@@ -51,8 +52,16 @@ class LinkSpec:
             raise ValueError(f"latency must be >= 0, got {self.latency}")
 
 
+class Route(NamedTuple):
+    """Link keys in path order, their latency sum, the slowest hop's bandwidth."""
+
+    hops: List[Tuple[str, str]]
+    latency: float
+    bandwidth: float
+
+
 class Topology:
-    """A named interconnect graph with cached shortest-path routing."""
+    """A named interconnect graph with cached per-pair routing."""
 
     def __init__(self, name: str, nodes: Iterable[str], links: Iterable[LinkSpec]) -> None:
         self.name = name
@@ -72,7 +81,11 @@ class Topology:
             self.graph.add_edge(link.u, link.v, weight=weight)
         if not nx.is_connected(self.graph):
             raise ValueError(f"topology {name!r} is not connected")
-        self._route_cache: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
+        self._routes: Dict[Tuple[str, str], Route] = {}
+        # connected with |E| = |V| - 1 is a tree: route by parent pointers
+        self._parent: Dict[str, str] = {}
+        if len(self.links) == self.graph.number_of_nodes() - 1:
+            self._parent = dict(nx.bfs_predecessors(self.graph, next(iter(self.graph))))
 
     @staticmethod
     def _key(u: str, v: str) -> Tuple[str, str]:
@@ -82,39 +95,42 @@ class Topology:
     def nodes(self) -> List[str]:
         return list(self.graph.nodes)
 
-    def link(self, u: str, v: str) -> LinkSpec:
-        return self.links[self._key(u, v)]
+    def _tree_path(self, src: str, dst: str) -> List[str]:
+        """The unique tree path: both ends' paths to the root, common tail cut."""
+        up, down = [src], [dst]
+        for path in (up, down):
+            while path[-1] in self._parent:
+                path.append(self._parent[path[-1]])
+        while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+            up.pop()
+            down.pop()
+        return up + down[-2::-1]
+
+    def route_record(self, src: str, dst: str) -> Route:
+        """The (cached) :class:`Route` a message takes from src to dst."""
+        rec = self._routes.get((src, dst))
+        if rec is None:
+            if self._parent:
+                path = self._tree_path(src, dst)
+            else:
+                path = nx.shortest_path(self.graph, src, dst, weight="weight")
+            hops = [self._key(a, b) for a, b in zip(path, path[1:])]
+            latency = 0.0
+            for hop in hops:
+                latency += self.links[hop].latency
+            bandwidth = min((self.links[h].bandwidth for h in hops), default=float("inf"))
+            rec = self._routes[src, dst] = Route(hops, latency, bandwidth)
+        return rec
 
     def route(self, src: str, dst: str) -> List[Tuple[str, str]]:
         """The (cached) sequence of links a message traverses from src to dst."""
-        if src == dst:
-            return []
-        key = (src, dst)
-        hops = self._route_cache.get(key)
-        if hops is None:
-            path = nx.shortest_path(self.graph, src, dst, weight="weight")
-            hops = [self._key(a, b) for a, b in zip(path, path[1:])]
-            self._route_cache[key] = hops
-        return hops
+        return self.route_record(src, dst).hops
 
     def path_latency(self, src: str, dst: str) -> float:
-        return sum(self.links[h].latency for h in self.route(src, dst))
+        return self.route_record(src, dst).latency
 
     def bottleneck_bandwidth(self, src: str, dst: str) -> float:
-        hops = self.route(src, dst)
-        if not hops:
-            return float("inf")
-        return min(self.links[h].bandwidth for h in hops)
-
-    def transfer_seconds(self, src: str, dst: str, nbytes: float) -> float:
-        """Uncontended store-and-forward estimate for one message."""
-        if src == dst:
-            return 0.0
-        total = 0.0
-        for hop in self.route(src, dst):
-            link = self.links[hop]
-            total += link.latency + nbytes / link.bandwidth
-        return total
+        return self.route_record(src, dst).bandwidth
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

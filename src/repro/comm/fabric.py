@@ -78,6 +78,7 @@ class Fabric:
             for key in topology.links
         }
         self._endpoints: Dict[str, "Endpoint"] = {}
+        self._routes: Dict[Tuple[str, str], tuple] = {}
         self.total_bytes = 0.0
         self.total_messages = 0
         self.bytes_per_link: Dict[Tuple[str, str], float] = {
@@ -163,29 +164,28 @@ class Fabric:
         self.total_messages += 1
         if src_node == dst_node:
             return
-        hops = self.topology.route(src_node, dst_node)
-        duration = 0.0
-        bottleneck = float("inf")
+        rec = self._routes.get((src_node, dst_node))
+        if rec is None:
+            hops, latency, bandwidth = self.topology.route_record(src_node, dst_node)
+            links = [self.link_resources[hop] for hop in sorted(hops)]
+            rec = self._routes[src_node, dst_node] = (hops, latency, bandwidth, links)
+        hops, latency, bandwidth, links = rec
+        duration = latency + nbytes / bandwidth
         for hop in hops:
             self.bytes_per_link[hop] += nbytes
             self.messages_per_link[hop] += 1
-            link = self.topology.links[hop]
-            duration += link.latency
-            bottleneck = min(bottleneck, link.bandwidth)
-        duration += nbytes / bottleneck
-        for hop in hops:
             self.busy_seconds_per_link[hop] += duration
         if not self.contention:
             yield Delay(duration)
             return
-        ordered = sorted(hops)
-        for hop in ordered:
-            yield from self.link_resources[hop].acquire()
+        for link in links:
+            if not link.try_acquire():
+                yield from link.acquire()
         try:
             yield Delay(duration)
         finally:
-            for hop in ordered:
-                self.link_resources[hop].release()
+            for link in links:
+                link.release()
 
 
 class Endpoint:
@@ -204,7 +204,7 @@ class Endpoint:
         key = (src, tag)
         chan = self._mailbox.get(key)
         if chan is None:
-            chan = Store(self.fabric.engine, name=f"mbox:{self.name}<{src}:{tag}")
+            chan = Store(self.fabric.engine, name=("mbox:{}<{}:{}", self.name, src, tag))
             self._mailbox[key] = chan
         return chan
 
@@ -290,7 +290,7 @@ class Endpoint:
         """
         sender = self.fabric.engine.spawn(
             self.send(dst, send_tag, payload, nbytes),
-            name=f"sr-send:{self.name}->{dst}",
+            name=("sr-send:{}->{}", self.name, dst),
         )
         msg = yield from self.recv(src, recv_tag)
         yield sender.done_event

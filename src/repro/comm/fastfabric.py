@@ -36,7 +36,6 @@ Durations reuse the fabric's pipelined cut-through model:
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,29 +74,11 @@ class WavePlan:
         topo = fabric.topology
         link_keys = list(topo.links)
         link_index = {key: i for i, key in enumerate(link_keys)}
-        lat: List[float] = []
-        inv_bw: List[float] = []
-        hop_link: List[int] = []
-        hop_pair: List[int] = []
-        for i, (src, dst) in enumerate(self.pairs):
-            if src == dst:
-                lat.append(0.0)
-                inv_bw.append(0.0)
-                continue
-            lsum = 0.0
-            bottleneck = math.inf
-            for hop in topo.route(src, dst):
-                link = topo.links[hop]
-                lsum += link.latency
-                bottleneck = min(bottleneck, link.bandwidth)
-                hop_link.append(link_index[hop])
-                hop_pair.append(i)
-            lat.append(lsum)
-            inv_bw.append(1.0 / bottleneck)
-        self.lat = np.asarray(lat)
-        self.inv_bw = np.asarray(inv_bw)
-        self.hop_link = np.asarray(hop_link, dtype=np.intp)
-        self.hop_pair = np.asarray(hop_pair, dtype=np.intp)
+        routes = [topo.route_record(src, dst) for src, dst in self.pairs]
+        self.lat = np.asarray([r.latency for r in routes])
+        self.inv_bw = np.asarray([1.0 / r.bandwidth for r in routes])
+        self.hop_link = np.asarray([link_index[h] for r in routes for h in r.hops], dtype=np.intp)
+        self.hop_pair = np.asarray([i for i, r in enumerate(routes) for _ in r.hops], dtype=np.intp)
         self.link_keys = link_keys
         counts = np.zeros(len(link_keys), dtype=np.intp)
         np.add.at(counts, self.hop_link, 1)

@@ -24,7 +24,8 @@ from ..comm.fabric import Fabric
 from ..comm.fastfabric import FastFabric
 from ..nn.models import ModelInfo
 from ..obs.runtime import active as _obs_active
-from ..ps.server import PSClient, ShardLayout, ShardedParameterServer, _REQ_NBYTES
+from ..ps.server import PSClient, ShardLayout, ShardedParameterServer
+from ..ps.server import _COST_SCALE, _REQ_NBYTES
 from ..sim import Delay
 from .calibration import CalibrationProfile, PAPER_PROFILE, calibrated_machine
 
@@ -195,7 +196,7 @@ def _ps_volley_span(trainer_ctx: dict, kind: str) -> float:
     shard_hosts: List[str] = trainer_ctx["ps_shard_hosts"]
     flops_per_param: float = trainer_ctx["ps_apply_flops_per_param"]
     p = len(trainer_ctx["names"])
-    cost_scale = {"push": 1.0, "pull": 0.5, "elastic": 1.5}[kind]
+    cost_scale = _COST_SCALE[kind]
     slice_bytes = [
         layout.slice_bytes(sid, 4) for sid in range(layout.n_shards)
     ]

@@ -395,7 +395,8 @@ class NetCollective(BlockingCollective):
                     )
         except (ConnectionLost, socket.timeout) as exc:
             raise self._fail(exc, "broadcast", rank) from None
-        self.bytes_moved += float(out.nbytes)
+        if rank != root:  # received bytes: (p - 1)·n in all, as the sim fabric counts
+            self.bytes_moved += float(out.nbytes)
         return out
 
     def _allreduce(self, rank: int, array: np.ndarray) -> np.ndarray:

@@ -40,6 +40,10 @@ from ..sim import Delay
 __all__ = ["ShardLayout", "ShardedParameterServer", "PSClient"]
 
 _REQ_NBYTES = 64.0  # pull/elastic request header size
+# service cost scales with what a request does to the shard: pull only
+# reads/serialises (0.5×), push deserialises + applies (1×), elastic does
+# both plus computes e (1.5×)
+_COST_SCALE = {"push": 1.0, "pull": 0.5, "elastic": 1.5}
 
 
 @dataclass(frozen=True)
@@ -183,12 +187,8 @@ class ShardedParameterServer:
             kind, learner, seq, payload, extra = msg.payload
             if kind == "stop":
                 break
-            # service cost scales with what the request does to the shard:
-            # pull only reads/serialises (0.5×), push deserialises + applies
-            # (1×), elastic does both plus computes e (1.5×)
-            cost_scale = {"push": 1.0, "pull": 0.5, "elastic": 1.5}.get(kind, 1.0)
             tracer.begin(actor, "apply")
-            yield Delay(cost_scale * self._apply_seconds(sid, hi - lo))
+            yield Delay(_COST_SCALE.get(kind, 1.0) * self._apply_seconds(sid, hi - lo))
             tracer.end(actor, "apply")
             if kind == "push":
                 # gradient-descent apply in strict arrival order
@@ -291,12 +291,12 @@ class PSClient:
         seq = self._next_seq()
         server = self.server
         yield from self.ep.send(
-            f"{server.name}{sid}",
+            server.endpoints[sid].name,
             ("req", server.name, sid),
             (kind, self.ep.name, seq, payload, extra),
             nbytes=nbytes,
         )
-        msg = yield from self.ep.recv(f"{server.name}{sid}", ("rep", server.name, sid, seq))
+        msg = yield from self.ep.recv(server.endpoints[sid].name, ("rep", server.name, sid, seq))
         return msg.payload
 
     def push(self, grad: Optional[np.ndarray], pull: bool = False) -> Generator:

@@ -174,7 +174,8 @@ class MPCollective(BlockingCollective):
         self._wait(rank)  # result segment holds the root's data
         out = self._out.copy()
         self._wait(rank)  # nobody may overwrite the segment before all copied
-        self.bytes_moved += float(out.nbytes)
+        if rank != root:  # received bytes: (p - 1)·n in all, as the sim fabric counts
+            self.bytes_moved += float(out.nbytes)
         return out
 
     def _allreduce(self, rank: int, array: np.ndarray) -> np.ndarray:
@@ -198,7 +199,7 @@ class MPCollective(BlockingCollective):
         self._wait(rank)  # every chunk is reduced
         out = self._out.copy()
         self._wait(rank)  # allgather complete; segments may be reused
-        self.bytes_moved += 2.0 * float(array.nbytes)
+        self.bytes_moved += 2.0 * float(array.nbytes) * (self.p - 1) / self.p
         return out
 
     def _allgather(self, rank: int, item, tag, nbytes: float) -> List[Any]:

@@ -67,6 +67,11 @@ class SimulationError(RuntimeError):
     """Raised for illegal engine operations (negative delays, re-trigger...)."""
 
 
+def _label(name: Any) -> str:
+    """Read a name given as a str or as a ``(format, *args)`` tuple (lazy)."""
+    return name if name.__class__ is str else name[0].format(*name[1:])
+
+
 class Delay:
     """Command: suspend the yielding process for ``duration`` virtual seconds.
 
@@ -99,14 +104,16 @@ class Event:
     (in wait order) and hands them ``value`` as the result of the ``yield``.
     """
 
-    __slots__ = ("engine", "_value", "_triggered", "_waiters", "name")
+    __slots__ = ("engine", "_value", "_triggered", "_waiters", "_name")
 
-    def __init__(self, engine: "Engine", name: str = "") -> None:
+    def __init__(self, engine: "Engine", name: Any = "") -> None:
         self.engine = engine
-        self.name = name
+        self._name = name
         self._value: Any = None
         self._triggered = False
         self._waiters: list["Process"] = []
+
+    name = property(lambda self: _label(self._name))
 
     @property
     def triggered(self) -> bool:
@@ -154,16 +161,19 @@ class Process:
     :attr:`done_event` fires.
     """
 
-    __slots__ = ("engine", "gen", "name", "result", "done_event", "_finished", "error")
+    __slots__ = ("engine", "gen", "_name", "result", "done_event", "_finished", "error")
 
-    def __init__(self, engine: "Engine", gen: Generator, name: str = "") -> None:
+    def __init__(self, engine: "Engine", gen: Generator, name: Any = "") -> None:
         self.engine = engine
         self.gen = gen
-        self.name = name or getattr(gen, "__name__", "proc")
+        self._name = name = name or getattr(gen, "__name__", "proc")
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._finished = False
-        self.done_event = Event(engine, name=f"done:{self.name}")
+        done = "done:" + name if name.__class__ is str else ("done:" + name[0], *name[1:])
+        self.done_event = Event(engine, name=done)
+
+    name = property(lambda self: _label(self._name))
 
     @property
     def finished(self) -> bool:
@@ -286,10 +296,10 @@ class Engine:
         """Current virtual time in seconds."""
         return self._now
 
-    def event(self, name: str = "") -> Event:
+    def event(self, name: Any = "") -> Event:
         return Event(self, name=name)
 
-    def spawn(self, gen: Generator, name: str = "") -> Process:
+    def spawn(self, gen: Generator, name: Any = "") -> Process:
         """Register a coroutine; it takes its first step at the current time."""
         proc = Process(self, gen, name=name)
         self._schedule_resume(proc, None)

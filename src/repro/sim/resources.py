@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Generator
 
-from .engine import Engine, Event, SimulationError
+from .engine import Engine, Event, SimulationError, _label
 
 __all__ = ["Resource", "Store", "Barrier"]
 
@@ -47,8 +47,6 @@ class Resource:
         self._waiters: deque[Event] = deque()
         # accounting for utilisation traces
         self.total_wait_time = 0.0
-        self.total_hold_time = 0.0
-        self._grant_times: dict[int, float] = {}
 
     @property
     def in_use(self) -> int:
@@ -58,12 +56,18 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def acquire(self) -> Generator:
-        """Coroutine: blocks until a slot is free, then takes it."""
+    def try_acquire(self) -> bool:
+        """Take a free slot now unless a waiter is queued (FIFO); else False."""
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
+            return True
+        return False
+
+    def acquire(self) -> Generator:
+        """Coroutine: blocks until a slot is free, then takes it."""
+        if self.try_acquire():
             return
-        gate = self.engine.event(name=f"acq:{self.name}")
+        gate = Event(self.engine, ("acq:{0.name}", self))
         self._waiters.append(gate)
         t0 = self.engine.now
         yield gate
@@ -84,11 +88,13 @@ class Resource:
 class Store:
     """Unbounded FIFO queue with blocking ``get`` (coroutine) and eager ``put``."""
 
-    def __init__(self, engine: Engine, name: str = "") -> None:
+    def __init__(self, engine: Engine, name: Any = "") -> None:
         self.engine = engine
-        self.name = name
+        self._name = name
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
+
+    name = property(lambda self: _label(self._name))
 
     def __len__(self) -> int:
         return len(self._items)
@@ -104,7 +110,7 @@ class Store:
         """Coroutine: returns the oldest item, blocking if empty."""
         if self._items:
             return self._items.popleft()
-        gate = self.engine.event(name=f"get:{self.name}")
+        gate = Event(self.engine, ("get:{0.name}", self))
         self._getters.append(gate)
         item = yield gate
         return item

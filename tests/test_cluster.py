@@ -134,14 +134,6 @@ def test_route_adjacent_leaves_short():
 def test_route_to_self_is_empty():
     topo = build_binary_tree_topology(4)
     assert topo.route("gpu0", "gpu0") == []
-    assert topo.transfer_seconds("gpu0", "gpu0", 1e6) == 0.0
-
-
-def test_transfer_seconds_scales_with_bytes():
-    topo = build_binary_tree_topology(4, tree_bandwidth=1e9, tree_latency=0.0, host=None)
-    t1 = topo.transfer_seconds("gpu0", "gpu1", 1e9)
-    t2 = topo.transfer_seconds("gpu0", "gpu1", 2e9)
-    assert t2 == pytest.approx(2 * t1)
 
 
 def test_bottleneck_bandwidth_host_channel():

@@ -125,3 +125,20 @@ class TestCompare:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
             compare_to_baseline(self._doc({"a": 1.0}), self._doc({"a": 1.0}), 1.0)
+
+
+def test_check_never_overwrites_its_baseline(tmp_path, monkeypatch):
+    """``bench --check B`` where this run would be saved as ``B`` itself: the
+    baseline stays byte-identical and a 3x slower run still fails."""
+    from repro import __main__ as cli
+    from repro.harness import bench
+
+    base = TestCompare()._doc({"a": 1.0, "b": 2.0})
+    base["git_rev"] = "0123456789abcdef"
+    monkeypatch.chdir(tmp_path)
+    path = save_bench(base, default_bench_path(base))
+    before = path.read_bytes()
+    slow = dict(TestCompare()._doc({"a": 3.0, "b": 6.0}), git_rev=base["git_rev"])
+    monkeypatch.setattr(bench, "run_benchmarks", lambda **kwargs: slow)
+    assert cli.main(["bench", "--check", path.name]) == 1
+    assert path.read_bytes() == before

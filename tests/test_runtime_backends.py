@@ -191,6 +191,23 @@ def test_mp_sasgd_matches_sim_within_tolerance():
 
 
 @needs_fork
+def test_sasgd_total_bytes_equal_on_sim_mp_net():
+    """One SASGD spec at p = 2 reports the ring's algorithmic byte count on
+    every substrate: mp once counted each allreduce twice."""
+    from repro.net import NetBackend
+
+    got = {}
+    for name, backend in (
+        ("sim", None),
+        ("mp", MPBackend(timeout=60.0)),
+        ("net", NetBackend(timeout=60.0)),
+    ):
+        trainer = _make_trainer("sasgd", config=_p2_config(epochs=1), backend=backend)
+        got[name] = trainer.train().extras["total_bytes"]
+    assert got["mp"] == got["sim"] == got["net"] > 0, got
+
+
+@needs_fork
 def test_mp_sasgd_compressed_aggregation():
     mp = _make_trainer(
         "sasgd",
