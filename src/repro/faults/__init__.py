@@ -8,8 +8,8 @@ or a concrete backend (the runtime imports *us*):
   replies) that both backends execute identically, plus the
   :class:`RetryPolicy` for PS request/reply backoff.
 * :mod:`~repro.faults.supervisor` — shared-memory liveness block, polling
-  barrier, heartbeat thread and parent-side monitor that give the
-  multiprocessing backend fast failure detection.
+  barrier and heartbeat thread that give the multiprocessing backend fast
+  failure detection.
 * :mod:`~repro.faults.checkpoint` — :class:`Checkpoint` snapshots and the
   memory/directory stores behind ``repro run --resume`` and elastic
   restart.

@@ -8,9 +8,10 @@ shared-memory **liveness block** plus a **polling barrier**:
 
 * each worker runs a daemon heartbeat thread stamping a wall-clock value
   into its slot every ``heartbeat_interval`` seconds;
-* the parent runs a :class:`WorkerMonitor` thread that declares a rank dead
-  when its process exits or its heartbeat goes stale, and raises a flag in
-  shared memory;
+* the parent's supervision loop
+  (:func:`repro.runtime.process_backend.supervise`, on its main thread)
+  declares a rank dead when its process exits or its heartbeat goes stale,
+  and raises a flag in shared memory;
 * :class:`PollingBarrier` replaces ``mp.Barrier``: ranks publish monotone
   per-round arrival counters and spin (with a short sleep) until all peers
   arrive, a dead flag is raised, or the deadline passes — so a killed peer
@@ -27,7 +28,7 @@ import os
 import threading
 import time
 from multiprocessing import shared_memory
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -35,18 +36,7 @@ __all__ = [
     "LivenessBlock",
     "PollingBarrier",
     "HeartbeatThread",
-    "WorkerMonitor",
-    "DEFAULT_HEARTBEAT_INTERVAL",
-    "DEFAULT_HEARTBEAT_TIMEOUT",
 ]
-
-DEFAULT_HEARTBEAT_INTERVAL = 0.25   # seconds between worker stamps
-# Stale threshold before declaring death.  Deliberately generous: on a
-# loaded single-core CI box a healthy worker's heartbeat thread can be
-# starved for a second or two, and a false positive kills the run.  Real
-# process deaths are caught by the process-exit probe within one monitor
-# poll (~0.1 s) regardless, so this only bounds detection of *hangs*.
-DEFAULT_HEARTBEAT_TIMEOUT = 5.0
 
 _ALIVE = 0
 _DEAD = 1
@@ -58,32 +48,25 @@ class LivenessBlock:
     Layout (all little-endian, fixed order):
 
     * ``heartbeats``  float64[p] — wall-clock of each rank's last stamp
-    * ``dead``        int64[p]   — 0 alive, 1 declared dead (by the monitor
-      or by the rank itself on injected crash)
+    * ``dead``        int64[p]   — 0 alive, 1 declared dead (by the parent's
+      supervision or by the rank itself on injected crash)
     * ``dead_step``   int64[p]   — local steps completed when death was
       declared (−1 unknown)
     * ``finished``    int64[p]   — 1 once the rank completed normally; the
-      monitor must not declare a finished rank dead just because its
+      parent must not declare a finished rank dead just because its
       process exited
     * ``arrivals``    one int64[p] lane per named barrier — monotone round
       counters for :class:`PollingBarrier`
 
     The parent creates the block before forking; workers inherit the open
-    mapping across ``fork`` (or attach by name).
+    mapping across ``fork``.
     """
 
-    def __init__(self, p: int, barrier_lanes: Sequence[str],
-                 name: Optional[str] = None) -> None:
+    def __init__(self, p: int, barrier_lanes: Sequence[str]) -> None:
         self.p = p
         self.lanes = list(barrier_lanes)
         n_words = p + p + p + p + p * len(self.lanes)
-        nbytes = 8 * n_words
-        if name is None:
-            self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            self._owner = True
-        else:
-            self._shm = shared_memory.SharedMemory(name=name)
-            self._owner = False
+        self._shm = shared_memory.SharedMemory(create=True, size=8 * n_words)
         buf = self._shm.buf
         off = 0
         self.heartbeats = np.ndarray((p,), dtype=np.float64, buffer=buf, offset=off)
@@ -100,18 +83,12 @@ class LivenessBlock:
                 (p,), dtype=np.int64, buffer=buf, offset=off
             )
             off += 8 * p
-        if self._owner:
-            now = time.monotonic()
-            self.heartbeats[:] = now
-            self.dead[:] = _ALIVE
-            self.dead_step[:] = -1
-            self.finished[:] = 0
-            for lane in self.lanes:
-                self.arrivals[lane][:] = 0
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
+        self.heartbeats[:] = time.monotonic()
+        self.dead[:] = _ALIVE
+        self.dead_step[:] = -1
+        self.finished[:] = 0
+        for lane in self.lanes:
+            self.arrivals[lane][:] = 0
 
     # -- state transitions ---------------------------------------------------
 
@@ -148,11 +125,10 @@ class LivenessBlock:
             self._shm.close()
         except (OSError, BufferError):
             pass
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except (OSError, FileNotFoundError):
-                pass
+        try:
+            self._shm.unlink()
+        except OSError:  # already gone
+            pass
 
 
 class PollingBarrier:
@@ -229,10 +205,12 @@ class PollingBarrier:
 
 
 class HeartbeatThread:
-    """Daemon thread a worker runs to stamp its liveness slot."""
+    """Daemon thread a worker runs to prove it lives: ``block.stamp(rank)``
+    every ``interval`` seconds — its :class:`LivenessBlock` slot on mp, a
+    HEARTBEAT frame on net's control connection — until stopped, or until
+    the connection it beats on is gone."""
 
-    def __init__(self, block: LivenessBlock, rank: int,
-                 interval: float = DEFAULT_HEARTBEAT_INTERVAL) -> None:
+    def __init__(self, block, rank: int, interval: float) -> None:
         self.block = block
         self.rank = rank
         self.interval = interval
@@ -243,78 +221,15 @@ class HeartbeatThread:
 
     def _run(self) -> None:
         while not self._stop.is_set():
-            self.block.stamp(self.rank)
+            try:
+                self.block.stamp(self.rank)
+            except ConnectionError:
+                return
             self._stop.wait(self.interval)
 
     def start(self) -> "HeartbeatThread":
-        self.block.stamp(self.rank)
         self._thread.start()
         return self
 
     def stop(self) -> None:
         self._stop.set()
-
-
-class WorkerMonitor:
-    """Parent-side liveness detector.
-
-    Polls worker process handles and heartbeat slots; when a rank's process
-    has exited (before the run finished) or its heartbeat is older than
-    ``heartbeat_timeout``, marks it dead in the liveness block so every
-    blocked :class:`PollingBarrier` (and the parent's result-drain loop)
-    unblocks within one poll interval.  Records the detection latency —
-    wall seconds from the last heartbeat (≈ death) to detection — for the
-    acceptance criterion "detect a killed worker in < 5 s".
-    """
-
-    POLL_SECONDS = 0.1
-
-    def __init__(
-        self,
-        block: LivenessBlock,
-        is_alive: Dict[int, Callable[[], bool]],
-        heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
-        on_death: Optional[Callable[[int, float], None]] = None,
-    ) -> None:
-        self.block = block
-        self.is_alive = dict(is_alive)
-        self.heartbeat_timeout = heartbeat_timeout
-        self.on_death = on_death
-        self.detections: Dict[int, float] = {}   # rank -> detection seconds
-        self._done: set = set()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="worker-monitor", daemon=True
-        )
-
-    def mark_finished(self, rank: int) -> None:
-        """Rank completed normally — stop watching it."""
-        self._done.add(rank)
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            now = time.monotonic()
-            for rank, probe in self.is_alive.items():
-                if (
-                    rank in self._done
-                    or self.block.is_finished(rank)
-                    or self.block.is_dead(rank)
-                ):
-                    continue
-                exited = not probe()
-                stale = (now - float(self.block.heartbeats[rank])) > self.heartbeat_timeout
-                if exited or stale:
-                    latency = max(0.0, now - float(self.block.heartbeats[rank]))
-                    self.block.declare_dead(rank)
-                    self.detections[rank] = latency
-                    if self.on_death is not None:
-                        self.on_death(rank, latency)
-            self._stop.wait(self.POLL_SECONDS)
-
-    def start(self) -> "WorkerMonitor":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)

@@ -18,10 +18,10 @@ this module adds how ``net`` moves bytes and notices death:
   consumes a genuine frame off the wire, a cut connection is redialled by
   the next resend.
 * **Supervision** is connection-loss based: every worker heartbeats on a
-  control connection to the coordinator, which declares a rank dead when
-  that connection drops without a RESULT frame (milliseconds after a
-  kill), its process exits before ever connecting, or its heartbeat goes
-  stale.  Under ``recovery="reconnect"`` ring and control links are
+  control connection to the coordinator's one selector loop, which declares
+  a rank dead when that connection drops without a RESULT frame, its
+  process exits before the rendezvous, or its heartbeat goes stale after
+  it.  Under ``recovery="reconnect"`` ring and control links are
   session-resumable (RESUME / RESUME_OK + replay) instead.
 
 Two modes share all of the above:
@@ -49,9 +49,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..faults.plan import RetryPolicy, _hash_uniform
+from ..faults.supervisor import HeartbeatThread
 from ..obs import events as _events
 from ..runtime.api import BackendCapabilityError, LearnerFailure, RunStats
 from ..runtime.process_backend import (
+    HEARTBEAT_INTERVAL,
+    HEARTBEAT_TIMEOUT,
     JOIN_GRACE,
     BlockingCollective,
     ProcessBackend,
@@ -59,10 +62,10 @@ from ..runtime.process_backend import (
     PSClient,
     Reply,
     ShardState,
-    drain_results,
     drive_learner,
     install_worker_bus,
     reap,
+    supervise,
     worker_error,
     worker_result,
 )
@@ -92,10 +95,7 @@ from .frames import (
 
 __all__ = ["NetBackend", "NetCollective", "NetParameterServer", "run_ps_role"]
 
-_HEARTBEAT_PERIOD = 0.25  # default worker → coordinator liveness interval
-_STALE_AFTER = 5.0       # default heartbeat silence that counts as death
 _RECONNECT_DEADLINE = 10.0  # default resume window under recovery=reconnect
-_POLL = 0.1              # monitor poll interval
 
 
 def _peer_rank(peer: str) -> Optional[int]:
@@ -462,25 +462,6 @@ class NetCollective(BlockingCollective):
         self.bytes_moved += 2.0 * float(nbytes) * (self.p - 1)
         return pieces
 
-def _accept_forever(listener: socket.socket, peer: str,
-                    handle: Callable[[Conn], None],
-                    closing: Callable[[], bool], name: str) -> None:
-    """Accept until ``closing()`` or the listener closes, serving each
-    connection with ``handle(conn)`` on its own daemon thread."""
-    def _loop() -> None:
-        while not closing():
-            try:
-                sock, _ = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=handle, args=(Conn(sock, peer),), daemon=True
-            ).start()
-
-    threading.Thread(target=_loop, name=name, daemon=True).start()
-
 
 # -- parameter server ----------------------------------------------------------
 
@@ -731,83 +712,115 @@ class NetParameterServer(ProcessParameterServer):
 # -- coordinator control plane -------------------------------------------------
 
 
-class _FrameSink(_events.Sink):
-    """Worker-side event sink: one EVENT frame per record on the control
-    connection (the send lock makes it safe beside the heartbeat thread)."""
-
-    def __init__(self, conn: Conn) -> None:
-        self._conn = conn
-
-    def emit(self, event: _events.Event) -> None:
-        try:
-            self._conn.send(EVENT, event.to_dict())
-        except ConnectionLost:
-            pass
-
-
 class _ControlPlane:
-    """Coordinator side of the bootstrap handshake and run telemetry.
+    """The coordinator side of a run, and net's probe for the core's
+    supervision loop: one selector over the coordinator listener and the
+    control connections, served in readiness order on the parent's only
+    thread.  Workers HELLO, then stream HEARTBEAT/EVENT/RESULT/ERROR frames,
+    every read refreshing the rank's ``last_seen``; external PS shards HELLO
+    for their slice.  Once every role has arrived, WELCOME goes to all
+    workers at once: the rendezvous, and the seat heartbeat staleness counts
+    from.  A connection owes its HELLO (or RESUME) within the stall bound
+    ``heartbeat_timeout``, and carries it as its socket timeout, so no peer
+    holds the loop longer than that."""
 
-    One accept thread hands each control connection to a reader thread.
-    Workers HELLO and then stream HEARTBEAT/EVENT/RESULT/ERROR frames;
-    external PS shards HELLO to collect their WELCOME (slice bootstrap).
-    When every expected role has arrived, WELCOME goes out to all workers
-    at once — the rendezvous barrier.  All shared state mutates under one
-    condition variable the drain loop and monitor wait on.
-    """
-
-    def __init__(self, listener: socket.socket, p: int,
-                 ext_ps: Optional["NetParameterServer"], bus,
-                 session: str, clock: Callable[[], float]) -> None:
-        self.listener = listener
+    def __init__(self, backend: "NetBackend", p: int) -> None:
+        self.backend = backend
         self.p = p
-        self.ext_ps = ext_ps  # the PS whose external shards bootstrap from us
-        self.expect_ps = ext_ps.layout.n_shards if ext_ps is not None else 0
-        self.bus = bus
-        self.session = session  # non-empty iff recovery=reconnect
-        self.clock = clock
-        self.cond = threading.Condition()
-        self.conns: Dict[int, Conn] = {}
-        self.ever_connected: set = set()
-        self.last_seen: Dict[int, float] = {}
-        #: rank -> ("done" | "error", rank, payload), as drain_results wants
-        self.outcomes: Dict[int, Tuple[str, int, dict]] = {}
-        self.dead: Dict[int, float] = {}  # rank -> detection latency
+        # the PS whose external shards bootstrap from us
+        self.ext_ps = None if backend.mode == "fork" else backend._ps
+        self.bus = _events.active_bus()
+        self.stall = backend.heartbeat_timeout
+        self.listener = backend._listeners["coordinator"]
+        self.listener.setblocking(False)
+        self.ready = selectors.DefaultSelector()
+        self.ready.register(self.listener, selectors.EVENT_READ)
+        self.greeting: Dict[Conn, float] = {}  # accepted, owes HELLO/RESUME
+        self.conns: Dict[int, Optional[Conn]] = {}  # HELLOed ranks; None: lost
+        self.seen: Dict[int, float] = {}  # from the seat on
+        self.finished: set = set()
         self.last_ctrl_seq: Dict[int, int] = {}  # per-rank processed seq
         self.resumes: Dict[int, int] = {}  # rank -> successful re-attaches
-        self._ps_ready = 0
-        self._welcomed = False
-        self._closing = False
+        self.shards = 0  # external shards bootstrapped
+        self.welcomed = False
 
-    def start(self) -> "_ControlPlane":
-        self.listener.settimeout(0.25)
-        _accept_forever(
-            self.listener, "peer", self._serve_conn,
-            lambda: self._closing, "net-coordinator",
-        )
-        return self
+    def last_seen(self, rank: int) -> Optional[float]:
+        return self.seen.get(rank)
 
-    def _serve_conn(self, conn: Conn) -> None:
-        try:
-            conn.settimeout(30.0)
-            hello = conn.recv()
-            conn.settimeout(None)
-        except (ConnectionLost, ProtocolError, socket.timeout):
-            conn.close()
+    def exited(self, rank: int) -> Optional[bool]:
+        alive = self.backend._alive.get(rank)
+        return None if alive is None else not alive()
+
+    def lost(self, rank: int) -> bool:
+        return rank in self.conns and self.conns[rank] is None
+
+    def pump(self, wait: float) -> list:
+        got = []
+        start = time.monotonic()  # a stall below must not age the greeting
+        for key, _ in self.ready.select(wait):
+            if key.data is None:
+                try:
+                    sock, _ = self.listener.accept()
+                except OSError:
+                    continue  # the dialler gave up between SYN and accept
+                conn = Conn(sock, "peer")
+                conn.settimeout(self.stall)
+                self.ready.register(sock, selectors.EVENT_READ, (None, conn))
+                self.greeting[conn] = time.monotonic()
+                continue
+            rank, conn = key.data
+            if conn.sock.fileno() < 0:
+                continue  # replaced by a RESUME earlier in this batch
+            try:
+                frame = conn.recv()
+            except (ConnectionLost, ProtocolError, OSError, ValueError):
+                # gone, stalled or no peer of ours.  EOF comes only after
+                # every buffered frame (a final RESULT too) was read, so
+                # finish-before-death ordering holds
+                self._hang_up(conn)
+                if rank is not None:  # a replaced connection is hung up already
+                    self.conns[rank] = None
+            else:
+                if rank is None:
+                    self._greet(conn, frame)
+                elif (outcome := self._read(rank, frame)) is not None:
+                    got.append(outcome)
+        for conn, since in list(self.greeting.items()):
+            if start - since > self.stall:
+                self._hang_up(conn)
+        return got
+
+    def _hang_up(self, conn: Conn) -> None:
+        self.greeting.pop(conn, None)
+        self.ready.unregister(conn.sock)
+        conn.close()
+
+    def _seat(self, task: int, conn: Conn) -> None:
+        if (old := self.conns.get(task)) is not None:
+            # a resume replaces the cut connection: what is still unread on
+            # it is newer than the RESUME_OK mark, so the worker replays it
+            self._hang_up(old)
+        conn.peer = f"learner{task}"
+        self.conns[task] = conn
+        self.ready.modify(conn.sock, selectors.EVENT_READ, (task, conn))
+
+    def _greet(self, conn: Conn, frame) -> None:
+        del self.greeting[conn]
+        meta = frame.meta if isinstance(frame.meta, dict) else {}
+        task = meta.get("task")
+        task = task if isinstance(task, int) else -1  # -1: no peer of ours
+        job = meta.get("job") if frame.kind == HELLO else None
+        if job == "worker" and 0 <= task < self.p:
+            self._seat(task, conn)
+        elif frame.kind == RESUME and self._resume(conn, task, meta):
             return
-        if hello.kind == RESUME:
-            self._serve_resume(conn, hello)
-            return
-        if hello.kind != HELLO:
-            conn.close()
-            return
-        job = hello.meta.get("job")
-        task = int(hello.meta.get("task", -1))
-        if job == "ps":
-            # external shard bootstrap: hand it its slice, then let it go —
-            # shards serve learners on their own listener, not through us
-            ps = self.ext_ps
-            if ps is not None:
+        else:
+            if job == "ps" and self.ext_ps is not None and (
+                0 <= task < self.ext_ps.layout.n_shards
+            ):
+                # external shard bootstrap: hand it its slice and let it go
+                # — shards serve learners on their own listener
+                ps = self.ext_ps
                 lo, hi = ps.layout.bounds[task]
                 try:
                     conn.send_tensor(WELCOME, ps._x_local[lo:hi], {
@@ -816,142 +829,84 @@ class _ControlPlane:
                     })
                 except ConnectionLost:
                     pass
-            conn.close()
-            with self.cond:
-                self._ps_ready += 1
-                self._maybe_welcome()
+                self.shards += 1
+            self._hang_up(conn)
+        shards = self.ext_ps.layout.n_shards if self.ext_ps is not None else 0
+        seats = [c for c in map(self.conns.get, range(self.p)) if c is not None]
+        if self.welcomed or self.shards < shards or len(seats) < self.p:
             return
-        if job != "worker" or not (0 <= task < self.p):
-            conn.close()
-            return
-        with self.cond:
-            self._seat(task, conn)
-            self._maybe_welcome()
-        self._reader(task, conn)
-
-    def _seat(self, task: int, conn: Conn) -> None:  # caller holds self.cond
-        conn.peer = f"learner{task}"
-        self.conns[task] = conn
-        self.ever_connected.add(task)
-        self.last_seen[task] = time.monotonic()
-
-    def _serve_resume(self, conn: Conn, frame) -> None:
-        """A worker re-attaching its control session after a disconnect.
-
-        Validate the session token, re-bind the rank's connection, answer
-        with the last seq we processed (the worker replays everything
-        newer), and emit the recovery event the run log promises.
-        """
-        task = int(frame.meta.get("task", -1))
-        sess = frame.meta.get("sess")
-        if (
-            not self.session
-            or sess != self.session
-            or not (0 <= task < self.p)
-        ):
-            conn.close()
-            return
-        with self.cond:
-            if task in self.dead or task in self.outcomes:
-                # the seat was already surrendered (deadline expired) or the
-                # run finished without this worker — no resume
-                conn.close()
-                return
-            last = self.last_ctrl_seq.get(task, 0)
+        self.welcomed = True
+        session = self.backend._session
+        for rank, seat in enumerate(seats):
+            meta = {"events": self.bus is not None, "rank": rank}
+            if session:
+                meta["sess"] = session
             try:
-                conn.send(RESUME_OK, {"last": last}, seq=0)
+                seat.send(WELCOME, meta)
             except ConnectionLost:
-                conn.close()
-                return
-            self._seat(task, conn)
-            self.resumes[task] = self.resumes.get(task, 0) + 1
-            self.cond.notify_all()
+                pass
+            self.seen[rank] = time.monotonic()
+
+    def _resume(self, conn: Conn, task: int, meta) -> bool:
+        """Re-seat a worker's control session: RESUME_OK carries the last
+        seq we processed, and the worker replays everything newer."""
+        session = self.backend._session
+        if (
+            not session or meta.get("sess") != session
+            or not (0 <= task < self.p)
+            or task in self.backend._detections or task in self.finished
+        ):
+            return False
+        last = self.last_ctrl_seq.get(task, 0)
+        try:
+            conn.send(RESUME_OK, {"last": last}, seq=0)
+        except ConnectionLost:
+            return False
+        self._seat(task, conn)
+        self.seen[task] = time.monotonic()
+        self.resumes[task] = self.resumes.get(task, 0) + 1
         _events.emit(
-            _events.RECOVERY_ACTION,
-            t=self.clock(),
-            action="reconnect",
-            mode="reconnect",
-            learner=task,
-            resumed_at_seq=last,
+            _events.RECOVERY_ACTION, t=self.backend.clock(), action="reconnect",
+            mode="reconnect", learner=task, resumed_at_seq=last,
             resumes=self.resumes[task],
         )
-        self._reader(task, conn)
+        return True
 
-    def _maybe_welcome(self) -> None:  # caller holds self.cond
-        if (
-            not self._welcomed
-            and len(self.conns) == self.p
-            and self._ps_ready >= self.expect_ps
-        ):
-            self._welcomed = True
-            for rank, conn in self.conns.items():
-                meta = {"events": self.bus is not None, "rank": rank}
-                if self.session:
-                    meta["sess"] = self.session
-                try:
-                    conn.send(WELCOME, meta)
-                except ConnectionLost:
-                    pass
-            self.cond.notify_all()
-
-    def _reader(self, rank: int, conn: Conn) -> None:
-        while True:
+    def _read(self, rank: int, frame) -> Optional[Tuple[str, int, dict]]:
+        self.seen[rank] = time.monotonic()
+        if frame.seq > 0:
+            # session streams are contiguous: anything at or below the
+            # high-water mark is a replayed duplicate
+            if frame.seq <= self.last_ctrl_seq.get(rank, 0):
+                return None
+            self.last_ctrl_seq[rank] = frame.seq
+        if frame.kind == EVENT and self.bus is not None:
             try:
-                frame = conn.recv()
-            except (ConnectionLost, ProtocolError, OSError):
-                # EOF comes only after every buffered frame (incl. a final
-                # RESULT) was delivered, so finish-before-death ordering
-                # holds.  The identity guard matters under resume: a stale
-                # reader noticing its old socket died must not unseat the
-                # replacement connection a _serve_resume just installed
-                with self.cond:
-                    if self.conns.get(rank) is conn:
-                        self.conns.pop(rank, None)
-                    self.cond.notify_all()
-                conn.close()
-                return
-            with self.cond:
-                self.last_seen[rank] = time.monotonic()
-                if frame.seq > 0:
-                    # session streams are contiguous: anything at or below
-                    # the high-water mark is a replayed duplicate
-                    if frame.seq <= self.last_ctrl_seq.get(rank, 0):
-                        continue
-                    self.last_ctrl_seq[rank] = frame.seq
-            if frame.kind == EVENT:  # HEARTBEAT only refreshed last_seen
-                if self.bus is not None:
-                    try:
-                        self.bus.republish(_events.Event.from_dict(frame.meta))
-                    except Exception:
-                        continue  # torn/foreign record; keep the reader alive
-            elif frame.kind in (RESULT, ERROR):
-                kind = "done" if frame.kind == RESULT else "error"
-                with self.cond:
-                    self.outcomes[rank] = (kind, rank, frame.obj())
-                    self.cond.notify_all()
+                self.bus.republish(_events.Event.from_dict(frame.meta))
+            except Exception:
+                pass  # a torn/foreign record; the run goes on without it
+        elif frame.kind in (RESULT, ERROR):  # HEARTBEAT only refreshed seen
+            self.finished.add(rank)
+            return "done" if frame.kind == RESULT else "error", rank, frame.obj()
+        return None
 
     def close(self) -> None:
-        self._closing = True
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-        with self.cond:
-            conns = list(self.conns.values())
-            self.conns.clear()
-        for conn in conns:
-            conn.close()
+        for key in list(self.ready.get_map().values()):
+            if key.data is not None:
+                key.data[1].close()
+        self.ready.close()
 
 
 # -- the worker process --------------------------------------------------------
 
 
-class _WorkerCtrl:
+class _WorkerCtrl(_events.Sink):
     """The worker's control connection, session-resumable when the WELCOME
     carried a session token (recovery=reconnect).
 
-    All control-plane senders (heartbeat thread, event sink, final
-    RESULT/ERROR) go through here; on connection loss one of them wins the
+    All control-plane senders go through here — the heartbeat thread
+    (:meth:`stamp`), the event sink (:meth:`emit`, one EVENT frame per
+    record) and the final RESULT/ERROR; on connection loss one of them wins the
     resume lock and heals the session (:func:`_redial`).  Session-stream
     frames are recorded *before* the failed send, so the replay already
     re-delivered them — senders never re-run after a resume.
@@ -1006,6 +961,15 @@ class _WorkerCtrl:
             self._given_up = True
             return False
 
+    def stamp(self, rank: int) -> None:
+        self.send(HEARTBEAT)
+
+    def emit(self, event: _events.Event) -> None:
+        try:
+            self.send(EVENT, event.to_dict())
+        except ConnectionLost:
+            pass
+
     def close(self) -> None:
         self.sess.close()
 
@@ -1041,18 +1005,9 @@ def _worker_body(trainer, lid: int) -> None:
             backend._plan.seed if backend._plan is not None else 0,
         )
     install_worker_bus(
-        _FrameSink(ctrl) if welcome.meta.get("events") else None, backend.clock
+        ctrl if welcome.meta.get("events") else None, backend.clock
     )
-    hb_stop = threading.Event()
-
-    def _beat() -> None:
-        while not hb_stop.wait(backend.heartbeat_interval):
-            try:
-                ctrl.send(HEARTBEAT)
-            except ConnectionLost:
-                return
-
-    threading.Thread(target=_beat, name="net-heartbeat", daemon=True).start()
+    heartbeat = HeartbeatThread(ctrl, lid, backend.heartbeat_interval).start()
     try:
         wall = drive_learner(trainer, lid)
         ctrl.send_obj(RESULT, worker_result(trainer, lid, wall))
@@ -1060,9 +1015,9 @@ def _worker_body(trainer, lid: int) -> None:
         try:
             ctrl.send_obj(ERROR, worker_error(trainer, exc))
         except ConnectionLost:
-            pass  # coordinator already gone; its monitor saw us die
+            pass  # coordinator already gone; its supervision saw us die
     finally:
-        hb_stop.set()
+        heartbeat.stop()
         backend.collective.teardown_rank()
         ctrl.close()
 
@@ -1099,8 +1054,8 @@ class NetBackend(ProcessBackend):
                  spec: Optional[ClusterSpec] = None,
                  task: Optional[int] = None,
                  host: str = "127.0.0.1",
-                 heartbeat_interval: float = _HEARTBEAT_PERIOD,
-                 heartbeat_timeout: float = _STALE_AFTER,
+                 heartbeat_interval: float = HEARTBEAT_INTERVAL,
+                 heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
                  reconnect_deadline: float = _RECONNECT_DEADLINE) -> None:
         if mode not in ("fork", "coordinator", "worker"):
             raise ValueError(
@@ -1125,7 +1080,9 @@ class NetBackend(ProcessBackend):
         self._session = ""  # non-empty iff recovery=reconnect
         self._worker_ctrl: Optional[_WorkerCtrl] = None  # worker-process side
         self._listeners: Dict[str, socket.socket] = {}
-        self._ext_alive: Dict[int, Callable[[], bool]] = {}
+        # rank -> "is its process alive?": the fork children, or the
+        # launcher's subprocesses; none for a by-hand cluster
+        self._alive: Dict[int, Callable[[], bool]] = {}
 
     def _make_collective(self, p: int) -> NetCollective:
         collective = NetCollective(p, self.timeout)
@@ -1199,9 +1156,9 @@ class NetBackend(ProcessBackend):
 
     def attach_processes(self, alive: Dict[int, Callable[[], bool]]) -> None:
         """External mode: per-rank liveness probes for launcher-spawned
-        processes (``popen.poll() is None``); manual clusters rely on
-        heartbeat staleness alone."""
-        self._ext_alive = dict(alive)
+        processes (``popen.poll() is None``); a by-hand cluster is judged by
+        its connections, heartbeats and the rendezvous timeout alone."""
+        self._alive = dict(alive)
 
     # -- the run driver -----------------------------------------------------
 
@@ -1240,98 +1197,26 @@ class NetBackend(ProcessBackend):
 
         if self._recovery == "reconnect" and not self._session:
             self._session = os.urandom(8).hex()
-        ctrl = _ControlPlane(
-            self._listeners["coordinator"], p,
-            None if fork_mode else self._ps,
-            _events.active_bus(), self._session, self.clock,
-        ).start()
+        ctrl = _ControlPlane(self, p)
         self._t0 = time.perf_counter()
         procs: list = []
-        monitor_stop = threading.Event()
-
-        def _alive(rank: int) -> Optional[bool]:
-            if fork_mode:
-                return procs[rank].is_alive() if rank < len(procs) else None
-            probe = self._ext_alive.get(rank)
-            return probe() if probe is not None else None
-
-        reconnecting = self._recovery == "reconnect"
-        grace = self.reconnect_deadline + 1.0
-        lost_since: Dict[int, float] = {}
-
-        def _monitor() -> None:
-            start = time.monotonic()
-            while not monitor_stop.is_set():
-                now = time.monotonic()
-                deaths: List[Tuple[int, float]] = []
-                with ctrl.cond:
-                    for rank in range(p):
-                        if rank in ctrl.outcomes or rank in ctrl.dead:
-                            lost_since.pop(rank, None)
-                            continue
-                        seen = ctrl.last_seen.get(rank, start)
-                        connected = rank in ctrl.ever_connected
-                        lost = connected and rank not in ctrl.conns
-                        # a dead process whose connection still drains is
-                        # left to the `lost` branch: EOF arrives only after
-                        # any final RESULT frame was read, so a clean finish
-                        # is never misread as a death
-                        died_early = (
-                            not connected and _alive(rank) is False
-                        )
-                        stale = now - seen > self.heartbeat_timeout
-                        if not (lost or died_early or stale):
-                            lost_since.pop(rank, None)
-                            continue
-                        # reconnect: a silent-but-alive worker gets the
-                        # resume deadline (plus one beat of slack) to
-                        # re-attach before it is declared dead; a process
-                        # that provably exited is declared immediately
-                        if (
-                            reconnecting
-                            and not died_early
-                            and _alive(rank) is not False
-                        ):
-                            first = lost_since.setdefault(rank, now)
-                            if now - first <= grace:
-                                continue
-                        deaths.append((rank, now - seen))
-                        ctrl.dead[rank] = now - seen
-                        lost_since.pop(rank, None)
-                    if deaths:
-                        ctrl.cond.notify_all()
-                for rank, latency in deaths:
-                    self._on_death(rank, latency)
-                monitor_stop.wait(_POLL)
-
-        monitor = threading.Thread(
-            target=_monitor, name="net-monitor", daemon=True
-        )
-
-        def poll(expected: set, wait: float) -> list:
-            with ctrl.cond:
-                if not expected & ctrl.outcomes.keys():
-                    ctrl.cond.wait(wait)
-                return [ctrl.outcomes[r] for r in expected & ctrl.outcomes.keys()]
-
-        def awaited_dead(expected: set) -> bool:
-            with ctrl.cond:
-                return all(r in ctrl.dead for r in expected)
-
         try:
             if fork_mode:
                 procs = self._fork_workers(trainer, _worker_child_main)
+                self._alive = {lid: proc.is_alive for lid, proc in enumerate(procs)}
                 # children own the ring/shard listening fds now; drop the
                 # parent's copies so a dead worker's port refuses, not hangs
                 close_all(self._listeners, keep=("coordinator",))
-            monitor.start()
-            payloads, errors = drain_results(p, self.timeout, poll, awaited_dead)
+            # reconnect: a silent-but-alive worker gets the resume deadline
+            # (plus one beat of slack) to re-attach before it is declared dead
+            payloads, errors = supervise(
+                ctrl, p, self.timeout, self.heartbeat_timeout, self._on_death,
+                self.reconnect_deadline + 1.0
+                if self._recovery == "reconnect" else None,
+            )
             self._duration = time.perf_counter() - self._t0
             reap(procs)
         finally:
-            monitor_stop.set()
-            if monitor.is_alive():
-                monitor.join(timeout=2.0)
             reap(procs, grace=0.0)
             if self._ps is not None:
                 self._ps.shutdown()

@@ -34,9 +34,10 @@ benchmark pins this.
 
 Determinism: on the sim backend every event is stamped with *virtual* time
 and published from the deterministic engine schedule, so a run's event
-stream is byte-reproducible for a given seed.  The mp backend forwards each
-rank's events over a queue to a parent-side aggregator that assigns the
-authoritative seq order (real arrival order — racy on purpose).
+stream is byte-reproducible for a given seed.  The mp and net backends
+forward each rank's events to the parent's supervision loop, which
+republishes them in the authoritative seq order (real arrival order — racy
+on purpose).
 """
 
 from __future__ import annotations
@@ -554,9 +555,8 @@ class ConsoleProgressSink(Sink):
 class EventBus:
     """Assigns seq numbers, folds the snapshot, fans out to sinks.
 
-    Thread-safe: the mp backend publishes from its monitor/aggregator/
-    watchdog threads concurrently with the main thread, so ``publish`` runs
-    under one lock — the seq order *is* the arrival order.
+    Thread-safe: ``publish`` runs under one lock, so whichever threads
+    publish, the seq order *is* the arrival order.
     """
 
     def __init__(
@@ -592,7 +592,7 @@ class EventBus:
 
     def republish(self, event: Event) -> Event:
         """Re-emit a forwarded event, preserving payload/source/t but
-        assigning this bus's authoritative seq (the mp aggregator path)."""
+        assigning this bus's authoritative seq (the process backends' path)."""
         return self.publish(event.kind, source=event.source, t=event.t, **event.data)
 
     def attach(self, sink: Sink) -> None:

@@ -18,19 +18,21 @@ method, so workers inherit the constructed trainer without pickling):
   A crashed shard can be respawned from its periodic shared-memory snapshot
   (``restart_shard``; at-least-once apply semantics, DESIGN.md §9).
 * **Supervision** (:mod:`repro.faults.supervisor`): workers stamp a
-  shared-memory liveness block; a parent monitor declares a rank dead when
-  its process exits or its heartbeat goes stale, and the barriers probe the
-  same block — a killed peer aborts the round in well under a second with
-  a :class:`~repro.runtime.LearnerFailure` carrying the measured latency.
-* **Telemetry**: forked workers forward events on a queue; a parent-side
-  aggregator thread republishes them in authoritative seq order.
+  shared-memory liveness block; the parent's one supervision loop
+  (:func:`~repro.runtime.process_backend.supervise`) declares a rank dead
+  when its process exits or its heartbeat goes stale, and the barriers probe
+  the same block — a killed peer aborts the round in well under a second
+  with a :class:`~repro.runtime.LearnerFailure` carrying the measured
+  latency.  The same loop checks the shard processes (``restart_shard``).
+* **Results and telemetry** share one queue home: forked workers put their
+  payload on it, and their events too when a bus is live; the loop
+  republishes the events in authoritative seq order.
 """
 
 from __future__ import annotations
 
 import os
 import queue
-import threading
 import time
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional
@@ -38,27 +40,22 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..faults.plan import FaultPlan, RetryPolicy
-from ..faults.supervisor import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_HEARTBEAT_TIMEOUT,
-    HeartbeatThread,
-    LivenessBlock,
-    PollingBarrier,
-    WorkerMonitor,
-)
+from ..faults.supervisor import HeartbeatThread, LivenessBlock, PollingBarrier
 from ..obs import events as _events
 from .api import LearnerFailure, RunStats
 from .process_backend import (
+    HEARTBEAT_INTERVAL,
+    HEARTBEAT_TIMEOUT,
     JOIN_GRACE,
     BlockingCollective,
     ProcessBackend,
     ProcessParameterServer,
     PSClient,
     ShardState,
-    drain_results,
     drive_learner,
     install_worker_bus,
     reap,
+    supervise,
     worker_error,
     worker_result,
 )
@@ -88,7 +85,7 @@ class MPCollective(BlockingCollective):
     Synchronisation is a :class:`~repro.faults.supervisor.PollingBarrier`
     over the run's liveness block rather than ``multiprocessing.Barrier``:
     a dead peer aborts the round with a typed failure naming the victim
-    within one monitor poll, and the barrier itself survives the failed
+    within one supervision pass, and the barrier itself survives the failed
     round.
     """
 
@@ -348,10 +345,11 @@ class MPParameterServer(ProcessParameterServer):
 
     When the armed fault plan contains ``ps_crash`` faults, each shard keeps
     a periodic snapshot of its slice (plus its version counter) in a second
-    shared segment; under the ``restart_shard`` recovery policy a parent-side
-    watchdog thread restores the slice from the snapshot and forks a
-    replacement shard process.  Without the policy the shard stays down and
-    its clients exhaust their retry budgets (fail-fast).
+    shared segment; under the ``restart_shard`` recovery policy the parent's
+    supervision loop (:meth:`check_shards`, every pass) restores the slice
+    from the snapshot and forks a replacement shard process.  Without the
+    policy the shard stays down and its clients exhaust their retry budgets
+    (fail-fast).
     """
 
     def __init__(self, ctx, p: int, size: int, n_shards: int,
@@ -385,8 +383,6 @@ class MPParameterServer(ProcessParameterServer):
         for _, writer in self._request_pipes:
             os.set_blocking(writer.fileno(), False)
         self.stats_queue = ctx.Queue()
-        self._watchdog: Optional[threading.Thread] = None
-        self._watchdog_stop = threading.Event()
         self._t0 = 0.0
 
     def client(self, rank: int) -> PSClient:
@@ -429,60 +425,51 @@ class MPParameterServer(ProcessParameterServer):
             self._fork_shard(_ps_shard_main, sid, False)
             for sid in range(self._layout.n_shards)
         ]
-        if self.crash_after:
-            self._watchdog_stop.clear()
-            self._watchdog = threading.Thread(
-                target=self._watch_shards, name="ps-watchdog", daemon=True
-            )
-            self._watchdog.start()
 
-    def _watch_shards(self) -> None:
-        """Respawn (or record) shards that die with the crash exit code."""
-        while not self._watchdog_stop.is_set():
-            for sid, proc in enumerate(self._procs):
-                if proc.is_alive() or sid in self.crashed_shards:
-                    continue
-                now = time.perf_counter() - self._t0
-                self.events.append((f"ps{sid}", "fault", now))
-                self.fault_counts["ps_crash"] += 1
-                _events.emit(
-                    _events.FAULT_INJECTED,
-                    source=f"ps{sid}",
-                    t=now,
-                    fault="ps_crash",
-                    shard=sid,
-                )
-                if not self.restart_shards:
-                    self.crashed_shards.add(sid)
-                    continue
-                # restore the slice from the shard's last snapshot (applies
-                # since then are lost), then fork a replacement; the fatal
-                # crash fault is consumed so the new shard serves on
-                lo, hi = self._layout.bounds[sid]
-                snap = self._snap_view()
-                if snap is not None:
-                    self._x_local[lo:hi] = snap[lo:hi]
-                self._procs[sid] = self._fork_shard(_ps_shard_main, sid, True)
-                self.shard_restarts += 1
-                restart_t = time.perf_counter() - self._t0
-                self.events.append((f"ps{sid}", "ps_restart", restart_t))
-                _events.emit(
-                    _events.RECOVERY_ACTION,
-                    source=f"ps{sid}",
-                    t=restart_t,
-                    action="restart_shard",
-                    shard=sid,
-                )
-            self._watchdog_stop.wait(0.1)
+    def check_shards(self) -> None:
+        """Respawn (or record) shards that died with the crash exit code —
+        once per supervision pass, in a run armed with ``ps_crash`` faults."""
+        if not self.crash_after:
+            return
+        for sid, proc in enumerate(self._procs):
+            if proc.is_alive() or sid in self.crashed_shards:
+                continue
+            now = time.perf_counter() - self._t0
+            self.events.append((f"ps{sid}", "fault", now))
+            self.fault_counts["ps_crash"] += 1
+            _events.emit(
+                _events.FAULT_INJECTED,
+                source=f"ps{sid}",
+                t=now,
+                fault="ps_crash",
+                shard=sid,
+            )
+            if not self.restart_shards:
+                self.crashed_shards.add(sid)
+                continue
+            # restore the slice from the shard's last snapshot (applies since
+            # then are lost), then fork a replacement; the fatal crash fault
+            # is consumed so the new shard serves on
+            lo, hi = self._layout.bounds[sid]
+            snap = self._snap_view()
+            if snap is not None:
+                self._x_local[lo:hi] = snap[lo:hi]
+            self._procs[sid] = self._fork_shard(_ps_shard_main, sid, True)
+            self.shard_restarts += 1
+            restart_t = time.perf_counter() - self._t0
+            self.events.append((f"ps{sid}", "ps_restart", restart_t))
+            _events.emit(
+                _events.RECOVERY_ACTION,
+                source=f"ps{sid}",
+                t=restart_t,
+                action="restart_shard",
+                shard=sid,
+            )
 
     def shutdown(self) -> None:
         """Stop shards, harvest their counters, snapshot x, free the segment."""
         if self._shm is None:
             return
-        if self._watchdog is not None:
-            self._watchdog_stop.set()
-            self._watchdog.join(timeout=2.0)
-            self._watchdog = None
         if self._procs:
             for sid in range(self._layout.n_shards):
                 if sid in self.crashed_shards:
@@ -518,12 +505,11 @@ class MPParameterServer(ProcessParameterServer):
         self._request_pipes = self._reply_pipes = []
 
 
-def _worker_main(trainer, lid: int, result_q) -> None:
+def _worker_main(trainer, lid: int, result_q, forward_events: bool) -> None:
     """Drive one learner coroutine to completion inside a forked worker."""
     backend = trainer.backend
     install_worker_bus(
-        None if backend._event_q is None else _events.QueueSink(backend._event_q),
-        backend.clock,
+        _events.QueueSink(result_q) if forward_events else None, backend.clock
     )
     liveness: LivenessBlock = backend._liveness  # run() allocates it pre-fork
     heartbeat = HeartbeatThread(
@@ -540,11 +526,59 @@ def _worker_main(trainer, lid: int, result_q) -> None:
         result_q.put(("done", lid, worker_result(trainer, lid, wall)))
     except BaseException as exc:  # noqa: BLE001 - must never hang the parent
         # an erroring worker still exits cleanly (payload below); keep the
-        # monitor from declaring it crashed on exit
+        # supervision loop from declaring it crashed on exit
         liveness.mark_finished(lid)
         result_q.put(("error", lid, worker_error(trainer, exc)))
     finally:
         heartbeat.stop()
+
+
+class _Probe:
+    """mp's side of the supervision loop: one queue brings results and
+    forwarded events home, the liveness block holds the heartbeats, and the
+    worker and shard processes are looked at directly."""
+
+    def __init__(self, results, liveness: LivenessBlock, procs: list, bus,
+                 ps) -> None:
+        self.results = results
+        self.liveness = liveness
+        self.procs = procs
+        self.bus = bus
+        self.ps = ps
+
+    def pump(self, wait: float) -> list:
+        got = []
+        try:
+            item = self.results.get(timeout=wait)
+            while True:
+                if not isinstance(item, dict):
+                    got.append(item)
+                else:
+                    try:
+                        self.bus.republish(_events.Event.from_dict(item))
+                    except Exception:
+                        pass  # a torn record; the run goes on without it
+                item = self.results.get_nowait()
+        except queue.Empty:
+            pass
+        if self.ps is not None:
+            self.ps.check_shards()
+        return got
+
+    def last_seen(self, rank: int) -> float:
+        return float(self.liveness.heartbeats[rank])
+
+    def exited(self, rank: int) -> bool:
+        """Gone without a farewell: a worker marks itself finished (or, on
+        ``fail_at``, dead) before it puts its payload, so an exit after that
+        never reads as a crash while the payload is still in flight."""
+        live = self.liveness
+        return not (
+            live.is_finished(rank) or live.is_dead(rank)
+            or self.procs[rank].is_alive()
+        )
+
+    lost = exited  # a process is mp's connection
 
 
 class MPBackend(ProcessBackend):
@@ -557,8 +591,8 @@ class MPBackend(ProcessBackend):
     _death_reason = "worker learner{rank} exited without a farewell"
 
     def __init__(self, timeout: float = 120.0,
-                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-                 heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT) -> None:
+                 heartbeat_interval: float = HEARTBEAT_INTERVAL,
+                 heartbeat_timeout: float = HEARTBEAT_TIMEOUT) -> None:
         super().__init__(timeout, heartbeat_interval, heartbeat_timeout)
         if self._ctx is None:
             raise RuntimeError(
@@ -567,7 +601,6 @@ class MPBackend(ProcessBackend):
                 "on this platform"
             )
         self._liveness: Optional[LivenessBlock] = None
-        self._event_q = None  # worker→parent event forwarding (run() arms it)
 
     def _make_collective(self, p: int) -> MPCollective:
         return MPCollective(self._ctx, p, self.timeout)
@@ -589,85 +622,37 @@ class MPBackend(ProcessBackend):
     def run(self, trainer) -> RunStats:
         p = trainer.config.p
         flat = trainer.workloads[0].flat
-        self._liveness = LivenessBlock(p, ["coll"])
-        self.collective.allocate(flat.size, flat.data.dtype, self._liveness)
+        self._liveness = liveness = LivenessBlock(p, ["coll"])
+        self.collective.allocate(flat.size, flat.data.dtype, liveness)
         if self._ps is not None:
             self._ps.start()
-        result_q = self._ctx.Queue()
+        results = self._ctx.Queue()
         procs = []
-        monitor: Optional[WorkerMonitor] = None
         self._t0 = time.perf_counter()
-        # worker event forwarding: armed only when a bus is live, so
-        # un-observed runs never pay for the queue (must happen before the
-        # fork so workers inherit the queue handle)
+        # workers forward events only when a bus is live, so un-observed
+        # runs never pay for them
         bus = _events.active_bus()
-        aggregator: Optional[threading.Thread] = None
-        aggregator_stop = threading.Event()
-        if bus is not None:
-            self._event_q = self._ctx.Queue()
 
-            def _drain_events() -> None:
-                while True:
-                    try:
-                        payload = self._event_q.get(timeout=0.1)
-                    except queue.Empty:
-                        if aggregator_stop.is_set():
-                            return
-                        continue
-                    except (EOFError, OSError):  # queue torn down under us
-                        return
-                    try:
-                        bus.republish(_events.Event.from_dict(payload))
-                    except Exception:
-                        # a worker killed mid-put can leave a torn pickle;
-                        # skip it rather than lose the aggregator
-                        continue
+        def on_death(rank: int, latency: float) -> None:
+            liveness.declare_dead(rank)  # unblocks the peers' barriers
+            self._on_death(rank, latency)
 
-            aggregator = threading.Thread(
-                target=_drain_events, name="events-aggregator", daemon=True
-            )
-            aggregator.start()
         try:
-            procs = self._fork_workers(trainer, _worker_main, result_q)
-            monitor = WorkerMonitor(
-                self._liveness,
-                {lid: procs[lid].is_alive for lid in range(p)},
-                heartbeat_timeout=self.heartbeat_timeout,
-                on_death=self._on_death,
-            ).start()
-
-            def poll(expected: set, wait: float) -> list:
-                try:
-                    kind, lid, data = result_q.get(timeout=wait)
-                except queue.Empty:
-                    return []
-                monitor.mark_finished(lid)
-                return [(kind, lid, data)]
-
-            def awaited_dead(expected: set) -> bool:
-                # dead with its process gone: no payload will ever come
-                return all(
-                    self._liveness.is_dead(r) and not procs[r].is_alive()
-                    for r in expected
-                )
-
-            payloads, errors = drain_results(p, self.timeout, poll, awaited_dead)
+            procs = self._fork_workers(
+                trainer, _worker_main, results, bus is not None
+            )
+            payloads, errors = supervise(
+                _Probe(results, liveness, procs, bus, self._ps),
+                p, self.timeout, self.heartbeat_timeout, on_death,
+            )
             self._duration = time.perf_counter() - self._t0
             reap(procs)
         finally:
-            if monitor is not None:
-                monitor.stop()
             reap(procs, grace=0.0)
             if self._ps is not None:
                 self._ps.shutdown()
-            if aggregator is not None:
-                # every producer is dead by now; the aggregator drains what
-                # is left and exits on its first empty poll
-                aggregator_stop.set()
-                aggregator.join(timeout=JOIN_GRACE)
-                self._event_q = None
             self.collective.teardown()
-            self._liveness.close()
+            liveness.close()
             self._liveness = None
 
         return self._conclude(trainer, p, payloads, errors)

@@ -14,8 +14,11 @@ noticed; this module owns the rest (DESIGN.md §8):
   ``recv(wait) -> (sid, seq, version, array, error) | None`` is the next reply
   from any shard — which hides the wire format (mailbox slots + pipe headers
   vs JSON-meta + tensor frames) and lets a test substitute a fake.
-* :func:`worker_result` / :func:`worker_error` / :func:`drain_results` — what
-  a worker ships home and how the parent waits for it.
+* :func:`worker_result` / :func:`worker_error` — what a worker ships home.
+* :func:`supervise` — the parent's one thread: a loop that harvests results,
+  republishes events and decides liveness by one rule (:func:`looks_dead`)
+  over a per-transport *probe* — ``pump(wait)`` does the transport's I/O
+  for one pass, ``last_seen`` / ``exited`` / ``lost`` answer per rank.
 * :class:`ProcessParameterServer` / :class:`ProcessBackend` — the handle and
   backend bases, through ``_conclude`` and ``publish_obs``.
 """
@@ -56,6 +59,13 @@ __all__ = [
 
 JOIN_GRACE = 5.0   # seconds to wait for an already-signalled process
 DEAD_GRACE = 1.0   # drain grace once every awaited rank is known dead
+POLL = 0.1         # seconds between supervision passes
+HEARTBEAT_INTERVAL = 0.25  # default worker liveness stamp period
+# Default silence that counts as death.  Generous: on a loaded box a healthy
+# worker's heartbeat thread can starve for a second or two, and a process
+# death is caught by its exit or dropped connection within one pass anyway,
+# so this bounds only the detection of *hangs*.
+HEARTBEAT_TIMEOUT = 5.0
 CRASH_EXIT = 3     # exit code of a plan-crashed learner
 PS_CRASH_EXIT = 4  # exit code of a plan-crashed parameter-server shard
 
@@ -519,34 +529,67 @@ def worker_error(trainer, exc: BaseException) -> Dict[str, Any]:
 # -- the parent process --------------------------------------------------------
 
 
-def drain_results(
-    p: int,
-    timeout: float,
-    poll: Callable[[set, float], List[Tuple[str, int, dict]]],
-    awaited_dead: Callable[[set], bool],
+def looks_dead(now: float, start: float, seen: Optional[float],
+               exited: Optional[bool], lost: bool, timeout: float,
+               heartbeat_timeout: float) -> bool:
+    """The one death rule for a rank that still owes its result: heartbeat
+    staleness counts from the seat (``seen``, the last sign of life since).
+    Before it a rank owes no beat — it may be a by-hand role still starting
+    — and is judged by its exit (None: cannot be probed), a lost connection
+    and the rendezvous ``timeout``."""
+    if seen is None:
+        return bool(exited) or lost or now - start > timeout
+    return lost or now - seen > heartbeat_timeout
+
+
+def supervise(
+    probe, p: int, timeout: float, heartbeat_timeout: float,
+    on_death: Callable[[int, float], None], grace: Optional[float] = None,
 ) -> Tuple[Dict[int, dict], Dict[int, dict]]:
-    """Collect one ``("done" | "error", rank, payload)`` per rank from
-    ``poll(expected, wait)``.  Each payload buys the stragglers a fresh
-    patience budget; once ``awaited_dead(expected)`` (no payload will ever
-    come) a short grace ends the wait.  Runs before the workers are joined:
-    a worker blocks at exit until its payload is flushed."""
+    """The parent's one loop, until every rank has answered or is dead: each
+    pass, ``probe.pump(POLL)`` does the transport's I/O (results, events,
+    shard checks) and returns the ``("done" | "error", rank, payload)``
+    outcomes that arrived, then :func:`looks_dead` judges every rank still
+    owing one; a lost or stale rank that has not provably exited first gets
+    ``grace`` seconds to re-attach (net's reconnect).  Staleness is judged
+    at the time the pump began, so time it spent on one stalled peer never
+    ages the others' heartbeats; latency is measured at detection.  Each
+    payload buys the stragglers a fresh patience budget; once every awaited
+    rank is dead a short grace ends the wait.  Runs before the join: a
+    worker blocks at exit until its payload is flushed."""
     payloads: Dict[int, dict] = {}
     errors: Dict[int, dict] = {}
     expected = set(range(p))
-    deadline = time.monotonic() + timeout + 10.0
+    dead: Dict[int, float] = {}
+    lost_since: Dict[int, float] = {}
+    start = time.monotonic()
+    deadline = start + timeout + 10.0
     dead_grace: Optional[float] = None
     while expected:
-        got = poll(expected, 0.25)
-        for kind, lid, data in got:
-            (payloads if kind == "done" else errors)[lid] = data
-            expected.discard(lid)
+        before = time.monotonic()
+        got = probe.pump(POLL)
         now = time.monotonic()
+        for kind, rank, data in got:
+            (payloads if kind == "done" else errors)[rank] = data
+            expected.discard(rank)
+        for rank in sorted(expected - dead.keys()):
+            seen = probe.last_seen(rank)
+            exited = probe.exited(rank)
+            if not looks_dead(before, start, seen, exited, probe.lost(rank),
+                              timeout, heartbeat_timeout):
+                lost_since.pop(rank, None)
+                continue
+            if grace is not None and seen is not None and not exited:
+                if now - lost_since.setdefault(rank, now) <= grace:
+                    continue
+            dead[rank] = max(0.0, now - (start if seen is None else seen))
+            on_death(rank, dead[rank])
         if got:
             deadline = now + timeout + 10.0
             dead_grace = None
         elif now > deadline:
             break
-        elif not awaited_dead(expected):
+        elif not expected <= dead.keys():
             dead_grace = None
         elif dead_grace is None:
             dead_grace = now + DEAD_GRACE
@@ -567,8 +610,8 @@ def reap(procs, grace: float = JOIN_GRACE) -> None:
 class ProcessBackend(Backend):
     """Wall-clock execution with one OS process per learner.  Subclasses
     provide the transport: ``_make_collective`` / ``_make_ps``, ``respawn``
-    and ``run`` (fork, supervise, :func:`drain_results`, :meth:`_conclude`),
-    plus two phrases for the failure diagnostics."""
+    and ``run`` (fork, :func:`supervise` over the transport's probe,
+    :meth:`_conclude`), plus two phrases for the failure diagnostics."""
 
     #: how a dead learner's peers stall, completing the LearnerFailure text
     _death_symptom: str

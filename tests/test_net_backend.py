@@ -278,6 +278,91 @@ def test_net_elastic_recovery_finishes_with_survivors():
     assert res.extras["backend"] == "net"
 
 
+@needs_fork
+def test_coordinator_loop_outlives_a_silent_and_a_stalled_control_peer(
+    monkeypatch,
+):
+    # the coordinator's control plane is one loop on the parent's only
+    # thread: a connection that never says HELLO, and one that stops half
+    # way through a frame header, must cost it one stall bound at most
+    bad = []
+
+    def cluster_with_bad_peers(*args, **kwargs):
+        spec, listeners = allocate_loopback(*args, **kwargs)
+        silent = socket.create_connection(parse_addr(spec.coordinator))
+        stalled = socket.create_connection(parse_addr(spec.coordinator))
+        stalled.sendall(b"rN\x01\x04" + b"\x00" * 6)  # half a frame header
+        bad.extend([silent, stalled])
+        return spec, listeners
+
+    monkeypatch.setattr(net_backend, "allocate_loopback", cluster_with_bad_peers)
+    trainer = _make_trainer(
+        "sasgd",
+        backend=NetBackend(
+            timeout=30.0, heartbeat_interval=0.1, heartbeat_timeout=1.0
+        ),
+        fault_ctx=FaultContext(plan=FaultPlan.parse("crash:learner=1,step=3")),
+    )
+    t0 = time.monotonic()
+    with pytest.raises(LearnerFailure) as err:
+        trainer.train()
+    # the rendezvous went ahead (learner 1 reached its planned crash) and its
+    # death was seen through the dropped connection, not a stale heartbeat
+    assert err.value.step == 3
+    assert err.value.detection_seconds < 1.0
+    assert time.monotonic() - t0 < 15.0
+    for sock in bad:
+        sock.settimeout(2.0)
+        try:
+            assert sock.recv(1) == b""  # the coordinator hung up on it
+        except ConnectionResetError:
+            pass  # hung up with our bytes unread: a reset, same verdict
+        sock.close()
+
+
+def _by_hand_worker(cluster, task, delay):
+    time.sleep(delay)
+    backend = NetBackend(
+        mode="worker", spec=cluster, task=task, timeout=30.0,
+        heartbeat_interval=0.1, heartbeat_timeout=0.5,
+    )
+    _make_trainer("sasgd", backend=backend).train()  # exits the process
+
+
+@needs_fork
+def test_a_worker_started_after_the_heartbeat_timeout_is_not_dead():
+    # `repro launch --print-commands` has the user start one role per
+    # terminal: a worker owes no heartbeat before the rendezvous, so one
+    # that comes up three heartbeat timeouts late joins a healthy run
+    cluster, listeners = allocate_loopback(2, 0)
+    close_all(listeners)
+    ctx = multiprocessing.get_context("fork")
+    workers = [
+        ctx.Process(target=_by_hand_worker, args=(cluster, task, delay))
+        for task, delay in ((0, 0.0), (1, 1.5))
+    ]
+    for proc in workers:
+        proc.start()
+    sink = obs_events.InMemorySink()
+    try:
+        coordinator = _make_trainer("sasgd", backend=NetBackend(
+            mode="coordinator", spec=cluster, timeout=30.0,
+            heartbeat_interval=0.1, heartbeat_timeout=0.5,
+        ))
+        with obs_events.use_events(obs_events.EventBus(sinks=[sink])):
+            res = coordinator.train()
+    finally:
+        for proc in workers:
+            proc.join(timeout=30.0)
+            if proc.is_alive():
+                proc.terminate()
+    assert res.records and res.extras["workers"] == 2
+    assert not [
+        e for e in sink.events if e.kind == obs_events.FAILURE_DETECTED
+    ]
+    assert [proc.exitcode for proc in workers] == [0, 0]
+
+
 # --------------------------------------------------------------------------
 # reconnect-and-resume recovery: heal the session, keep the cohort
 # --------------------------------------------------------------------------
@@ -567,3 +652,93 @@ def test_launch_runs_a_loopback_cluster(tmp_path, capsys):
     assert launch(str(path), timeout=90.0) == 0
     out = capsys.readouterr().out
     assert "downpour" in out  # the formatted TrainResult was printed
+
+
+# --------------------------------------------------------------------------
+# the coordinator's control plane, driven by hand
+# --------------------------------------------------------------------------
+
+
+def _control_plane(p=1, session="s3ss"):
+    from types import SimpleNamespace
+
+    from repro.net.frames import bind_listener, listener_addr
+
+    listener = bind_listener("127.0.0.1:0")
+    backend = SimpleNamespace(
+        mode="fork", _ps=None, heartbeat_timeout=2.0, _session=session,
+        _listeners={"coordinator": listener}, _alive={}, _detections={},
+        clock=lambda: 0.0,
+    )
+    return net_backend._ControlPlane(backend, p), listener_addr(listener)
+
+
+def _pump_until(ctrl, done, seconds=5.0):
+    got = []
+    deadline = time.monotonic() + seconds
+    while not done() and time.monotonic() < deadline:
+        got += ctrl.pump(0.05)
+    return got
+
+
+def test_a_resume_in_the_same_pass_as_the_cut_connection_keeps_the_seat():
+    # the re-dialled RESUME can be read before the cut connection's EOF in
+    # one selector pass: the replaced connection is hung up, its pending
+    # EOF is skipped, and the rank stays seated on the new one
+    from repro.net.frames import (
+        HELLO, RESULT, RESUME, RESUME_OK, WELCOME, SessionConn, connect,
+    )
+
+    ctrl, addr = _control_plane()
+    try:
+        old = connect(addr, "coordinator", timeout=5.0)
+        old.send(HELLO, {"job": "worker", "task": 0}, seq=0)
+        _pump_until(ctrl, lambda: ctrl.welcomed)
+        old.settimeout(5.0)
+        assert old.recv().kind == WELCOME
+        new = connect(addr, "coordinator", timeout=5.0)
+        _pump_until(ctrl, lambda: ctrl.greeting)  # accepted, owes its RESUME
+        new.send(RESUME, {"task": 0, "sess": "s3ss"}, seq=0)
+        time.sleep(0.2)  # the RESUME is ready before the cut's EOF
+        old.close()
+        time.sleep(0.2)
+        _pump_until(ctrl, lambda: ctrl.resumes.get(0) == 1)
+        new.settimeout(5.0)
+        assert new.recv().kind == RESUME_OK
+        assert not ctrl.lost(0)
+        SessionConn(new, "s3ss").send_obj(RESULT, {"ok": 1})
+        got = _pump_until(ctrl, lambda: 0 in ctrl.finished)
+        assert got == [("done", 0, {"ok": 1})]
+        new.close()
+    finally:
+        ctrl.close()
+
+
+def test_the_control_plane_hangs_up_on_a_greeting_that_is_not_ours():
+    from repro.net.frames import (
+        _HEADER, HELLO, MAGIC, PROTOCOL_VERSION, WELCOME, connect,
+    )
+
+    ctrl, addr = _control_plane()
+    try:
+        strangers = []
+        for meta in ({"job": "worker", "task": "0"}, {"job": "worker", "task": 9},
+                     {"job": "ps", "task": 0}):
+            conn = connect(addr, "coordinator", timeout=5.0)
+            conn.send(HELLO, meta, seq=0)
+            strangers.append(conn)
+        raw = socket.create_connection(parse_addr(addr))  # meta not an object
+        raw.sendall(_HEADER.pack(MAGIC, PROTOCOL_VERSION, HELLO, 0, 7, 0) + b"[1,2,3]")
+        worker = connect(addr, "coordinator", timeout=5.0)
+        worker.send(HELLO, {"job": "worker", "task": 0}, seq=0)
+        _pump_until(ctrl, lambda: ctrl.welcomed)
+        worker.settimeout(5.0)
+        assert worker.recv().kind == WELCOME
+        for conn in strangers:
+            conn.settimeout(2.0)
+            with pytest.raises(Exception):
+                conn.recv()  # hung up, never welcomed
+        raw.close()
+        worker.close()
+    finally:
+        ctrl.close()

@@ -8,6 +8,7 @@ section runs the same protocol end to end on both transports.
 """
 
 import multiprocessing
+import threading
 import time
 from collections import deque
 from types import SimpleNamespace
@@ -15,10 +16,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.algos import DownpourOptions, DownpourTrainer, TrainerConfig
+from repro.algos import (
+    DownpourOptions,
+    DownpourTrainer,
+    SASGDOptions,
+    SASGDTrainer,
+    TrainerConfig,
+)
 from repro.algos.problems import cifar_problem
 from repro.faults import FaultContext, FaultPlan
 from repro.faults.plan import RetryPolicy
+from repro.obs import events as obs_events
 from repro.runtime import RetryBudgetExhausted, make_backend
 from repro.runtime import process_backend as core
 from repro.runtime.process_backend import (
@@ -432,15 +440,88 @@ def test_worker_error_carries_the_typed_failure_fields():
     assert not plain["retry_exhausted"] and plain["attempts"] == 0
 
 
-def test_drain_results_sorts_payloads_from_errors_and_stops_on_the_dead(monkeypatch):
-    monkeypatch.setattr(core, "DEAD_GRACE", 0.0)
-    arrivals = deque([[("done", 0, {"a": 1})], [], [("error", 2, {"b": 2})]])
-    payloads, errors = core.drain_results(
-        4, timeout=60.0,
-        poll=lambda expected, wait: arrivals.popleft() if arrivals else [],
-        awaited_dead=lambda expected: expected == {1, 3},
+class _ScriptedProbe:
+    """A transport for the supervision loop: ``pump`` hands out one scripted
+    batch of outcomes per pass (after ``wait`` seconds); ranks in ``lost``
+    have cut connections, ranks in ``exited`` are provably gone."""
+
+    def __init__(self, batches, lost=(), exited=(), wait=0.0):
+        self.batches = deque(batches)
+        self.lost_ranks = set(lost)
+        self.exited_ranks = set(exited)
+        self.wait = wait
+
+    def pump(self, wait):
+        time.sleep(self.wait)
+        return self.batches.popleft() if self.batches else []
+
+    def last_seen(self, rank):
+        return time.monotonic()
+
+    def exited(self, rank):
+        return True if rank in self.exited_ranks else None
+
+    def lost(self, rank):
+        return rank in self.lost_ranks
+
+
+def _supervise(probe, p, timeout=60.0, grace=None):
+    deaths = []
+    payloads, errors = core.supervise(
+        probe, p, timeout, 5.0, lambda rank, latency: deaths.append(rank), grace
     )
+    return payloads, errors, deaths
+
+
+def test_supervise_sorts_payloads_from_errors_and_stops_on_the_dead(monkeypatch):
+    monkeypatch.setattr(core, "DEAD_GRACE", 0.0)
+    probe = _ScriptedProbe(
+        [[("done", 0, {"a": 1})], [], [("error", 2, {"b": 2})]], lost={1, 3}
+    )
+    payloads, errors, deaths = _supervise(probe, 4)
     assert payloads == {0: {"a": 1}} and errors == {2: {"b": 2}}
+    assert deaths == [1, 3]
+
+
+def test_supervise_gives_each_payload_a_fresh_patience_budget():
+    # patience is timeout + 10 s = 0.3 s here; five payloads 0.1 s apart
+    # outlast it, and only the rank that never answers is given up on
+    probe = _ScriptedProbe(
+        [[("done", rank, {})] for rank in range(5)], wait=0.1
+    )
+    payloads, errors, deaths = _supervise(probe, 6, timeout=-9.7)
+    assert sorted(payloads) == [0, 1, 2, 3, 4] and not errors and not deaths
+
+
+def test_supervise_gives_a_lost_rank_the_reconnect_grace_unless_it_exited():
+    batches = [[("done", 0, {})], [], [], [("done", 1, {})]]
+    _, _, deaths = _supervise(
+        _ScriptedProbe(batches, lost={1}, wait=0.05), 2, grace=1.0
+    )
+    assert deaths == []  # re-attached and finished inside the grace
+    payloads, _, deaths = _supervise(
+        _ScriptedProbe(batches, lost={1}, exited={1}, wait=0.05), 2, grace=1.0
+    )
+    assert deaths == [1]  # a process that exited cannot re-attach
+    assert sorted(payloads) == [0, 1]  # what it flushed still counts
+
+
+def test_death_rule_counts_heartbeat_staleness_from_the_seat():
+    def dead(now, seen, exited=None, lost=False):
+        return core.looks_dead(now, 0.0, seen, exited, lost, 120.0, 5.0)
+
+    # not seated yet — a by-hand worker still being started owes no beat
+    assert not dead(60.0, None)
+    assert not dead(60.0, None, exited=False)
+    assert dead(0.5, None, exited=True)  # its process died before the seat
+    assert dead(0.5, None, lost=True)  # it hung up before the rendezvous
+    assert dead(120.5, None)  # the rendezvous bound
+    # seated at t = 100: staleness counts from there
+    assert not dead(104.0, 100.0)
+    assert dead(105.5, 100.0)
+    assert dead(100.1, 100.0, lost=True)
+    # an exit alone is no death once seated: the result may be in flight
+    assert not dead(100.1, 100.0, exited=True)
 
 
 # --------------------------------------------------------------------------
@@ -511,3 +592,58 @@ def test_sim_reads_the_same_plan_as_the_same_two_retries(spec, virtual_seconds):
     res = trainer.train()
     assert trainer.backend._retries_total == 2
     assert float(res.virtual_seconds) == virtual_seconds
+
+
+class _ThreadRecorder(obs_events.Sink):
+    """Notes the threads alive in this process at every event it receives."""
+
+    def __init__(self):
+        self.seen = []
+
+    def emit(self, event):
+        self.seen.append((event.kind, set(threading.enumerate())))
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "backend,algo,faults,recovery",
+    [
+        ("mp", "sasgd", None, "fail_fast"),
+        ("net", "downpour", None, "fail_fast"),
+        ("mp", "downpour", "ps_crash:shard=0,push=5", "restart_shard"),
+    ],
+    ids=["mp-sasgd", "net-downpour", "mp-restart-shard"],
+)
+def test_the_parent_supervises_a_run_on_its_main_thread_alone(
+    backend, algo, faults, recovery
+):
+    # results, republished worker events, liveness and the shard checks all
+    # run in one loop on the calling thread: the parent starts no thread
+    cls, options = (
+        (SASGDTrainer, SASGDOptions(T=2)) if algo == "sasgd"
+        else (DownpourTrainer, DownpourOptions(T=2))
+    )
+    trainer = cls(
+        cifar_problem(scale="unit", seed=1),
+        TrainerConfig(p=2, epochs=2, batch_size=8, lr=0.02, seed=3),
+        options,
+        backend=make_backend(backend, timeout=60.0),
+        fault_ctx=faults and FaultContext(
+            plan=FaultPlan.parse(faults), recovery=recovery
+        ),
+    )
+    recorder = _ThreadRecorder()
+    before = set(threading.enumerate())
+    with obs_events.use_events(obs_events.EventBus(sinks=[recorder])):
+        res = trainer.train()
+    assert res.records
+    kinds = [kind for kind, _ in recorder.seen]
+    assert obs_events.EPOCH_PROGRESS in kinds  # forwarded from rank 0
+    if recovery == "restart_shard":
+        assert obs_events.RECOVERY_ACTION in kinds
+        assert res.extras["ps_shard_restarts"] >= 1
+    extra = [
+        (kind, sorted(t.name for t in alive - before))
+        for kind, alive in recorder.seen if alive - before
+    ]
+    assert not extra
