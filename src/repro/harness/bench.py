@@ -393,9 +393,9 @@ def _bench_net_roundtrips(
 ) -> Dict[str, Dict[str, object]]:
     """Latency of the net backend's two wire primitives on loopback TCP.
 
-    ``net_allreduce_roundtrip`` is one full chunked ring allreduce of a
-    model-sized float32 vector between two real processes (the framed
-    protocol end to end: reduce-scatter + allgather, 2 hops each).
+    ``net_allreduce_roundtrip`` is one allreduce of a model-sized float32
+    vector between two real processes (the framed protocol end to end: at
+    p = 2 one whole-vector ``sendrecv`` exchange, a frame each way).
     ``net_ps_push_pull`` is one push + one pull against a live PS shard
     process; ``net_ps_exchange`` is the fused push against two — the
     per-step cost every Downpour learner pays.  Skipped (empty dict) where
@@ -684,8 +684,10 @@ def load_bench(path: Union[str, Path]) -> Dict[str, object]:
 #: "honest vs the code this PR replaced" gates: the batched engine must stay
 #: ≥ 5× the verbatim legacy engine on the lockstep event storm, and one
 #: shared-memory allreduce must not be slower than the same allreduce over
-#: loopback TCP.  Checked only when the document actually contains the
-#: derived entry, so filtered or historical documents pass untouched.
+#: loopback TCP (at p = 2 one ``sendrecv`` exchange, a frame each way: 1.6–2.9×
+#: the shared-memory time in full ``--quick`` runs, 0.8–1.3× filtered to the
+#: two roundtrips, so near the floor).  Checked only when the document contains
+#: the derived entry, so filtered or historical documents pass untouched.
 DERIVED_FLOORS: Dict[str, float] = {
     "engine_speedup_vs_legacy": 5.0,
     "mp_vs_net_allreduce": 1.0,

@@ -39,6 +39,7 @@ Two modes share all of the above:
 from __future__ import annotations
 
 import os
+import pickle
 import select
 import selectors
 import socket
@@ -164,10 +165,13 @@ class NetCollective(BlockingCollective):
     """Chunked ring allreduce / hop-forward broadcast / rotation allgather
     over two TCP connections per rank (successor out, predecessor in).
 
+    Every ring step is one deadlock-free :meth:`~repro.net.frames.Conn.sendrecv`;
+    at p = 2 the allreduce is one whole-vector exchange (DESIGN §13).
     Connections are strictly ordered streams, so rounds cannot cross-talk:
     a fast peer's next-round frame simply queues behind the current one.
     A dead ring neighbour surfaces as :class:`ConnectionLost` on the next
-    send/recv and is rethrown as a typed :class:`LearnerFailure` naming it.
+    send/recv and is rethrown as a typed :class:`LearnerFailure` naming it;
+    a peer that stops reading is reported as a stall.
     """
 
     def __init__(self, p: int, timeout: float) -> None:
@@ -361,8 +365,20 @@ class NetCollective(BlockingCollective):
             if adopted:
                 return
 
+    def _step(self, array: np.ndarray, meta: Dict[str, Any]):
+        """One ring step; under recovery=reconnect a failed send repairs the
+        outgoing link (its replay re-delivers our frame)."""
+        try:
+            return self._next.sendrecv(self._prev, DATA, array, meta)
+        except ConnectionLost as exc:
+            if self._session is None:
+                raise
+            if exc.sending:
+                self._repair_next(exc)
+            return exc.frame if exc.frame is not None else self._recv_prev()
+
     def _fail(self, exc: BaseException, opname: str, rank: int) -> LearnerFailure:
-        if isinstance(exc, ConnectionLost):
+        if isinstance(exc, ConnectionLost) and not exc.stalled:
             victim = _peer_rank(exc.peer)
             return LearnerFailure(
                 victim,
@@ -403,41 +419,31 @@ class NetCollective(BlockingCollective):
         if self.p == 1:
             return np.array(array, copy=True)
         self._setup(rank)
-        arr = np.ascontiguousarray(array).copy()
+        arr = np.ascontiguousarray(array)
+        try:
+            out = (arr + self._step(arr, {"op": "ar"}).tensor() if self.p == 2
+                   else self._ring_allreduce(rank, arr.copy()))
+        except (ConnectionLost, socket.timeout) as exc:
+            raise self._fail(exc, "allreduce", rank) from None
+        self.bytes_moved += 2.0 * float(arr.nbytes) * (self.p - 1) / self.p
+        return out
+
+    def _ring_allreduce(self, rank: int, arr: np.ndarray) -> np.ndarray:
         flat = arr.reshape(-1)
         edges = np.linspace(0, flat.size, self.p + 1).astype(int)
         bounds = list(zip(edges[:-1], edges[1:]))
-        try:
-            # reduce-scatter: after p-1 steps rank r holds the full sum of
-            # chunk (r+1) mod p
-            for step in range(self.p - 1):
-                s_chunk = (rank - step) % self.p
-                r_chunk = (rank - step - 1) % self.p
-                lo, hi = bounds[s_chunk]
-                chunk = np.ascontiguousarray(flat[lo:hi])
-                self._send_next(
-                    lambda c: c.send_tensor(DATA, chunk, {"op": "ar", "c": s_chunk})
-                )
-                frame = self._recv_prev()
-                lo, hi = bounds[r_chunk]
-                if hi > lo:
-                    flat[lo:hi] += frame.tensor()
-            # allgather: circulate each finished chunk the rest of the way
-            for step in range(self.p - 1):
-                s_chunk = (rank - step + 1) % self.p
-                r_chunk = (rank - step) % self.p
-                lo, hi = bounds[s_chunk]
-                chunk = np.ascontiguousarray(flat[lo:hi])
-                self._send_next(
-                    lambda c: c.send_tensor(DATA, chunk, {"op": "ag", "c": s_chunk})
-                )
-                frame = self._recv_prev()
-                lo, hi = bounds[r_chunk]
-                if hi > lo:
-                    flat[lo:hi] = frame.tensor()
-        except (ConnectionLost, socket.timeout) as exc:
-            raise self._fail(exc, "allreduce", rank) from None
-        self.bytes_moved += 2.0 * float(flat.nbytes) * (self.p - 1) / self.p
+        # p-1 reduce-scatter steps leave rank r the full sum of chunk (r+1)
+        # mod p; p-1 allgather steps circulate the sums the same way round
+        for step in range(2 * self.p - 2):
+            scatter, chunk = step < self.p - 1, (rank - step) % self.p
+            lo, hi = bounds[chunk]
+            op = "ar" if scatter else "ag"
+            frame = self._step(flat[lo:hi], {"op": op, "c": chunk})
+            lo, hi = bounds[(rank - step - 1) % self.p]
+            if hi > lo and scatter:
+                flat[lo:hi] += frame.tensor()
+            elif hi > lo:
+                flat[lo:hi] = frame.tensor()
         return arr
 
     def _allgather(self, rank: int, item, tag, nbytes: float) -> List[Any]:
@@ -449,11 +455,10 @@ class NetCollective(BlockingCollective):
         cur_src, cur = rank, item
         try:
             for _ in range(self.p - 1):
-                piece, src = cur, cur_src
-                self._send_next(lambda c: c.send_obj(
-                    DATA, piece, {"op": "gather", "src": src, "tag": str(tag)}
-                ))
-                frame = self._recv_prev()
+                blob = np.frombuffer(pickle.dumps(cur, protocol=4), np.uint8)
+                frame = self._step(
+                    blob, {"op": "gather", "src": cur_src, "tag": str(tag)}
+                )
                 cur_src = int(frame.meta["src"])
                 cur = frame.obj()
                 pieces[cur_src] = cur

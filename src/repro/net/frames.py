@@ -15,7 +15,7 @@ One frame = a fixed binary header + a JSON meta blob + an opaque payload::
 * ``meta`` is a small JSON dict (dtype/shape for tensors, op/rank for PS
   requests, the event record for telemetry frames).
 * ``payload`` is raw bytes.  Tensor frames put the numpy buffer here
-  verbatim — sent straight out of the array's memory with ``sendall`` and
+  verbatim — gather-written straight out of the array's memory and
   received into a fresh writable buffer, no pickling on the hot path.
   Control frames carry a pickle (:func:`send_obj`) or nothing.
 
@@ -28,11 +28,14 @@ the detection for free: a killed peer's sockets close and every blocked
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import select
 import socket
 import struct
 import threading
-from typing import Any, Dict, Optional, Tuple
+import time
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -117,12 +120,18 @@ class ConnectionLost(ConnectionError):
 
     ``peer`` is the role label of the other end ("learner2", "ps0",
     "coordinator") — the failure-detection path turns it into the typed
-    :class:`~repro.runtime.LearnerFailure` naming the victim.
+    :class:`~repro.runtime.LearnerFailure` naming the victim.  ``sending``:
+    our send failed; ``stalled``: it timed out (the peer may live, unread);
+    ``frame``: what a :meth:`Conn.sendrecv` read before its send failed.
     """
 
-    def __init__(self, peer: str, detail: str = "connection lost") -> None:
+    def __init__(self, peer: str, detail: str = "connection lost", *,
+                 sending: bool = False, stalled: bool = False) -> None:
         super().__init__(f"{detail} ({peer})")
         self.peer = peer
+        self.sending = sending
+        self.stalled = stalled
+        self.frame: Optional[Frame] = None
 
 
 class Frame:
@@ -193,8 +202,6 @@ def connect(
     refused is retried on a short interval; anything still down after
     ``timeout`` raises :class:`ConnectionLost`.
     """
-    import time
-
     host, port = parse_addr(addr)
     deadline = time.monotonic() + timeout
     while True:
@@ -208,6 +215,16 @@ def connect(
                     peer, f"could not connect to {addr} within {timeout}s: {exc}"
                 ) from None
             time.sleep(retry_interval)
+
+
+def _tensor(array: np.ndarray,
+            meta: Optional[Dict[str, Any]]) -> Tuple[Dict[str, Any], memoryview]:
+    """A tensor frame's meta (dtype/shape added) and zero-copy payload."""
+    array = np.ascontiguousarray(array)
+    meta = dict(meta or {})
+    meta["dtype"] = array.dtype.str
+    meta["shape"] = list(array.shape)
+    return meta, memoryview(array).cast("B")
 
 
 class Conn:
@@ -227,26 +244,45 @@ class Conn:
 
     # -- sending -------------------------------------------------------------
 
+    def _frame(self, kind: int, meta: Optional[Dict[str, Any]], payload,
+               seq: Optional[int]) -> Tuple[int, List[memoryview]]:
+        """Number a frame (under the send lock) and lay out its buffers."""
+        if seq is None:
+            self._seq += 1
+            seq = self._seq
+        blob = json.dumps(meta, separators=(",", ":")).encode() if meta else b""
+        head = _HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, seq, len(blob), len(payload))
+        return seq, [memoryview(head + blob), memoryview(payload)]
+
+    def _write(self, out: List[memoryview],
+               block: bool = False) -> List[memoryview]:
+        """One gather-write (a socket in timeout mode is non-blocking to the
+        OS) returning what the kernel did not take; with ``block``, ``sendall``
+        of each buffer under the socket timeout."""
+        try:
+            if block:
+                for buf in filter(len, out):
+                    self.sock.sendall(buf)
+                return []
+            try:
+                k = os.writev(self.sock.fileno(), out)
+            except BlockingIOError:
+                return out
+            while out and k >= len(out[0]):
+                k, out = k - len(out[0]), out[1:]
+            return [out[0][k:], *out[1:]] if out else out
+        except socket.timeout as exc:  # PS and control callers retry on a loss
+            raise ConnectionLost(self.peer, f"send stalled: {exc}",
+                                 sending=True, stalled=True) from None
+        except (OSError, ValueError) as exc:
+            raise ConnectionLost(self.peer, f"send failed: {exc}",
+                                 sending=True) from None
+
     def _send(self, kind: int, meta: Optional[Dict[str, Any]], payload,
               seq: Optional[int]) -> int:
-        meta_blob = (
-            json.dumps(meta, separators=(",", ":")).encode() if meta else b""
-        )
         with self._send_lock:
-            if seq is None:
-                self._seq += 1
-                seq = self._seq
-            header = _HEADER.pack(
-                MAGIC, PROTOCOL_VERSION, kind, seq, len(meta_blob), len(payload)
-            )
-            try:
-                # small frames coalesce into one segment; tensor payloads go
-                # straight from the array's buffer (sendall on a memoryview)
-                self.sock.sendall(header + meta_blob)
-                if len(payload):
-                    self.sock.sendall(payload)
-            except (OSError, ValueError) as exc:
-                raise ConnectionLost(self.peer, f"send failed: {exc}") from None
+            seq, out = self._frame(kind, meta, payload, seq)
+            self._write(out, block=True)
         return seq
 
     def send(self, kind: int, meta: Optional[Dict[str, Any]] = None,
@@ -258,11 +294,7 @@ class Conn:
                     meta: Optional[Dict[str, Any]] = None,
                     seq: Optional[int] = None) -> int:
         """Send ``array`` zero-copy: dtype/shape in meta, buffer as payload."""
-        array = np.ascontiguousarray(array)
-        meta = dict(meta or {})
-        meta["dtype"] = array.dtype.str
-        meta["shape"] = list(array.shape)
-        return self._send(kind, meta, memoryview(array).cast("B"), seq)
+        return self._send(kind, *_tensor(array, meta), seq)
 
     def send_obj(self, kind: int, obj: Any,
                  meta: Optional[Dict[str, Any]] = None,
@@ -270,13 +302,59 @@ class Conn:
         """Send a pickled object (results, errors, shard stats)."""
         return self._send(kind, meta, pickle.dumps(obj, protocol=4), seq)
 
+    def sendrecv(self, inp: "Conn", kind: int, array: np.ndarray,
+                 meta: Optional[Dict[str, Any]] = None,
+                 seq: Optional[int] = None) -> Frame:
+        """Send ``array`` here while reading one frame from ``inp``, writing
+        whenever the read must wait: a ring step cannot deadlock on frames
+        larger than the socket buffers (DESIGN §13).  A failed read still
+        finishes our frame; a failed send still finishes the read, whose
+        frame rides on the error as ``frame``."""
+        lost: List[ConnectionLost] = []
+
+        def pump() -> None:
+            while out and not lost:
+                readable, writable, _ = select.select(
+                    [inp.sock], [self.sock], [], inp.sock.gettimeout()
+                )
+                if not (readable or writable):
+                    raise socket.timeout(f"exchange with {inp.peer} stalled")
+                if writable:
+                    try:
+                        out[:] = self._write(out)
+                    except ConnectionLost as exc:
+                        lost.append(exc)
+                if readable:
+                    return
+
+        with self._send_lock:
+            out = self._write(self._frame(kind, *_tensor(array, meta), seq)[1])
+            try:
+                frame = inp.recv(pump)
+            except ConnectionLost:
+                if lost:  # both links failed: the send's loss is repaired first
+                    raise lost[0] from None
+                self._write(out, block=True)
+                raise
+            try:
+                if lost:
+                    raise lost[0]
+                if out:
+                    self._write(out, block=True)
+            except ConnectionLost as exc:
+                exc.frame = frame
+                raise
+        return frame
+
     # -- receiving -----------------------------------------------------------
 
-    def _recv_exact(self, n: int) -> bytearray:
+    def _recv_exact(self, n: int, pump: Optional[Callable[[], None]]) -> bytearray:
         buf = bytearray(n)
         view = memoryview(buf)
         got = 0
         while got < n:
+            if pump is not None:
+                pump()
             try:
                 k = self.sock.recv_into(view[got:], n - got)
             except socket.timeout:
@@ -288,10 +366,11 @@ class Conn:
             got += k
         return buf
 
-    def recv(self) -> Frame:
+    def recv(self, pump: Optional[Callable[[], None]] = None) -> Frame:
         """Read exactly one frame (blocking; honours the socket timeout —
-        ``socket.timeout`` propagates so callers can drive retry logic)."""
-        header = self._recv_exact(_HEADER.size)
+        ``socket.timeout`` propagates so callers can drive retry logic).
+        ``pump`` runs before every read (:meth:`sendrecv` writes in it)."""
+        header = self._recv_exact(_HEADER.size, pump)
         magic, version, kind, seq, meta_len, payload_len = _HEADER.unpack(
             bytes(header)
         )
@@ -311,9 +390,9 @@ class Conn:
                 f"payload={payload_len} (desynced stream)"
             )
         meta = (
-            json.loads(bytes(self._recv_exact(meta_len))) if meta_len else {}
+            json.loads(bytes(self._recv_exact(meta_len, pump))) if meta_len else {}
         )
-        payload = self._recv_exact(payload_len) if payload_len else bytearray()
+        payload = self._recv_exact(payload_len, pump) if payload_len else bytearray()
         return Frame(kind, seq, meta, payload)
 
     # -- plumbing ------------------------------------------------------------
@@ -371,6 +450,21 @@ class SessionConn:
 
     # -- session-stream sending ----------------------------------------------
 
+    def _record(self, kind: int, meta, payload) -> int:
+        """Number a session frame and buffer it for replay (under the lock)."""
+        self._seq += 1
+        blob = bytes(payload) if len(payload) else b""
+        self._replay.append((self._seq, kind, dict(meta or {}), blob))
+        self._replay_bytes += len(blob)
+        while (
+            len(self._replay) > REPLAY_MAX_FRAMES
+            or self._replay_bytes > REPLAY_MAX_BYTES
+        ):
+            _, _, _, old = self._replay.pop(0)
+            self._replay_bytes -= len(old)
+            self.broken = True
+        return self._seq
+
     def _record_and_send(self, kind: int, meta, payload) -> int:
         with self._lock:
             if kind == HEARTBEAT:
@@ -379,18 +473,7 @@ class SessionConn:
                 # benign holes in the replay buffer's contiguity
                 self._conn._send(kind, meta, payload, 0)
                 return 0
-            self._seq += 1
-            seq = self._seq
-            blob = bytes(payload) if len(payload) else b""
-            self._replay.append((seq, kind, dict(meta or {}), blob))
-            self._replay_bytes += len(blob)
-            while (
-                len(self._replay) > REPLAY_MAX_FRAMES
-                or self._replay_bytes > REPLAY_MAX_BYTES
-            ):
-                _, _, _, old = self._replay.pop(0)
-                self._replay_bytes -= len(old)
-                self.broken = True
+            seq = self._record(kind, meta, payload)
             self._conn._send(kind, meta, payload, seq)
         return seq
 
@@ -399,23 +482,32 @@ class SessionConn:
 
     def send_tensor(self, kind: int, array: np.ndarray,
                     meta: Optional[Dict[str, Any]] = None) -> int:
-        array = np.ascontiguousarray(array)
-        meta = dict(meta or {})
-        meta["dtype"] = array.dtype.str
-        meta["shape"] = list(array.shape)
-        return self._record_and_send(kind, meta, memoryview(array).cast("B"))
+        return self._record_and_send(kind, *_tensor(array, meta))
 
     def send_obj(self, kind: int, obj: Any,
                  meta: Optional[Dict[str, Any]] = None) -> int:
         return self._record_and_send(kind, meta, pickle.dumps(obj, protocol=4))
 
+    def sendrecv(self, inp: "SessionConn", kind: int, array: np.ndarray,
+                 meta: Optional[Dict[str, Any]] = None) -> Frame:
+        meta, payload = _tensor(array, meta)
+        with self._lock:
+            seq = self._record(kind, meta, payload)
+            try:
+                return inp._seen(self._conn.sendrecv(inp._conn, kind, array, meta, seq))
+            except ConnectionLost as exc:
+                inp._seen(exc.frame)
+                raise
+
     # -- session-stream receiving --------------------------------------------
 
-    def recv(self) -> Frame:
-        frame = self._conn.recv()
-        if frame.seq > self.last_recv_seq:
+    def _seen(self, frame: Optional[Frame]) -> Optional[Frame]:
+        if frame is not None and frame.seq > self.last_recv_seq:
             self.last_recv_seq = frame.seq
         return frame
+
+    def recv(self) -> Frame:
+        return self._seen(self._conn.recv())
 
     # -- resume plumbing -----------------------------------------------------
 
