@@ -42,8 +42,8 @@ bench [--quick] [--out FILE] [--check BASELINE] [--threshold X] [--filter SUB]
     ``BENCH_<git-rev>.json`` baseline.  ``--check`` compares against a saved
     baseline and exits non-zero when any bench is more than ``--threshold``
     (default 2.0) times slower or a derived speedup drops below its floor
-    (the batched engine must hold ≥ 5× the legacy engine).  ``--filter``
-    restricts the run to benchmarks whose name contains a substring.
+    (the batched engine must hold ≥ 5× the legacy engine).  A ``--filter``
+    run times only benchmarks whose name holds SUB, and saves only to ``--out``.
 claims
     Print every experiment's paper claim — the checklist EXPERIMENTS.md
     verifies.
@@ -296,7 +296,10 @@ def _cmd_bench(args) -> int:
     )
     print(format_bench(doc))
     out = Path(args.out) if args.out else default_bench_path(doc)
-    if args.check and out.resolve() == Path(args.check).resolve():
+    if args.filter and not args.out:
+        # a filtered document is no baseline: a later --check would skip every dropped bench
+        print("\nfiltered run not written: pass --out to save it", file=sys.stderr)
+    elif args.check and out.resolve() == Path(args.check).resolve():
         print(f"\nnot overwriting {out}: it is the baseline under check", file=sys.stderr)
     else:
         save_bench(doc, out)
@@ -746,7 +749,7 @@ def main(argv=None) -> int:
     bench_p.add_argument(
         "--out",
         default=None,
-        help="output path (default: BENCH_<git-rev>.json in the cwd)",
+        help="output path (default: BENCH_<git-rev>.json in the cwd, unless --filter)",
     )
     bench_p.add_argument(
         "--check",

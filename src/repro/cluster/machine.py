@@ -53,9 +53,9 @@ class MachineSpec:
 
     def __post_init__(self) -> None:
         for dev in self.device_specs.values():
-            if dev.name not in self.topology.graph:
+            if dev.name not in self.topology:
                 raise ValueError(f"device {dev.name!r} not in topology")
-        if self.host is not None and self.host not in self.topology.graph:
+        if self.host is not None and self.host not in self.topology:
             raise ValueError(f"host {self.host!r} not in topology")
 
     @property

@@ -15,15 +15,15 @@ Two communication patterns matter:
   host channel, so p learners' traffic serialises there (O(m·p) bytes through
   one link), which is the mechanism behind the Fig. 1 communication fractions.
 
-Routes are cached per pair: trees walk parent pointers, cyclic graphs use networkx.
+Routes are cached per pair: a tree walks the parent map of one BFS over the
+topology's own adjacency; only a cyclic graph (the torus) imports networkx (Dijkstra).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Tuple
-
-import networkx as nx
+from functools import cached_property
+from typing import Any, Dict, Iterable, List, NamedTuple, Tuple
 
 __all__ = [
     "LinkSpec",
@@ -34,6 +34,13 @@ __all__ = [
     "build_fat_tree_topology",
     "build_torus_topology",
 ]
+
+
+def __getattr__(name: str) -> Any:  # PEP 562: ``topology.nx`` loads networkx on first use
+    if name != "nx":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import networkx
+    return networkx
 
 
 @dataclass(frozen=True)
@@ -65,27 +72,42 @@ class Topology:
 
     def __init__(self, name: str, nodes: Iterable[str], links: Iterable[LinkSpec]) -> None:
         self.name = name
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(nodes)
+        self._adj: Dict[str, List[str]] = {node: [] for node in nodes}  # in link order
         self.links: Dict[Tuple[str, str], LinkSpec] = {}
         for link in links:
-            if link.u not in self.graph or link.v not in self.graph:
+            if link.u not in self._adj or link.v not in self._adj:
                 raise ValueError(f"link {link.u}-{link.v} references unknown node")
             key = self._key(link.u, link.v)
             if key in self.links:
                 raise ValueError(f"duplicate link {key}")
             self.links[key] = link
-            # weight by transfer time of a reference 1 MiB message so routing
-            # prefers fat links when there are alternatives
-            weight = link.latency + (1 << 20) / link.bandwidth
-            self.graph.add_edge(link.u, link.v, weight=weight)
-        if not nx.is_connected(self.graph):
+            self._adj[link.u].append(link.v)
+            self._adj[link.v].append(link.u)
+        if not self._adj:
+            raise ValueError(f"topology {name!r} has no nodes")
+        # one BFS from the first node: connectivity, and a tree's parent map
+        order = [next(iter(self._adj))]
+        parent: Dict[str, str] = {}
+        for node in order:
+            new = [nb for nb in self._adj[node] if nb not in parent and nb != order[0]]
+            parent.update(dict.fromkeys(new, node))
+            order += new
+        if len(order) < len(self._adj):
             raise ValueError(f"topology {name!r} is not connected")
         self._routes: Dict[Tuple[str, str], Route] = {}
         # connected with |E| = |V| - 1 is a tree: route by parent pointers
-        self._parent: Dict[str, str] = {}
-        if len(self.links) == self.graph.number_of_nodes() - 1:
-            self._parent = dict(nx.bfs_predecessors(self.graph, next(iter(self.graph))))
+        self._parent = parent if len(self.links) == len(self._adj) - 1 else {}
+
+    @cached_property
+    def graph(self) -> Any:
+        """The ``networkx.Graph``, built on first use (Dijkstra on a cyclic topology)."""
+        import networkx as nx
+        graph = nx.Graph()
+        graph.add_nodes_from(self._adj)
+        for link in self.links.values():
+            # weight: transfer time of a reference 1 MiB message, so routing prefers fat links
+            graph.add_edge(link.u, link.v, weight=link.latency + (1 << 20) / link.bandwidth)
+        return graph
 
     @staticmethod
     def _key(u: str, v: str) -> Tuple[str, str]:
@@ -93,7 +115,10 @@ class Topology:
 
     @property
     def nodes(self) -> List[str]:
-        return list(self.graph.nodes)
+        return list(self._adj)
+
+    def __contains__(self, node: object) -> bool:
+        return node in self._adj
 
     def _tree_path(self, src: str, dst: str) -> List[str]:
         """The unique tree path: both ends' paths to the root, common tail cut."""
@@ -110,9 +135,10 @@ class Topology:
         """The (cached) :class:`Route` a message takes from src to dst."""
         rec = self._routes.get((src, dst))
         if rec is None:
-            if self._parent:
+            if self._parent or src == dst:
                 path = self._tree_path(src, dst)
             else:
+                import networkx as nx
                 path = nx.shortest_path(self.graph, src, dst, weight="weight")
             hops = [self._key(a, b) for a, b in zip(path, path[1:])]
             latency = 0.0
@@ -126,17 +152,34 @@ class Topology:
         """The (cached) sequence of links a message traverses from src to dst."""
         return self.route_record(src, dst).hops
 
-    def path_latency(self, src: str, dst: str) -> float:
-        return self.route_record(src, dst).latency
-
     def bottleneck_bandwidth(self, src: str, dst: str) -> float:
         return self.route_record(src, dst).bandwidth
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<Topology {self.name!r}: {self.graph.number_of_nodes()} nodes, "
-            f"{len(self.links)} links>"
-        )
+        return f"<Topology {self.name!r}: {len(self._adj)} nodes, {len(self.links)} links>"
+
+
+def _switch_tree(
+    leaves: List[str],
+    prefix: str,
+    bandwidth: float,
+    latency: float,
+    fatness: float = 1.0,
+    max_bandwidth: float = float("inf"),
+) -> Tuple[List[str], List[LinkSpec], str]:
+    """Pair ``leaves`` up under switches level by level, link bandwidth growing
+    ``fatness``× per level: (leaves then switches, links, the root)."""
+    all_nodes, level = list(leaves), 0
+    links: List[LinkSpec] = []
+    while len(leaves) > 1:
+        switches = [f"{prefix}{level}_{i // 2}" for i in range(0, len(leaves), 2)]
+        for i, sw in enumerate(switches):
+            links.append(LinkSpec(leaves[2 * i], sw, bandwidth, latency))
+            links.append(LinkSpec(leaves[2 * i + 1], sw, bandwidth, latency))
+        all_nodes += switches
+        leaves, level = switches, level + 1
+        bandwidth = min(bandwidth * fatness, max_bandwidth)
+    return all_nodes, links, leaves[0]
 
 
 def build_multinode_topology(
@@ -222,24 +265,10 @@ def build_fat_tree_topology(
         raise ValueError(f"fatness must be >= 1, got {fatness}")
     if n_hosts < 1:
         raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
-    nodes = [f"{leaf_prefix}{i}" for i in range(n_leaves)]
-    all_nodes = list(nodes)
-    links: list[LinkSpec] = []
-    level_nodes = list(nodes)
-    level = 0
-    bandwidth = leaf_bandwidth
-    while len(level_nodes) > 1:
-        next_level = []
-        for i in range(0, len(level_nodes), 2):
-            sw = f"fsw{level}_{i // 2}"
-            all_nodes.append(sw)
-            links.append(LinkSpec(level_nodes[i], sw, bandwidth, leaf_latency))
-            links.append(LinkSpec(level_nodes[i + 1], sw, bandwidth, leaf_latency))
-            next_level.append(sw)
-        level_nodes = next_level
-        level += 1
-        bandwidth = min(bandwidth * fatness, max_bandwidth)
-    root = level_nodes[0]
+    leaves = [f"{leaf_prefix}{i}" for i in range(n_leaves)]
+    all_nodes, links, root = _switch_tree(
+        leaves, "fsw", leaf_bandwidth, leaf_latency, fatness, max_bandwidth
+    )
     for h in range(n_hosts):
         host = f"host{h}" if n_hosts > 1 else "host"
         all_nodes.append(host)
@@ -318,27 +347,9 @@ def build_binary_tree_topology(
     """
     if n_leaves < 1 or (n_leaves & (n_leaves - 1)) != 0:
         raise ValueError(f"n_leaves must be a power of two, got {n_leaves}")
-    nodes = [f"{leaf_prefix}{i}" for i in range(n_leaves)]
-    links: list[LinkSpec] = []
-    level_nodes = list(nodes)
-    level = 0
-    all_nodes = list(nodes)
-    while len(level_nodes) > 1:
-        next_level = []
-        for i in range(0, len(level_nodes), 2):
-            sw = f"sw{level}_{i // 2}"
-            all_nodes.append(sw)
-            links.append(LinkSpec(level_nodes[i], sw, tree_bandwidth, tree_latency))
-            links.append(LinkSpec(level_nodes[i + 1], sw, tree_bandwidth, tree_latency))
-            next_level.append(sw)
-        level_nodes = next_level
-        level += 1
-    root = level_nodes[0]
+    leaves = [f"{leaf_prefix}{i}" for i in range(n_leaves)]
+    all_nodes, links, root = _switch_tree(leaves, "sw", tree_bandwidth, tree_latency)
     if host is not None:
         all_nodes.append(host)
-        if n_leaves == 1:
-            # degenerate tree: the lone leaf is the root
-            links.append(LinkSpec(nodes[0], host, host_bandwidth, host_latency))
-        else:
-            links.append(LinkSpec(root, host, host_bandwidth, host_latency))
+        links.append(LinkSpec(root, host, host_bandwidth, host_latency))
     return Topology(name, all_nodes, links)

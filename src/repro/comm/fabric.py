@@ -97,7 +97,7 @@ class Fabric:
 
     def attach(self, name: str, node: str) -> "Endpoint":
         """Create (or fetch) the endpoint ``name`` living on topology ``node``."""
-        if node not in self.topology.graph:
+        if node not in self.topology:
             raise ValueError(f"unknown node {node!r}")
         ep = self._endpoints.get(name)
         if ep is not None:

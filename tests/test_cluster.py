@@ -97,6 +97,11 @@ def test_topology_rejects_disconnected():
         Topology("t", ["a", "b", "c"], [LinkSpec("a", "b", 1e9)])
 
 
+def test_topology_rejects_no_nodes():
+    with pytest.raises(ValueError, match="no nodes"):
+        Topology("t", [], [])
+
+
 def test_binary_tree_structure():
     topo = build_binary_tree_topology(8)
     gpus = [f"gpu{i}" for i in range(8)]

@@ -142,3 +142,19 @@ def test_check_never_overwrites_its_baseline(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "run_benchmarks", lambda **kwargs: slow)
     assert cli.main(["bench", "--check", path.name]) == 1
     assert path.read_bytes() == before
+
+
+def test_filtered_run_is_never_written_as_a_baseline(tmp_path, monkeypatch):
+    """``bench --filter`` keeps a subset; saved under the canonical name, a
+    later ``--check`` against it would silently skip every bench it dropped."""
+    from repro import __main__ as cli
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--quick", "--no-experiment", "--filter", "sgd_step"]
+    assert cli.main(argv) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert cli.main(argv + ["--out", "subset.json"]) == 0
+    assert sorted(load_bench(tmp_path / "subset.json")["benches"]) == [
+        "momentum_sgd_step",
+        "sgd_step",
+    ]

@@ -139,7 +139,9 @@ def test_public_api_surface():
 
 def test_training_imports_do_not_load_scipy():
     # scipy.optimize (0.46 s, ~40 MB) serves one theory function; a training
-    # process must not pay for it at import
+    # process must not pay for it at import.  networkx (~0.2 s, ~14 MiB) serves
+    # Dijkstra on cyclic topologies only: building and routing a tree machine
+    # must not load it either
     import os
     import subprocess
     import sys
@@ -148,8 +150,13 @@ def test_training_imports_do_not_load_scipy():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     code = (
-        "import sys; import repro.algos, repro.runtime, repro.spec; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys; import repro.algos, repro.runtime, repro.spec\n"
+        "from repro.cluster import Machine, power8_cluster_spec, power8_oss_spec\n"
+        "from repro.cluster.machine import fat_tree_spec\n"
+        "for spec in (fat_tree_spec(n_gpus=8), power8_oss_spec(), power8_cluster_spec(2)):\n"
+        "    topo = Machine(spec).spec.topology\n"
+        "    [topo.route(a, b) for a in topo.nodes for b in topo.nodes]\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))"
     )
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(

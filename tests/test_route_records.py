@@ -75,6 +75,44 @@ def test_tree_walk_equals_networkx_for_every_ordered_pair():
                 assert topo.route(src, dst) == _nx_hops(topo, src, dst), (src, dst)
 
 
+def _nx_graph(topo):
+    """The graph as ``Topology`` built it eagerly: nodes, then links in order."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topo.nodes)
+    for link in topo.links.values():
+        graph.add_edge(link.u, link.v, weight=link.latency + (1 << 20) / link.bandwidth)
+    return graph
+
+
+def test_tree_parents_equal_networkx_bfs_predecessors():
+    trees = [
+        build_binary_tree_topology(8),
+        build_binary_tree_topology(4, host=None),
+        build_binary_tree_topology(1),
+        build_binary_tree_topology(1, host=None),  # one node, no links
+        build_fat_tree_topology(16),
+        build_fat_tree_topology(32, n_hosts=4, max_bandwidth=5e10),
+        build_multinode_topology(1),
+        build_multinode_topology(3, gpus_per_node=4),
+    ]
+    for topo in trees:
+        graph = _nx_graph(topo)
+        assert topo._parent == dict(nx.bfs_predecessors(graph, topo.nodes[0])), topo.name
+        for src in topo.nodes:
+            topo.route(src, topo.nodes[-1])
+        assert "graph" not in vars(topo), f"{topo.name} built a networkx graph"
+    torus = build_torus_topology(4, 4, n_hosts=2)
+    assert torus._parent == {}
+    # the lazily built graph keeps node order, edge order and weights: Dijkstra's
+    # ties break as they did when every topology carried one
+    want = _nx_graph(torus)
+    assert list(torus.graph.nodes) == list(want.nodes)
+    assert list(torus.graph.edges(data=True)) == list(want.edges(data=True))
+    assert {u: list(nbrs) for u, nbrs in torus.graph.adj.items()} == {
+        u: list(nbrs) for u, nbrs in want.adj.items()
+    }
+
+
 def test_torus_routes_through_networkx(monkeypatch):
     calls = []
     real = nx.shortest_path
