@@ -9,10 +9,8 @@ traffic matches the closed forms.
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.cluster import Machine, power8_oss_spec
 from repro.comm import ALLREDUCE_ALGORITHMS, Fabric
 from repro.harness import PAPER_PROFILE, calibrated_machine
 

@@ -6,7 +6,6 @@ small ... As p increases, the gap becomes larger."  (T values are mapped to
 the bench scale by epoch fraction; see DESIGN.md.)
 """
 
-from conftest import rows_by
 
 
 def test_fig7_sasgd_T_sweep_cifar(run_figure):

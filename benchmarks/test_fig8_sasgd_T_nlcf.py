@@ -6,7 +6,6 @@ actually achieved with T=50."  The bench-scale assertion is the mild form:
 large T costs little on this workload.
 """
 
-from conftest import rows_by
 
 
 def test_fig8_sasgd_T_sweep_nlcf(run_figure):

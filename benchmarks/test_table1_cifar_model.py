@@ -1,7 +1,6 @@
 """Table I — the CIFAR-10 network: architecture table + training-step cost."""
 
 import numpy as np
-import pytest
 
 from repro.nn import build_cifar10_cnn, flatten_module
 

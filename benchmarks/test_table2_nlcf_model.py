@@ -1,7 +1,6 @@
 """Table II — the NLC-F network: architecture table + training-step cost."""
 
 import numpy as np
-import pytest
 
 from repro.nn import build_nlcf_net, flatten_module
 

@@ -15,7 +15,7 @@ Subpackages
 ``repro.algos``     trainers: SGD, SASGD, Downpour, EAMSGD, model averaging
 ``repro.theory``    convergence bounds (Thm 1/2, Cor 3, Thm 4) + estimators
 ``repro.harness``   per-figure experiment registry and reporting
-``repro.obs``       opt-in metrics/trace/manifest/profiling observability
+``repro.obs``       opt-in metrics/trace/manifest/event observability
 
 Quick start::
 

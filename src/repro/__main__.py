@@ -7,7 +7,7 @@ list [REGISTRY]
     machine families, recovery policies, backends — or just one of them.
 run [EXP_ID | --spec FILE] [--set key=value ...] [--backend {sim,mp}]
         [--save out.json] [--jobs N] [--cache-dir D] [--trace t.json]
-        [--metrics m.json] [--manifest mf.json] [--profile] [--fault SPEC]
+        [--metrics m.json] [--manifest mf.json] [--fault SPEC]
         [--recovery POLICY] [--checkpoint-dir D] [--resume] [--timeout S]
         [--events PATH|console]
     Regenerate one experiment and print its report.  ``--spec`` runs a
@@ -31,9 +31,14 @@ run [EXP_ID | --spec FILE] [--set key=value ...] [--backend {sim,mp}]
     sweeps resume for free.  ``--trace`` writes a Chrome trace-event file
     (chrome://tracing / Perfetto) with one track per learner/server;
     ``--metrics`` writes the observability registry (counters/gauges/
-    histograms) as JSON; ``--profile`` prints a flame-style phase table.  A
-    run manifest (config, seed, git rev, wall+virtual duration) is written
-    next to every ``--save`` result, or wherever ``--manifest`` points.
+    histograms) as JSON; ``repro inspect`` on the trace prints each actor's
+    compute/comm breakdown.  A run manifest (config, seed, git rev,
+    wall+virtual duration) is written next to every ``--save`` result, or
+    wherever ``--manifest`` points.
+    ``--events`` streams structured run telemetry: ``console`` prints live
+    progress lines, any other value records a JSONL event log (seq-numbered
+    snapshot/delta protocol) that ``repro watch`` tails and ``repro
+    inspect`` summarises.
 bench [--quick] [--out FILE] [--check BASELINE] [--threshold X] [--filter SUB]
     Time the substrate hot paths (conv2d forward/backward vs the legacy
     kernels, temporal conv, im2col/col2im, optimiser steps, one SASGD
@@ -47,10 +52,6 @@ bench [--quick] [--out FILE] [--check BASELINE] [--threshold X] [--filter SUB]
 claims
     Print every experiment's paper claim — the checklist EXPERIMENTS.md
     verifies.
-    ``--events`` streams structured run telemetry: ``console`` prints live
-    progress lines, any other value records a JSONL event log (seq-numbered
-    snapshot/delta protocol) that ``repro watch`` tails and ``repro
-    inspect`` summarises.
 inspect FILE
     Summarise a file written by ``run``: experiment result, metrics export,
     Chrome trace, run manifest, or JSONL event log (auto-detected).
@@ -81,7 +82,6 @@ import time
 from pathlib import Path
 
 from .harness import format_result, list_experiments
-from .harness.experiments import EXPERIMENTS
 
 
 def _parse_value(text: str):
@@ -175,9 +175,9 @@ def _cmd_run(args, parser) -> int:
         return 2
 
     jobs = args.jobs
-    if jobs != 1 and (args.trace or args.metrics or args.profile):
+    if jobs != 1 and (args.trace or args.metrics):
         print(
-            "note: --trace/--metrics/--profile observe only the parent process; "
+            "note: --trace/--metrics observe only the parent process; "
             "falling back to --jobs 1 so the whole run is instrumented",
             file=sys.stderr,
         )
@@ -190,8 +190,8 @@ def _cmd_run(args, parser) -> int:
         )
         jobs = 1
 
-    want_obs = bool(args.trace or args.metrics or args.manifest or args.save or args.profile)
-    session = obs.ObsSession(trace=bool(args.trace or args.profile))
+    want_obs = bool(args.trace or args.metrics or args.manifest or args.save)
+    session = obs.ObsSession(trace=bool(args.trace))
     event_files = [
         ev
         for ev in spec.events
@@ -231,12 +231,6 @@ def _cmd_run(args, parser) -> int:
         )
         manifest.write(manifest_path)
         print(f"manifest saved to {manifest_path}")
-    if args.profile:
-        prof = obs.Profiler()
-        for run in session.trace_runs:
-            prof.ingest_spans(run.spans)
-        print()
-        print(prof.format_flame())
     return 0
 
 
@@ -671,11 +665,6 @@ def main(argv=None) -> int:
         help="write the run manifest here (default: next to --save)",
     )
     run_p.add_argument(
-        "--profile",
-        action="store_true",
-        help="print a flame-style table of per-phase virtual time",
-    )
-    run_p.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -904,15 +893,14 @@ def main(argv=None) -> int:
         return _cmd_list(args)
 
     if args.command == "claims":
+        from .spec.registry import EXPERIMENTS as REGISTERED
+
+        # the @experiment decorator registers each figure's title and claim,
+        # so listing them runs nothing
         for exp_id in list_experiments():
-            fn = EXPERIMENTS[exp_id]
-            # claims are attached by the registry decorator at run time; for a
-            # cheap listing, run only the zero-cost experiments and read the
-            # docstring-free metadata off a stub run for the rest
-            print(f"{exp_id}:")
-            doc = (fn.__doc__ or "").strip().splitlines()
-            if doc:
-                print(f"  {doc[0]}")
+            meta = REGISTERED.meta(exp_id)
+            print(f"{exp_id}: {meta['title']}")
+            print(f"  {meta['claim']}")
         return 0
 
     if args.command == "inspect":

@@ -10,8 +10,6 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-import numpy as np
-
 from ..cluster.devices import Device, DeviceSpec
 from ..obs.runtime import TrainerObs
 from ..spec.registry import TRAINERS

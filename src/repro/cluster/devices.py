@@ -14,7 +14,7 @@ the whole simulation stays reproducible from one seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -85,10 +85,6 @@ class Device:
         else:
             self._sigma = 0.0
             self._mu = 0.0
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
 
     def jitter_factor(self) -> float:
         if self._sigma == 0.0:

@@ -16,7 +16,7 @@ setup), and parameter-server shards live on the host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np

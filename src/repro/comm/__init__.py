@@ -11,18 +11,8 @@ from .collectives import (
     broadcast,
     contiguous_groups,
     reduce,
-    reduce_scatter_ring,
 )
-from .costmodel import (
-    LinkParams,
-    allreduce_seconds,
-    allreduce_traffic_bytes,
-    broadcast_seconds,
-    ps_epoch_seconds,
-    ps_roundtrip_seconds,
-    ps_traffic_bytes,
-    sasgd_epoch_comm_seconds,
-)
+from .costmodel import allreduce_traffic_bytes, ps_traffic_bytes
 from .fabric import Endpoint, Fabric, Message
 from .fastfabric import FastFabric, WavePlan
 
@@ -31,7 +21,6 @@ __all__ = [
     "Endpoint",
     "Fabric",
     "FastFabric",
-    "LinkParams",
     "Message",
     "WavePlan",
     "allgather_ring",
@@ -39,16 +28,10 @@ __all__ = [
     "allreduce_hierarchical",
     "allreduce_recursive_doubling",
     "allreduce_ring",
-    "allreduce_seconds",
     "allreduce_traffic_bytes",
     "allreduce_tree",
     "broadcast",
-    "broadcast_seconds",
     "contiguous_groups",
-    "ps_epoch_seconds",
-    "ps_roundtrip_seconds",
     "ps_traffic_bytes",
     "reduce",
-    "reduce_scatter_ring",
-    "sasgd_epoch_comm_seconds",
 ]

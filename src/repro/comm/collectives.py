@@ -45,7 +45,6 @@ __all__ = [
     "allgather_ring",
     "allreduce_ring",
     "allreduce_recursive_doubling",
-    "reduce_scatter_ring",
     "allreduce_tree",
     "allreduce_hierarchical",
     "allreduce",
@@ -168,49 +167,6 @@ def allgather_ring(
         )
         pieces[recv_idx] = msg.payload
     return pieces
-
-
-def reduce_scatter_ring(
-    ep: Endpoint,
-    members: Sequence[str],
-    rank: int,
-    array: Optional[np.ndarray],
-    nbytes: float = 0.0,
-    ctx: Any = 0,
-) -> Generator:
-    """Ring reduce-scatter: each rank ends up owning the fully-reduced chunk
-    ``(rank + 1) % p`` of the sum (np.array_split chunking).
-
-    Returns ``(chunk_index, reduced_chunk)``; the building block of the ring
-    allreduce, exposed separately for sharded-optimizer style uses.
-    """
-    p = _check(members, rank)
-    if p == 1:
-        return (0, None if array is None else array.copy())
-    if array is not None:
-        work = array.copy()
-        chunks = np.array_split(work, p)
-        chunk_bytes = [float(c.nbytes) for c in chunks]
-    else:
-        chunks = [None] * p
-        chunk_bytes = [nbytes / p] * p
-    right = members[(rank + 1) % p]
-    left = members[(rank - 1) % p]
-    for step in range(p - 1):
-        send_idx = (rank - step) % p
-        recv_idx = (rank - step - 1) % p
-        msg = yield from ep.sendrecv(
-            right,
-            ("rsc", ctx, step),
-            chunks[send_idx],
-            left,
-            ("rsc", ctx, step),
-            chunk_bytes[send_idx],
-        )
-        if msg.payload is not None:
-            chunks[recv_idx] += msg.payload
-    own = (rank + 1) % p
-    return (own, None if array is None else np.asarray(chunks[own]))
 
 
 def allreduce_ring(

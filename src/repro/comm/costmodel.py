@@ -1,68 +1,15 @@
-"""Analytic alpha–beta communication cost models.
+"""Closed-form data movement of an allreduce and of a parameter server.
 
-Closed-form counterparts of the simulated collectives and parameter-server
-round trips, used for (a) fast what-if analysis (the Fig. 4/5/6 shape is
-already visible analytically), (b) cross-checking the event simulation, and
-(c) the paper's O(m log p) vs O(m p) data-movement comparison (Sec. III).
-
-The alpha–beta model charges ``alpha + n·beta`` per message of n bytes:
-``alpha`` is per-message latency (s), ``beta`` seconds/byte (1/bandwidth).
-All functions return seconds unless named ``*_bytes``.
+The paper's Sec. III comparison: an allreduce injects O(m log p) bytes along
+its critical path, a parameter server moves O(m·p) through the host channel
+per aggregation.  The ``traffic`` experiment tabulates both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = [
-    "LinkParams",
-    "allreduce_seconds",
-    "allreduce_traffic_bytes",
-    "broadcast_seconds",
-    "ps_roundtrip_seconds",
-    "ps_epoch_seconds",
-    "ps_traffic_bytes",
-    "sasgd_epoch_comm_seconds",
-]
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    """Per-message latency and inverse bandwidth of one channel class."""
-
-    alpha: float  # seconds per message
-    beta: float  # seconds per byte
-
-    @classmethod
-    def from_bandwidth(cls, bandwidth: float, latency: float = 2e-6) -> "LinkParams":
-        return cls(alpha=latency, beta=1.0 / bandwidth)
-
-    def message_seconds(self, nbytes: float) -> float:
-        return self.alpha + nbytes * self.beta
-
-
-def allreduce_seconds(
-    m_bytes: float, p: int, link: LinkParams, algorithm: str = "recursive_doubling"
-) -> float:
-    """Time for one allreduce of an m-byte buffer over p ranks.
-
-    ring:                2(p−1)·alpha + 2·((p−1)/p)·m·beta
-    recursive_doubling:  ceil(log2 p)·(alpha + m·beta)
-    tree:                2·ceil(log2 p)·(alpha + m·beta)   (reduce + bcast)
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if p == 1:
-        return 0.0
-    lg = math.ceil(math.log2(p))
-    if algorithm == "ring":
-        return 2 * (p - 1) * link.alpha + 2 * ((p - 1) / p) * m_bytes * link.beta
-    if algorithm == "recursive_doubling":
-        return lg * (link.alpha + m_bytes * link.beta)
-    if algorithm == "tree":
-        return 2 * lg * (link.alpha + m_bytes * link.beta)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+__all__ = ["allreduce_traffic_bytes", "ps_traffic_bytes"]
 
 
 def allreduce_traffic_bytes(m_bytes: float, p: int, algorithm: str = "tree") -> float:
@@ -88,75 +35,7 @@ def allreduce_traffic_bytes(m_bytes: float, p: int, algorithm: str = "tree") -> 
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def broadcast_seconds(m_bytes: float, p: int, link: LinkParams) -> float:
-    """Binomial broadcast time."""
-    if p <= 1:
-        return 0.0
-    return math.ceil(math.log2(p)) * link.message_seconds(m_bytes)
-
-
-def ps_roundtrip_seconds(
-    m_bytes: float,
-    p: int,
-    host_link: LinkParams,
-    shards: int = 1,
-    server_apply_seconds: float = 0.0,
-) -> float:
-    """One learner's push-gradient + pull-parameters round trip via the PS.
-
-    All p learners' traffic shares the single host channel, so the expected
-    per-learner round trip includes a queueing factor of ~p/2 on the transfer
-    term (steady state with p symmetric learners), divided over independent
-    shards that split the buffer (sharding splits bytes, not the channel).
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    transfer = 2 * (shards * host_link.alpha + m_bytes * host_link.beta)
-    queueing = 1.0 + (p - 1) / 2.0
-    return transfer * queueing + server_apply_seconds
-
-
 def ps_traffic_bytes(m_bytes: float, p: int, rounds: int = 1) -> float:
     """Bytes through the host channel for ``rounds`` PS aggregations by p
     learners: the paper's O(m·p) per aggregation (push m + pull m per learner)."""
     return rounds * p * 2 * m_bytes
-
-
-def ps_epoch_seconds(
-    m_bytes: float,
-    p: int,
-    steps_per_learner: int,
-    interval: int,
-    host_link: LinkParams,
-    shards: int = 1,
-) -> float:
-    """Communication seconds one learner spends per epoch with a PS.
-
-    ``steps_per_learner`` minibatch steps with a round trip every
-    ``interval`` steps.  The host channel serialises the concurrent round
-    trips (capacity 1), hence the p factor inside ``ps_roundtrip_seconds``.
-    """
-    if interval < 1:
-        raise ValueError(f"interval must be >= 1, got {interval}")
-    rounds = steps_per_learner // interval
-    return rounds * ps_roundtrip_seconds(m_bytes, p, host_link, shards)
-
-
-def sasgd_epoch_comm_seconds(
-    m_bytes: float,
-    p: int,
-    steps_per_learner: int,
-    interval: int,
-    link: LinkParams,
-    algorithm: str = "recursive_doubling",
-) -> float:
-    """Communication seconds per learner per epoch for SASGD.
-
-    One allreduce every T (= ``interval``) local steps: the communication
-    time is "amortized among the data samples processed within each interval
-    and becomes negligible if T is large enough" (paper Sec. I).
-    """
-    if interval < 1:
-        raise ValueError(f"interval must be >= 1, got {interval}")
-    rounds = steps_per_learner // interval
-    return rounds * allreduce_seconds(m_bytes, p, link, algorithm)

@@ -22,7 +22,7 @@ charged to the fabric is ``k·(4 + itemsize)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

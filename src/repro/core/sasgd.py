@@ -43,7 +43,7 @@ Two remarks the implementation makes explicit:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -125,10 +125,6 @@ class SASGDLocalState:
         self.flat.data -= self.config.gamma * g
         self.gs += g
         self.steps_in_interval += 1
-
-    @property
-    def interval_complete(self) -> bool:
-        return self.steps_in_interval == self.config.T
 
     def apply_global(self, gs_sum: np.ndarray) -> None:
         """Install the post-allreduce parameters (all learners get the same)."""

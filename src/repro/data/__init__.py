@@ -1,7 +1,7 @@
 """Synthetic dataset generators and sampling utilities."""
 
 from .datasets import ArrayDataset, SequenceDataset
-from .sampler import MinibatchSampler, shard_indices
+from .sampler import MinibatchSampler
 from .synth_cifar import make_cifar_prototypes, make_synthetic_cifar
 from .synth_nlcf import make_synthetic_nlcf
 
@@ -12,5 +12,4 @@ __all__ = [
     "make_cifar_prototypes",
     "make_synthetic_cifar",
     "make_synthetic_nlcf",
-    "shard_indices",
 ]

@@ -9,7 +9,7 @@ construction; all generators live in :mod:`repro.data.synth_cifar` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -88,9 +88,3 @@ class SequenceDataset:
             if s.shape[0] < max_len:
                 out[row, s.shape[0] :] = s[-1]
         return out, self.y[idx]
-
-    def subset(self, idx: Sequence[int]) -> "SequenceDataset":
-        idx = np.asarray(idx)
-        return SequenceDataset(
-            [self.sequences[i] for i in idx], self.y[idx], self.num_classes, self.name
-        )

@@ -1,4 +1,4 @@
-"""Minibatch sampling and per-learner sharding.
+"""Minibatch sampling over one learner's shard.
 
 Data parallelism in all three distributed algorithms follows the paper's
 setup: the training set is partitioned across the p learners, each learner
@@ -12,24 +12,7 @@ from typing import Iterator, List
 
 import numpy as np
 
-__all__ = ["shard_indices", "MinibatchSampler"]
-
-
-def shard_indices(
-    n: int, p: int, rng: np.random.Generator | None = None
-) -> List[np.ndarray]:
-    """Partition ``range(n)`` into p near-equal shards (shuffled if rng given).
-
-    Shard sizes differ by at most one; every index appears exactly once.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if n < p:
-        raise ValueError(f"cannot shard {n} examples over {p} learners")
-    order = np.arange(n)
-    if rng is not None:
-        rng.shuffle(order)
-    return [np.sort(part) for part in np.array_split(order, p)]
+__all__ = ["MinibatchSampler"]
 
 
 class MinibatchSampler:

@@ -15,7 +15,7 @@ route::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
 from .checkpoint import CheckpointStore, open_store
@@ -75,9 +75,6 @@ class FaultContext:
         ):
             # recovery and resume both need somewhere to keep checkpoints
             self.store = open_store(None)
-
-    def with_plan(self, plan: FaultPlan) -> "FaultContext":
-        return replace(self, plan=plan)
 
     @property
     def wants_checkpoints(self) -> bool:

@@ -180,9 +180,6 @@ class FaultPlan:
                 factor *= f.factor
         return factor
 
-    def has_stragglers(self) -> bool:
-        return any(f.kind == "straggle" for f in self.faults)
-
     def _selected(self, fault: Fault, ordinal: int) -> bool:
         if fault.nth is not None:
             return fault.nth <= ordinal < fault.nth + fault.count

@@ -15,16 +15,13 @@ from .parallel import (
     expand_grid,
     iter_grid,
     merge_results,
-    run_experiment_parallel,
     run_grid,
 )
 from .report import format_result, format_series, format_table
 from .serialization import (
-    load_params,
     load_result,
     result_from_dict,
     result_to_dict,
-    save_params,
     save_result,
 )
 from .timing import TimingResult, TimingWorkload, simulate_epoch_time
@@ -47,17 +44,14 @@ __all__ = [
     "iter_grid",
     "list_experiments",
     "load_bench",
-    "load_params",
     "load_result",
     "merge_results",
     "result_from_dict",
     "result_to_dict",
     "run_benchmarks",
     "run_experiment",
-    "run_experiment_parallel",
     "run_grid",
     "save_bench",
-    "save_params",
     "save_result",
     "simulate_epoch_time",
 ]

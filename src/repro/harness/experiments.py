@@ -16,11 +16,8 @@ p sweeps are unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..algos import (
     DownpourOptions,

@@ -53,7 +53,6 @@ __all__ = [
     "merge_results",
     "run_grid",
     "iter_grid",
-    "run_experiment_parallel",
 ]
 
 class _SplitAxesView(dict):
@@ -356,31 +355,3 @@ def run_grid(
     ):
         out[i] = result
     return out  # type: ignore[return-value]
-
-
-def run_experiment_parallel(
-    exp_id: str,
-    jobs: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-    mp_context: Optional[str] = None,
-    backend: Optional[str] = None,
-    **kwargs,
-) -> ExperimentResult:
-    """Drop-in ``run_experiment`` that splits, fans out, caches, and merges.
-
-    ``backend`` (a :mod:`repro.runtime` backend name) rides along in each
-    grid point's kwargs: workers pass it to ``run_experiment``, and it is
-    part of the cache key, so sim and mp results never alias.
-    """
-    if exp_id not in EXPERIMENTS:
-        _spec_registry.EXPERIMENTS.get(exp_id)  # raises with did-you-mean hints
-    if backend is not None:
-        kwargs["backend"] = backend
-    sub_kwargs = expand_grid(exp_id, kwargs)
-    parts = run_grid(
-        [(exp_id, sub) for sub in sub_kwargs],
-        jobs=jobs,
-        cache_dir=cache_dir,
-        mp_context=mp_context,
-    )
-    return merge_results(exp_id, parts)

@@ -1,8 +1,7 @@
-"""Persistence for experiment outputs and model parameters.
+"""Persistence for experiment outputs.
 
 Experiment results serialise to JSON (the harness's exchange format: rerun a
-figure, diff it against a stored run); flat parameter vectors save to ``.npz``
-with enough metadata to refuse a mismatched restore.
+figure, diff it against a stored run).
 """
 
 from __future__ import annotations
@@ -11,9 +10,6 @@ import json
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
-from ..nn.module import FlatParams
 from .experiments import ExperimentResult
 
 __all__ = [
@@ -21,8 +17,6 @@ __all__ = [
     "result_from_dict",
     "save_result",
     "load_result",
-    "save_params",
-    "load_params",
 ]
 
 PathLike = Union[str, Path]
@@ -65,38 +59,3 @@ def save_result(result: ExperimentResult, path: PathLike) -> None:
 
 def load_result(path: PathLike) -> ExperimentResult:
     return result_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_params(flat: FlatParams, path: PathLike, **metadata) -> None:
-    """Save the flat parameter vector plus free-form string metadata."""
-    meta = {str(k): str(v) for k, v in metadata.items()}
-    np.savez(
-        Path(path),
-        data=flat.data,
-        size=np.array([flat.size]),
-        **{f"meta_{k}": np.array(v) for k, v in meta.items()},
-    )
-
-
-def load_params(flat: FlatParams, path: PathLike) -> dict:
-    """Restore parameters in place; returns the stored metadata.
-
-    Refuses a size or dtype mismatch rather than silently truncating.
-    """
-    with np.load(Path(path), allow_pickle=False) as archive:
-        data = archive["data"]
-        if data.shape != flat.data.shape:
-            raise ValueError(
-                f"parameter count mismatch: file has {data.shape}, model has "
-                f"{flat.data.shape}"
-            )
-        if data.dtype != flat.data.dtype:
-            raise ValueError(
-                f"dtype mismatch: file has {data.dtype}, model has {flat.data.dtype}"
-            )
-        flat.set_data(data)
-        return {
-            key[5:]: str(archive[key])
-            for key in archive.files
-            if key.startswith("meta_")
-        }

@@ -6,12 +6,10 @@ the distributed algorithms broadcast and allreduce.
 """
 
 from .activations import Flatten, ReLU, Tanh
-from .avgpool import AvgPool2d, GlobalAvgPool2d
 from .bufferpool import BufferPool
 from .conv import Conv2d
 from .dropout import Dropout
-from .functional import ConvPlan, col2im, conv_plan, im2col, log_softmax, one_hot, softmax
-from .gradcheck import gradcheck_module, numeric_gradient
+from .functional import ConvPlan, conv_plan, log_softmax
 from .linear import Linear
 from .loss import CrossEntropyLoss, accuracy
 from .models import (
@@ -23,13 +21,12 @@ from .models import (
     build_nlcf_net,
 )
 from .module import FlatParams, Module, Parameter, Sequential, flatten_module
-from .optim import SGD, MomentumSGD, StepDecaySchedule, clip_grad_norm_
+from .optim import SGD, MomentumSGD
 from .pool import MaxPool2d
 from .temporal import MaxOverTime, TemporalConvolution, TemporalMaxPooling
 
 __all__ = [
     "CIFAR10_INPUT_SHAPE",
-    "AvgPool2d",
     "BufferPool",
     "Conv2d",
     "ConvPlan",
@@ -37,7 +34,6 @@ __all__ = [
     "Dropout",
     "FlatParams",
     "Flatten",
-    "GlobalAvgPool2d",
     "Linear",
     "MaxOverTime",
     "MaxPool2d",
@@ -48,7 +44,6 @@ __all__ = [
     "MomentumSGD",
     "Parameter",
     "SGD",
-    "StepDecaySchedule",
     "ReLU",
     "Sequential",
     "Tanh",
@@ -57,14 +52,7 @@ __all__ = [
     "accuracy",
     "build_cifar10_cnn",
     "build_nlcf_net",
-    "clip_grad_norm_",
-    "col2im",
     "conv_plan",
     "flatten_module",
-    "gradcheck_module",
-    "im2col",
     "log_softmax",
-    "numeric_gradient",
-    "one_hot",
-    "softmax",
 ]

@@ -4,18 +4,15 @@ im2col/col2im are the workhorses: convolution becomes one GEMM per batch,
 which is both the fast way to do it in NumPy (guide rule: replace loops with
 matmul) and faithful to how the GPU frameworks the paper used implement it.
 
-Two layouts exist:
-
-* The public :func:`im2col`/:func:`col2im` pair keeps the historical
-  row-major layout ``(N, OH*OW, C*kh*kw)`` — the natural shape for
-  ``col @ W.T`` — and is what the equivalence tests pin down.
-* :class:`ConvPlan` (what :class:`~repro.nn.conv.Conv2d` actually runs) uses
-  the channel-major layout ``(N, C*kh*kw, OH*OW)``: patches are read through
-  a zero-copy ``as_strided`` window view straight into that order, so the
-  forward GEMM ``W @ col`` lands directly in NCHW without a transpose, the
-  backward input-gradient GEMM does too, and the col2im scatter-add walks
-  contiguous rows.  Plans are cached per ``(shape, kernel, stride, pad)`` so
-  the slice bookkeeping is computed once per distinct geometry per process.
+:class:`ConvPlan` (what :class:`~repro.nn.conv.Conv2d` runs) uses the
+channel-major layout ``(N, C*kh*kw, OH*OW)``: patches are read through a
+zero-copy ``as_strided`` window view straight into that order, so the forward
+GEMM ``W @ col`` lands directly in NCHW without a transpose, the backward
+input-gradient GEMM does too, and the col2im scatter-add walks contiguous
+rows.  Plans are cached per ``(shape, kernel, stride, pad)`` so the slice
+bookkeeping is computed once per distinct geometry per process.  The
+historical row-major pair ``(N, OH*OW, C*kh*kw)`` the equivalence tests pin
+the plan against lives with the test oracles (``tests/nn_oracles.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .bufferpool import BufferPool
 
@@ -32,12 +29,8 @@ __all__ = [
     "ConvPlan",
     "conv_plan",
     "conv2d_output_hw",
-    "im2col",
-    "col2im",
     "max_over_views",
     "log_softmax",
-    "softmax",
-    "one_hot",
 ]
 
 
@@ -154,52 +147,6 @@ def conv_plan(
     return ConvPlan(n, c, h, w, kh, kw, stride, pad)
 
 
-def im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0
-) -> np.ndarray:
-    """Unfold NCHW input into GEMM form (historical row-major layout).
-
-    Returns a ``(N, OH*OW, C*kh*kw)`` array whose last axis enumerates the
-    receptive field in ``(c, i, j)`` order — matching a weight matrix of shape
-    ``(F, C*kh*kw)`` built from ``(F, C, kh, kw)`` filters via ``reshape``.
-    """
-    n, c, h, w = x.shape
-    oh, ow = conv2d_output_hw(h, w, kh, kw, stride, pad)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # windows: (N, C, H', W', kh, kw) where H'=h+2p-kh+1
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (N, C, OH, OW, kh, kw)
-    # -> (N, OH, OW, C, kh, kw) -> (N, OH*OW, C*kh*kw)
-    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, c * kh * kw)
-    return np.ascontiguousarray(col)
-
-
-def col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int = 1,
-    pad: int = 0,
-) -> np.ndarray:
-    """Fold a ``(N, OH*OW, C*kh*kw)`` gradient back onto the NCHW input.
-
-    Overlapping windows scatter-add, the adjoint of :func:`im2col`.
-    """
-    n, c, h, w = x_shape
-    plan = conv_plan(n, c, h, w, kh, kw, stride, pad)
-    oh, ow = plan.oh, plan.ow
-    grad = np.zeros(plan.padded_shape, dtype=cols.dtype)
-    # back to (N, C, kh, kw, OH, OW)
-    cols6 = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    for i, j, si, sj in plan.fold_slices:
-        grad[:, :, si, sj] += cols6[:, :, i, j]
-    if pad > 0:
-        grad = grad[:, :, pad : pad + h, pad : pad + w]
-    return grad
-
-
 def max_over_views(
     views: Sequence[np.ndarray], pool: BufferPool, route: bool
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -232,17 +179,3 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
-
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= num_classes):
-        raise ValueError("label out of range")
-    out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out

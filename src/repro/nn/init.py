@@ -1,16 +1,14 @@
-"""Weight initialisers.
+"""Weight initialiser.
 
-Default matches Torch7's ``reset()``: uniform in ±1/sqrt(fan_in) for both
-weights and biases — the initialisation the paper's networks trained under.
-Kaiming/Xavier variants are provided for the ReLU/tanh stacks when
-experimenting beyond the paper's setup.
+Torch7's ``reset()``: uniform in ±1/sqrt(fan_in) for both weights and
+biases — the initialisation the paper's networks trained under.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["torch_uniform_", "xavier_uniform_", "kaiming_uniform_", "zeros_"]
+__all__ = ["torch_uniform_"]
 
 
 def torch_uniform_(arr: np.ndarray, fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -21,25 +19,3 @@ def torch_uniform_(arr: np.ndarray, fan_in: int, rng: np.random.Generator) -> np
     arr[...] = rng.uniform(-stdv, stdv, size=arr.shape).astype(arr.dtype, copy=False)
     return arr
 
-
-def xavier_uniform_(
-    arr: np.ndarray, fan_in: int, fan_out: int, rng: np.random.Generator, gain: float = 1.0
-) -> np.ndarray:
-    """Glorot uniform: U(±gain·√(6/(fan_in+fan_out))), in place."""
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    arr[...] = rng.uniform(-bound, bound, size=arr.shape).astype(arr.dtype, copy=False)
-    return arr
-
-
-def kaiming_uniform_(
-    arr: np.ndarray, fan_in: int, rng: np.random.Generator, gain: float = np.sqrt(2.0)
-) -> np.ndarray:
-    """He uniform for ReLU stacks: U(±gain·√(3/fan_in)), in place."""
-    bound = gain * np.sqrt(3.0 / fan_in)
-    arr[...] = rng.uniform(-bound, bound, size=arr.shape).astype(arr.dtype, copy=False)
-    return arr
-
-
-def zeros_(arr: np.ndarray) -> np.ndarray:
-    arr[...] = 0.0
-    return arr

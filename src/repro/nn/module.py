@@ -124,9 +124,6 @@ class Module:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
     def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         raise NotImplementedError
 
@@ -160,12 +157,6 @@ class Sequential(Module):
         self.layers.append(layer)
         self.register_child(layer)
         return self
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, idx: int) -> Module:
-        return self.layers[idx]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:

@@ -6,8 +6,7 @@ want ordinary optimisers; these operate on a
 :class:`~repro.nn.module.FlatParams` handle, the same flat buffer the
 collectives move, so they compose with everything else.
 
-Includes the momentum/Nesterov rule EAMSGD builds on and the step-decay
-learning-rate schedule commonly paired with the paper's networks.
+Includes the momentum/Nesterov rule EAMSGD builds on.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .module import FlatParams
 
-__all__ = ["SGD", "MomentumSGD", "StepDecaySchedule", "clip_grad_norm_"]
+__all__ = ["SGD", "MomentumSGD"]
 
 
 class SGD:
@@ -97,37 +96,3 @@ class MomentumSGD(SGD):
             np.add(self.flat.data, self.velocity, out=self.flat.data)
         self.steps += 1
 
-
-class StepDecaySchedule:
-    """Multiply the optimiser's lr by ``factor`` every ``every`` epochs."""
-
-    def __init__(self, optimizer: SGD, every: int, factor: float = 0.1) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        if not (0.0 < factor <= 1.0):
-            raise ValueError(f"factor must be in (0, 1], got {factor}")
-        self.optimizer = optimizer
-        self.every = every
-        self.factor = factor
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def on_epoch_end(self) -> float:
-        """Advance one epoch; returns the (possibly decayed) current lr."""
-        self.epoch += 1
-        self.optimizer.lr = self.base_lr * self.factor ** (self.epoch // self.every)
-        return self.optimizer.lr
-
-
-def clip_grad_norm_(flat: FlatParams, max_norm: float) -> float:
-    """Scale ``flat.grad`` so its L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm.  A standard guard against the loss spikes that
-    destabilise the asynchronous baselines at large p.
-    """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    norm = float(np.linalg.norm(flat.grad))
-    if norm > max_norm:
-        flat.grad *= max_norm / (norm + 1e-12)
-    return norm

@@ -1,16 +1,11 @@
-"""Reference implementations of the optimised kernels.
+"""The pre-optimisation kernels, kept verbatim as a fixed semantic anchor.
 
-Two tiers, both deliberately unoptimised and kept verbatim so the fast paths
-in :mod:`repro.nn.functional`, :mod:`repro.nn.conv` and
-:mod:`repro.nn.temporal` have a fixed semantic anchor:
-
-* ``*_legacy`` — the exact pre-optimisation module code paths (im2col via
-  ``sliding_window_view`` + transpose copy, einsum weight gradient, Python
-  ``kh×kw`` col2im loop, per-step allocations).  ``repro bench`` times these
-  against the plan/pool kernels to report the speedup factor.
-* ``*_naive`` — straight quadruple loops over output positions, the
-  "obviously correct" form.  The equivalence tests compare both fast and
-  legacy kernels against these on small shapes.
+``*_legacy`` are the exact pre-optimisation module code paths of
+:mod:`repro.nn.conv` and :mod:`repro.nn.temporal` (im2col via
+``sliding_window_view`` + transpose copy, einsum weight gradient, Python
+``kh×kw`` col2im loop, per-step allocations).  ``repro bench`` times these
+against the plan/pool kernels to report the speedup factor; the equivalence
+tests compare both against naive loop oracles.
 """
 
 from __future__ import annotations
@@ -23,120 +18,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .functional import conv2d_output_hw
 
 __all__ = [
-    "im2col_naive",
-    "col2im_naive",
-    "conv2d_forward_naive",
-    "temporal_conv_forward_naive",
-    "temporal_conv_backward_naive",
     "conv2d_forward_legacy",
     "conv2d_backward_legacy",
     "temporal_conv_forward_legacy",
     "temporal_conv_backward_legacy",
 ]
-
-
-# --------------------------------------------------------------------------
-# naive loops (small shapes only — these are O(python) per output element)
-# --------------------------------------------------------------------------
-
-
-def im2col_naive(
-    x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0
-) -> np.ndarray:
-    """Loop form of :func:`repro.nn.functional.im2col` (same layout)."""
-    n, c, h, w = x.shape
-    oh, ow = conv2d_output_hw(h, w, kh, kw, stride, pad)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    col = np.empty((n, oh * ow, c * kh * kw), dtype=x.dtype)
-    for b in range(n):
-        for oi in range(oh):
-            for oj in range(ow):
-                patch = x[b, :, oi * stride : oi * stride + kh, oj * stride : oj * stride + kw]
-                col[b, oi * ow + oj] = patch.reshape(-1)
-    return col
-
-
-def col2im_naive(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int = 1,
-    pad: int = 0,
-) -> np.ndarray:
-    """Loop form of :func:`repro.nn.functional.col2im` (scatter per window)."""
-    n, c, h, w = x_shape
-    oh, ow = conv2d_output_hw(h, w, kh, kw, stride, pad)
-    grad = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for b in range(n):
-        for oi in range(oh):
-            for oj in range(ow):
-                patch = cols[b, oi * ow + oj].reshape(c, kh, kw)
-                grad[b, :, oi * stride : oi * stride + kh, oj * stride : oj * stride + kw] += patch
-    if pad > 0:
-        grad = grad[:, :, pad : pad + h, pad : pad + w]
-    return grad
-
-
-def conv2d_forward_naive(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray],
-    stride: int = 1,
-    pad: int = 0,
-) -> np.ndarray:
-    """Direct correlation: loops over batch, filter, and output position."""
-    n, c, h, w = x.shape
-    f, _, kh, kw = weight.shape
-    oh, ow = conv2d_output_hw(h, w, kh, kw, stride, pad)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    y = np.zeros((n, f, oh, ow), dtype=np.result_type(x, weight))
-    for b in range(n):
-        for fi in range(f):
-            for oi in range(oh):
-                for oj in range(ow):
-                    patch = x[b, :, oi * stride : oi * stride + kh, oj * stride : oj * stride + kw]
-                    y[b, fi, oi, oj] = np.sum(patch * weight[fi])
-    if bias is not None:
-        y += bias[None, :, None, None]
-    return y
-
-
-def temporal_conv_forward_naive(
-    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray], kw: int
-) -> np.ndarray:
-    """Loop form of the Torch-layout 1-D convolution (stride 1)."""
-    n, ell, c = x.shape
-    cout = weight.shape[0]
-    lo = ell - kw + 1
-    y = np.zeros((n, lo, cout), dtype=np.result_type(x, weight))
-    for b in range(n):
-        for t in range(lo):
-            window = x[b, t : t + kw, :].reshape(-1)  # (kw*C,) in (k, c) order
-            y[b, t] = weight @ window
-    if bias is not None:
-        y += bias
-    return y
-
-
-def temporal_conv_backward_naive(
-    x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray, kw: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns ``(grad_x, grad_weight, grad_bias)`` via per-window loops."""
-    n, ell, c = x.shape
-    lo = ell - kw + 1
-    gx = np.zeros_like(x)
-    gw = np.zeros_like(weight)
-    gb = grad_out.sum(axis=(0, 1))
-    for b in range(n):
-        for t in range(lo):
-            window = x[b, t : t + kw, :].reshape(-1)
-            go = grad_out[b, t]
-            gw += np.outer(go, window)
-            gx[b, t : t + kw, :] += (go @ weight).reshape(kw, c)
-    return gx, gw, gb
 
 
 # --------------------------------------------------------------------------

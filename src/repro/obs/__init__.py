@@ -1,4 +1,4 @@
-"""Unified observability: metrics registry, trace export, manifests, profiling.
+"""Unified observability: metrics registry, trace export, manifests, events.
 
 The accounting substrate behind every headline claim in the paper — epoch
 compute/comm breakdowns, O(m log p) vs O(mp) traffic, staleness distributions
@@ -33,7 +33,6 @@ from .events import (
 )
 from .manifest import RunManifest, git_revision, manifest_path_for
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, metric_key
-from .profiler import Profiler
 from .runtime import ObsSession, TrainerObs, active, observe
 from .trace_export import MessageEvent, TraceExporter, TraceRun, busy_seconds
 
@@ -50,7 +49,6 @@ __all__ = [
     "MessageEvent",
     "MetricsRegistry",
     "ObsSession",
-    "Profiler",
     "RunManifest",
     "RunSnapshot",
     "SeqGap",

@@ -187,9 +187,6 @@ class MetricsRegistry:
 
     # -- queries ------------------------------------------------------------
 
-    def counters(self) -> Iterator[Counter]:
-        return iter(self._counters.values())
-
     def gauges(self) -> Iterator[Gauge]:
         return iter(self._gauges.values())
 

@@ -128,7 +128,6 @@ class ShardedParameterServer:
         self.x = np.zeros(size, dtype=self.dtype)
         self.versions = [0] * n_shards
         self.pushes_applied = 0
-        self._stopping = False
         self.endpoints: List[Endpoint] = []
         self._procs = []
         for sid in range(n_shards):
@@ -170,7 +169,7 @@ class ShardedParameterServer:
             None if self.timing_only else self.x[lo:hi].copy(),
             self.versions[sid],
         )
-        while not self._stopping:
+        while True:
             msg = yield from ep.recv_any(req_tag)
             sess = _obs_active()
             if sess is not None:
@@ -266,10 +265,6 @@ class ShardedParameterServer:
                         shard=sid,
                         restart_seconds=self.restart_seconds,
                     )
-
-    def stop(self) -> None:
-        """Ask shard processes to exit after their current request."""
-        self._stopping = True
 
 
 class PSClient:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -410,8 +410,3 @@ class Backend(ABC):
         with no arguments; backends with configuration must override.
         """
         return type(self)()
-
-
-def resolve_members(p: int) -> Sequence[str]:
-    """Canonical rank names, shared by backends and their diagnostics."""
-    return [f"learner{i}" for i in range(p)]

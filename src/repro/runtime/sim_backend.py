@@ -94,10 +94,6 @@ class SimParameterServer(ParameterServerHandle):
         return self.impl.pushes_applied
 
     @property
-    def versions(self):
-        return self.impl.versions
-
-    @property
     def shard_restarts(self) -> int:
         return getattr(self.impl, "shard_restarts", 0)
 
@@ -110,9 +106,6 @@ class SimParameterServer(ParameterServerHandle):
         if plan is not None and plan.touches_ps():
             return FaultySimPSClient(inner, self._backend, rank)
         return inner
-
-    def stop(self) -> None:
-        self.impl.stop()
 
 
 # PSClient already satisfies the PSClientLike surface (push/pull/elastic

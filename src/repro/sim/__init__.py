@@ -2,19 +2,16 @@
 
 Provides the virtual-time engine (:class:`~repro.sim.engine.Engine`),
 synchronisation primitives (:class:`~repro.sim.resources.Resource`,
-:class:`~repro.sim.resources.Store`, :class:`~repro.sim.resources.Barrier`)
-and timeline tracing (:class:`~repro.sim.trace.Tracer`) that every simulated
-cluster component runs on.
+:class:`~repro.sim.resources.Store`) and timeline tracing
+(:class:`~repro.sim.trace.Tracer`) that every simulated cluster component
+runs on.
 """
 
-from .engine import AllOf, AnyOf, Delay, Engine, Event, Process, SimulationError
-from .resources import Barrier, Resource, Store
+from .engine import Delay, Engine, Event, Process, SimulationError
+from .resources import Resource, Store
 from .trace import CATEGORY_BUCKETS, EpochBreakdown, Span, Tracer, bucket_for
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Barrier",
     "CATEGORY_BUCKETS",
     "Delay",
     "Engine",

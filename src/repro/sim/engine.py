@@ -50,7 +50,7 @@ Example
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "Delay",
@@ -58,8 +58,6 @@ __all__ = [
     "Event",
     "Process",
     "SimulationError",
-    "AllOf",
-    "AnyOf",
 ]
 
 
@@ -90,12 +88,6 @@ class Delay:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Delay({self.duration!r})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Delay) and other.duration == self.duration
-
-    def __hash__(self) -> int:
-        return hash((Delay, self.duration))
-
 
 class Event:
     """A one-shot condition processes can wait on.
@@ -114,10 +106,6 @@ class Event:
         self._waiters: list["Process"] = []
 
     name = property(lambda self: _label(self._name))
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
 
     @property
     def value(self) -> Any:
@@ -229,32 +217,6 @@ class Process:
         return f"<Process {self.name!r} {state}>"
 
 
-def AllOf(engine: "Engine", events: Iterable[Event]) -> Generator:
-    """Coroutine helper: wait for every event; returns their values in order."""
-    values = []
-    for ev in events:
-        values.append((yield ev))
-    return values
-
-
-def AnyOf(engine: "Engine", events: Iterable[Event]) -> Generator:
-    """Coroutine helper: wait until any event fires; returns (index, value)."""
-    events = list(events)
-    done = Event(engine, name="anyof")
-    fired = {}
-
-    def watcher(idx: int, ev: Event) -> Generator:
-        value = yield ev
-        if not done.triggered:
-            fired["hit"] = (idx, value)
-            done.trigger((idx, value))
-
-    for idx, ev in enumerate(events):
-        engine.spawn(watcher(idx, ev), name=f"anyof-w{idx}")
-    result = yield done
-    return result
-
-
 class Engine:
     """The event loop: owns the virtual clock and the bucketed event calendar.
 
@@ -304,17 +266,6 @@ class Engine:
         proc = Process(self, gen, name=name)
         self._schedule_resume(proc, None)
         return proc
-
-    def timeout_event(self, delay: float, value: Any = None, name: str = "") -> Event:
-        """An event that self-triggers ``delay`` seconds from now."""
-        ev = Event(self, name=name or f"timeout+{delay:g}")
-
-        def _fire() -> Generator:
-            yield Delay(delay)
-            ev.trigger(value)
-
-        self.spawn(_fire(), name=ev.name)
-        return ev
 
     # -- scheduling internals ------------------------------------------------
 

@@ -48,16 +48,6 @@ class LegacyEvent:
         self._triggered = False
         self._waiters: list["LegacyProcess"] = []
 
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    @property
-    def value(self) -> Any:
-        if not self._triggered:
-            raise SimulationError(f"event {self.name!r} not yet triggered")
-        return self._value
-
     def trigger(self, value: Any = None) -> None:
         if self._triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
@@ -77,33 +67,22 @@ class LegacyEvent:
 class LegacyProcess:
     """A running coroutine inside the legacy engine."""
 
-    __slots__ = ("engine", "gen", "name", "result", "done_event", "_finished", "error")
+    __slots__ = ("engine", "gen", "name", "done_event")
 
     def __init__(self, engine: "LegacyEngine", gen: Generator, name: str = "") -> None:
         self.engine = engine
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "proc")
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
-        self._finished = False
         self.done_event = LegacyEvent(engine, name=f"done:{self.name}")
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
 
     def _step(self, send_value: Any) -> None:
         engine = self.engine
         try:
             command = self.gen.send(send_value)
         except StopIteration as stop:
-            self.result = stop.value
-            self._finished = True
             self.done_event.trigger(stop.value)
             return
         except BaseException as exc:
-            self.error = exc
-            self._finished = True
             engine._crashed(self, exc)
             return
 
@@ -119,8 +98,6 @@ class LegacyProcess:
             exc = SimulationError(
                 f"process {self.name!r} yielded unsupported command {command!r}"
             )
-            self.error = exc
-            self._finished = True
             engine._crashed(self, exc)
 
 
@@ -147,9 +124,6 @@ class LegacyEngine:
     @property
     def now(self) -> float:
         return self._now
-
-    def event(self, name: str = "") -> LegacyEvent:
-        return LegacyEvent(self, name=name)
 
     def spawn(self, gen: Generator, name: str = "") -> LegacyProcess:
         proc = LegacyProcess(self, gen, name=name)
@@ -194,12 +168,3 @@ class LegacyEngine:
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def run_process(self, gen: Generator, name: str = "") -> Any:
-        proc = self.spawn(gen, name=name)
-        self.run()
-        if not proc.finished:
-            raise SimulationError(f"process {proc.name!r} deadlocked")
-        if proc.error is not None:
-            raise proc.error
-        return proc.result

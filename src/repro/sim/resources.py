@@ -1,6 +1,6 @@
 """Synchronisation primitives built on the event engine.
 
-Three primitives cover everything the cluster model needs:
+Two primitives cover everything the cluster model needs:
 
 * :class:`Resource` — a counted semaphore with FIFO hand-off.  A PCIe link is
   a ``Resource(capacity=1)``; holding it for ``bytes / bandwidth`` seconds
@@ -8,9 +8,6 @@ Three primitives cover everything the cluster model needs:
   the narrow host channel arises in the Fig. 1 reproduction.
 * :class:`Store` — an unbounded FIFO queue of items with blocking ``get``.
   Endpoint mailboxes in :mod:`repro.comm.fabric` are stores.
-* :class:`Barrier` — a reusable p-party rendezvous, used by bulk-synchronous
-  phases in tests (the production SASGD path synchronises through the
-  allreduce itself, not a separate barrier).
 
 All waiting is FIFO and deterministic.
 """
@@ -22,7 +19,7 @@ from typing import Any, Generator
 
 from .engine import Engine, Event, SimulationError, _label
 
-__all__ = ["Resource", "Store", "Barrier"]
+__all__ = ["Resource", "Store"]
 
 
 class Resource:
@@ -120,39 +117,3 @@ class Store:
         if self._items:
             return True, self._items.popleft()
         return False, None
-
-
-class Barrier:
-    """Reusable rendezvous for a fixed party count.
-
-    ``yield from barrier.wait()`` blocks until all ``parties`` processes have
-    arrived; the barrier then resets for the next round.  Returns the 0-based
-    generation number that was completed.
-    """
-
-    def __init__(self, engine: Engine, parties: int, name: str = "") -> None:
-        if parties < 1:
-            raise SimulationError(f"parties must be >= 1, got {parties}")
-        self.engine = engine
-        self.parties = parties
-        self.name = name
-        self._arrived = 0
-        self._generation = 0
-        self._gate = engine.event(name=f"bar:{name}:0")
-
-    @property
-    def generation(self) -> int:
-        return self._generation
-
-    def wait(self) -> Generator:
-        self._arrived += 1
-        if self._arrived == self.parties:
-            gen = self._generation
-            gate = self._gate
-            self._arrived = 0
-            self._generation += 1
-            self._gate = self.engine.event(name=f"bar:{self.name}:{self._generation}")
-            gate.trigger(gen)
-            return gen
-        gen = yield self._gate
-        return gen

@@ -118,25 +118,6 @@ class Tracer:
 
     # -- aggregation ---------------------------------------------------------
 
-    def breakdown(
-        self,
-        actor: str,
-        start: float = 0.0,
-        end: Optional[float] = None,
-    ) -> EpochBreakdown:
-        """Per-category busy seconds for ``actor`` clipped to ``[start, end]``."""
-        if end is None:
-            end = self.engine.now
-        seconds: Dict[str, float] = defaultdict(float)
-        for span in self.spans:
-            if span.actor != actor:
-                continue
-            lo = max(span.start, start)
-            hi = min(span.end, end)
-            if hi > lo:
-                seconds[span.category] += hi - lo
-        return EpochBreakdown(actor=actor, seconds=dict(seconds), span=end - start)
-
     def actors(self) -> List[str]:
         seen: dict[str, None] = {}
         for span in self.spans:
@@ -151,8 +132,8 @@ class Tracer:
     ) -> EpochBreakdown:
         """Average the per-category seconds over several actors (learners).
 
-        Single pass over the span list — at p=1024 learners the per-actor
-        :meth:`breakdown` loop would rescan the full list p times.
+        Single pass over the span list — at p=1024 learners a per-actor
+        loop would rescan the full list p times.
         """
         order = list(actors)
         if not order:
@@ -160,8 +141,8 @@ class Tracer:
         if end is None:
             end = self.engine.now
         # Accumulate per actor first, then fold in actor order: the same
-        # float-summation order as the per-actor breakdown() loop this
-        # replaced, so golden-pinned results stay bit-identical.
+        # float-summation order as the per-actor loop this replaced, so
+        # golden-pinned results stay bit-identical.
         per_actor: Dict[str, Dict[str, float]] = {a: defaultdict(float) for a in order}
         for span in self.spans:
             seconds = per_actor.get(span.actor)

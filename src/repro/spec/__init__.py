@@ -40,7 +40,6 @@ _LAZY = {
     "SpecError": "scenario",
     "load_spec": "scenario",
     "spec_from_text": "scenario",
-    "yaml_available": "scenario",
     "RunPlan": "compile",
     "compile_scenario": "compile",
     "run_custom": "compile",
@@ -71,7 +70,6 @@ __all__ = [
     "SpecError",
     "load_spec",
     "spec_from_text",
-    "yaml_available",
     "RunPlan",
     "compile_scenario",
     "run_custom",

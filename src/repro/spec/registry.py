@@ -112,17 +112,11 @@ class Registry:
     def items(self) -> List[Tuple[str, Any]]:
         return [(name, self._objs[name]) for name in self.names()]
 
-    def __contains__(self, name: object) -> bool:
-        return name in self._objs
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())
 
-    def __len__(self) -> int:
-        return len(self._objs)
-
     def __repr__(self) -> str:
-        return f"Registry({self.kind!r}, {len(self)} entries)"
+        return f"Registry({self.kind!r}, {len(self._objs)} entries)"
 
 
 #: Trainer classes; meta: ``options`` (the Options dataclass or None),

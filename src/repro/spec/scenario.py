@@ -60,7 +60,6 @@ __all__ = [
     "ScenarioSpec",
     "load_spec",
     "spec_from_text",
-    "yaml_available",
 ]
 
 
@@ -407,9 +406,6 @@ class ScenarioSpec:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return self.canonical()
-
     # -- derived specs -------------------------------------------------------
 
     def fault_plan(self):
@@ -445,14 +441,6 @@ class ScenarioSpec:
 # --------------------------------------------------------------------------
 # document loading (YAML optional, JSON always)
 # --------------------------------------------------------------------------
-
-
-def yaml_available() -> bool:
-    try:
-        import yaml  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 _YAML_HELP = (

@@ -25,7 +25,7 @@
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 from .asgd import SurfaceConstants
 
@@ -46,11 +46,15 @@ def sasgd_bound(
     M: int,
     T: int,
     p: int,
-    K: int,
+    K: float,
     gamma: float,
     gamma_p: float,
 ) -> float:
-    """Theorem 2's upper bound on the average gradient norm after K updates."""
+    """Theorem 2's upper bound on the average gradient norm after K updates.
+
+    ``K`` may be fractional: :func:`sasgd_optimal_bound` holds S = M·T·K·p
+    fixed in the theorem's continuous relaxation.
+    """
     if min(M, T, p, K) < 1:
         raise ValueError("M, T, p, K must be >= 1")
     if gamma <= 0 or gamma_p <= 0:
@@ -102,13 +106,10 @@ def sasgd_optimal_bound(
     if S < M * T * p:
         raise ValueError(f"S={S} smaller than one interval M*T*p={M * T * p}")
     gmax = sasgd_gamma_max(sc, M, T, p)
+    K = S / (M * T * p)
 
     def objective(gamma: float) -> float:
-        return (
-            2.0 * sc.Df / (S * gamma)
-            + 2.0 * sc.L**2 * sc.sigma2 * gamma**2 * M * T
-            + sc.L * sc.sigma2 * gamma
-        )
+        return sasgd_bound(sc, M, T, p, K, gamma, gamma)
 
     res = minimize_scalar(
         objective,

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    CompressedGradient,
     ErrorFeedback,
     RandomKCompressor,
     TopKCompressor,

@@ -62,7 +62,7 @@ def test_interval_step_limit():
     st.begin_interval()
     flat.grad[...] = 1.0
     st.local_step()
-    assert st.interval_complete
+    assert st.steps_in_interval == st.config.T
     with pytest.raises(RuntimeError):
         st.local_step()
 

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.data import (
     ArrayDataset,
@@ -11,7 +9,6 @@ from repro.data import (
     SequenceDataset,
     make_synthetic_cifar,
     make_synthetic_nlcf,
-    shard_indices,
 )
 
 
@@ -163,34 +160,6 @@ def test_nlcf_class_signal():
         sims = {k: float(seq.mean(axis=0) @ c) for k, c in centroids.items()}
         hits += int(max(sims, key=sims.get) == int(lab))
     assert hits >= 24
-
-
-# -- sharding -----------------------------------------------------------------------
-
-
-def test_shard_indices_partition():
-    shards = shard_indices(10, 3)
-    all_idx = np.concatenate(shards)
-    assert sorted(all_idx.tolist()) == list(range(10))
-    sizes = [len(s) for s in shards]
-    assert max(sizes) - min(sizes) <= 1
-
-
-def test_shard_indices_validation():
-    with pytest.raises(ValueError):
-        shard_indices(2, 3)
-    with pytest.raises(ValueError):
-        shard_indices(10, 0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 200), p=st.integers(1, 16))
-def test_shard_indices_property(n, p):
-    if n < p:
-        return
-    shards = shard_indices(n, p, np.random.default_rng(0))
-    combined = sorted(np.concatenate(shards).tolist())
-    assert combined == list(range(n))
 
 
 # -- sampler -------------------------------------------------------------------------

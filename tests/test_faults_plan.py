@@ -102,7 +102,6 @@ def test_straggle_factor_window_and_composition():
     assert plan.straggle_factor(0, 3) == pytest.approx(6.0)   # both overlap
     assert plan.straggle_factor(0, 4) == pytest.approx(3.0)   # first expired
     assert plan.straggle_factor(1, 3) == pytest.approx(1.0)   # other learner
-    assert plan.has_stragglers()
 
 
 def test_nth_drop_selection_is_exact():

@@ -1,10 +1,8 @@
 """Tests for calibration, timing simulation, experiment registry, reporting."""
 
-import numpy as np
 import pytest
 
 from repro.harness import (
-    EXPERIMENTS,
     PAPER_PROFILE,
     CalibrationProfile,
     TimingWorkload,

@@ -11,15 +11,22 @@ from repro.harness.parallel import (
     config_key,
     expand_grid,
     merge_results,
-    run_experiment_parallel,
     run_grid,
 )
+from repro.spec import ScenarioSpec, compile_scenario
 
 # unit-scale single-epoch configs keep each point under a second
 FIG2_KW = dict(p_values=(1, 2), epochs=1, seed=5, eval_every=1, scale="unit")
 FIG8_KW = dict(
     T_values=(1, 2), p_values=(2,), epochs=1, seed=5, eval_every=1, scale="unit"
 )
+
+
+def sweep(exp_id, jobs=1, cache_dir=None, **params):
+    """What ``repro run EXP --jobs N --cache-dir D`` runs: split the grid,
+    fan the points out, cache them, merge."""
+    plan = compile_scenario(ScenarioSpec(experiment=exp_id, params=params))
+    return plan.execute(jobs=jobs, cache_dir=cache_dir)
 
 
 class TestConfigKey:
@@ -68,38 +75,38 @@ class TestExpandMerge:
 class TestDeterminism:
     def test_fig2_parallel_rows_bit_identical(self):
         serial = run_experiment("fig2", **FIG2_KW)
-        para = run_experiment_parallel("fig2", jobs=2, **FIG2_KW)
+        para = sweep("fig2", jobs=2, **FIG2_KW)
         assert para.rows == serial.rows
         assert para.series == serial.series
         assert para.exp_id == serial.exp_id and para.title == serial.title
 
     def test_fig8_parallel_rows_bit_identical(self):
         serial = run_experiment("fig8", **FIG8_KW)
-        para = run_experiment_parallel("fig8", jobs=2, **FIG8_KW)
+        para = sweep("fig8", jobs=2, **FIG8_KW)
         assert para.rows == serial.rows
         assert para.series == serial.series
 
     def test_jobs1_split_path_matches_serial(self):
         # even without a pool, split+merge must reproduce the one-shot run
         serial = run_experiment("fig2", **FIG2_KW)
-        split = run_experiment_parallel("fig2", jobs=1, **FIG2_KW)
+        split = sweep("fig2", jobs=1, **FIG2_KW)
         assert split.rows == serial.rows
         assert split.series == serial.series
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(ValueError, match="unknown experiment"):
-            run_experiment_parallel("nope")
+            sweep("nope")
 
 
 class TestCache:
     def test_second_invocation_served_from_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        first = run_experiment_parallel("fig2", cache_dir=cache_dir, **FIG2_KW)
+        first = sweep("fig2", cache_dir=cache_dir, **FIG2_KW)
         files = sorted(cache_dir.glob("*.json"))
         assert len(files) == 2  # one per grid point
 
         cache = ResultCache(cache_dir)
-        second = run_experiment_parallel("fig2", cache_dir=cache_dir, **FIG2_KW)
+        second = sweep("fig2", cache_dir=cache_dir, **FIG2_KW)
         assert second.rows == first.rows
         assert second.series == first.series
         # nothing was recomputed: file contents are byte-identical

@@ -15,7 +15,6 @@ from repro.algos import (
     cifar_problem,
     nlcf_problem,
 )
-from repro.comm.costmodel import ps_traffic_bytes
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +86,7 @@ def test_tracer_spans_conserved(prob):
     tr.train()
     span = tr.machine.engine.now
     for name in tr.learner_names:
-        bd = tr.machine.tracer.breakdown(name)
+        bd = tr.machine.tracer.mean_breakdown([name])
         assert bd.compute_seconds + bd.comm_seconds <= span * (1 + 1e-9)
 
 

@@ -146,37 +146,70 @@ def test_heartbeat_keeps_stamping_while_its_rank_spins():
         block.close()
 
 
+class FakeClock:
+    """The ``time`` and ``os`` a barrier sees: a monotonic clock that only
+    moves when the barrier yields (by ``yield_seconds``) or sleeps (by the
+    time asked), so how long each yield took is the test's to decide."""
+
+    def __init__(self, yield_seconds: float) -> None:
+        self.now = 0.0
+        self.yield_seconds = yield_seconds
+        self.yields = 0
+        self.sleeps = []  # (yields so far, seconds)
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sched_yield(self) -> None:
+        self.yields += 1
+        self.now += self.yield_seconds
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append((self.yields, seconds))
+        self.now += seconds
+
+
+def _wait_on_clock(monkeypatch, yield_seconds: float) -> tuple:
+    """One barrier round nobody else joins, timed on a :class:`FakeClock`."""
+    from repro.faults import supervisor
+
+    block = LivenessBlock(2, ["coll"])
+    clock = FakeClock(yield_seconds)
+    monkeypatch.setattr(supervisor, "time", clock)
+    monkeypatch.setattr(supervisor, "os", clock)
+    try:
+        barrier = PollingBarrier(block, "coll", 0)
+        with pytest.raises(PollingBarrier.Timeout):
+            barrier.wait(0.1)
+    finally:
+        block.close()
+    return barrier, clock
+
+
 def test_barrier_blocks_for_an_instant_when_its_yields_are_stolen(monkeypatch):
     # a yield that returns late ran somebody else on this core — with an idle
     # core next door if that was the peer.  Only a wake-up lets the scheduler
     # place the rank anew, so every NAP_EVERY-th stolen yield really sleeps
-    block = LivenessBlock(2, ["coll"])
-    real_sleep, sleeps = time.sleep, []
+    barrier, clock = _wait_on_clock(
+        monkeypatch, 4 * PollingBarrier.STOLEN_YIELD_SECONDS)
+    spins, every = PollingBarrier.SPIN_PROBES, PollingBarrier.NAP_EVERY
+    assert clock.yields == barrier._stolen == spins
+    naps = [at for at, s in clock.sleeps if s < PollingBarrier.POLL_SECONDS]
+    assert naps == list(range(every, spins + 1, every))
+    assert all(s > 0 for _, s in clock.sleeps)
+    # after the spin the waiter only polls asleep
+    polls = clock.sleeps[len(naps):]
+    assert polls and all(
+        (at, s) == (spins, PollingBarrier.POLL_SECONDS) for at, s in polls)
 
-    def recording_sleep(seconds):
-        sleeps.append(seconds)
-        real_sleep(seconds)
 
-    monkeypatch.setattr(time, "sleep", recording_sleep)
-    try:
-        barrier = SpinOnly(block, "coll", 0)
-        monkeypatch.setattr(
-            os, "sched_yield",
-            lambda: real_sleep(4 * PollingBarrier.STOLEN_YIELD_SECONDS),
-        )
-        with pytest.raises(PollingBarrier.Timeout):
-            barrier.wait(0.1)
-        assert barrier._stolen >= PollingBarrier.NAP_EVERY
-        assert len(sleeps) == barrier._stolen // PollingBarrier.NAP_EVERY
-        assert max(sleeps) < PollingBarrier.POLL_SECONDS
-        # yields that come straight back never sleep
-        monkeypatch.setattr(os, "sched_yield", lambda: None)
-        stolen, naps = barrier._stolen, len(sleeps)
-        with pytest.raises(PollingBarrier.Timeout):
-            barrier.wait(0.02)
-        assert (barrier._stolen, len(sleeps)) == (stolen, naps)
-    finally:
-        block.close()
+def test_barrier_never_naps_when_its_yields_come_straight_back(monkeypatch):
+    barrier, clock = _wait_on_clock(monkeypatch, 0.0)
+    assert clock.yields == PollingBarrier.SPIN_PROBES
+    assert barrier._stolen == 0
+    assert clock.sleeps and all(
+        at == PollingBarrier.SPIN_PROBES and s == PollingBarrier.POLL_SECONDS
+        for at, s in clock.sleeps)
 
 
 # --------------------------------------------------------------------------

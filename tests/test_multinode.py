@@ -9,7 +9,6 @@ from repro.cluster import (
     power8_cluster_spec,
 )
 from repro.comm import Fabric, allreduce_ring
-from repro.sim import Engine
 
 
 def test_multinode_validation():

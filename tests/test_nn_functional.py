@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import col2im, im2col, log_softmax, one_hot, softmax
+from repro.nn import log_softmax
 from repro.nn.functional import conv2d_output_hw
+from tests.nn_oracles import col2im, im2col
 
 
 def test_conv_output_dims():
@@ -98,26 +99,3 @@ def test_log_softmax_stable_for_huge_logits():
     lp = log_softmax(z)
     assert np.isfinite(lp).all()
     assert lp[0, 0] == pytest.approx(0.0, abs=1e-6)
-
-
-def test_softmax_matches_exp_log_softmax():
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal((4, 6))
-    np.testing.assert_allclose(softmax(z), np.exp(log_softmax(z)), rtol=1e-12)
-
-
-def test_softmax_shift_invariance():
-    z = np.array([[1.0, 2.0, 3.0]])
-    np.testing.assert_allclose(softmax(z), softmax(z + 100.0), rtol=1e-12)
-
-
-def test_one_hot_basic():
-    out = one_hot(np.array([0, 2, 1]), 3)
-    np.testing.assert_array_equal(out, np.eye(3)[[0, 2, 1]])
-
-
-def test_one_hot_out_of_range():
-    with pytest.raises(ValueError):
-        one_hot(np.array([3]), 3)
-    with pytest.raises(ValueError):
-        one_hot(np.array([-1]), 3)

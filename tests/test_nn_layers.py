@@ -17,7 +17,7 @@ from repro.nn import (
     TemporalConvolution,
     TemporalMaxPooling,
 )
-from repro.nn.gradcheck import gradcheck_module
+from tests.nn_oracles import gradcheck_module
 
 RNG = np.random.default_rng(1234)
 TOL = 1e-6

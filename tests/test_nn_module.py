@@ -54,10 +54,10 @@ def test_sequential_output_shape():
 
 def test_sequential_len_getitem_append():
     net = small_net()
-    assert len(net) == 3
-    assert isinstance(net[1], ReLU)
+    assert len(net.layers) == 3
+    assert isinstance(net.layers[1], ReLU)
     net.append(Tanh())
-    assert len(net) == 4
+    assert len(net.layers) == 4
 
 
 def test_parameters_recursive():
@@ -90,7 +90,7 @@ def test_set_rng_reaches_dropout():
     net = Sequential(Linear(4, 4), Dropout(0.5))
     rng = np.random.default_rng(7)
     net.set_rng(rng)
-    assert net[1].rng is rng
+    assert net.layers[1].rng is rng
 
 
 def test_modules_iterates_all():

@@ -8,9 +8,7 @@ from repro.nn import (
     MomentumSGD,
     SGD,
     Sequential,
-    StepDecaySchedule,
     Tanh,
-    clip_grad_norm_,
     flatten_module,
 )
 
@@ -133,49 +131,3 @@ def test_nesterov_variant_runs():
         opt.step()
     assert np.linalg.norm(flat.data) < 1.0
 
-
-# -- schedule -------------------------------------------------------------------
-
-
-def test_schedule_validation():
-    _, flat = make_flat()
-    opt = SGD(flat, lr=0.1)
-    with pytest.raises(ValueError):
-        StepDecaySchedule(opt, every=0)
-    with pytest.raises(ValueError):
-        StepDecaySchedule(opt, every=2, factor=0.0)
-
-
-def test_schedule_decays_at_boundaries():
-    _, flat = make_flat()
-    opt = SGD(flat, lr=1.0)
-    sched = StepDecaySchedule(opt, every=2, factor=0.1)
-    lrs = [sched.on_epoch_end() for _ in range(5)]
-    assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01, 0.01])
-
-
-# -- clipping --------------------------------------------------------------------
-
-
-def test_clip_noop_below_threshold():
-    _, flat = make_flat()
-    flat.grad[...] = 0.0
-    flat.grad[0] = 3.0
-    norm = clip_grad_norm_(flat, max_norm=5.0)
-    assert norm == pytest.approx(3.0)
-    assert flat.grad[0] == pytest.approx(3.0)
-
-
-def test_clip_scales_to_max_norm():
-    _, flat = make_flat()
-    flat.grad[...] = 1.0
-    pre = np.linalg.norm(flat.grad)
-    clip_grad_norm_(flat, max_norm=1.0)
-    assert np.linalg.norm(flat.grad) == pytest.approx(1.0, rel=1e-6)
-    assert pre > 1.0
-
-
-def test_clip_validation():
-    _, flat = make_flat()
-    with pytest.raises(ValueError):
-        clip_grad_norm_(flat, max_norm=0.0)

@@ -2,7 +2,7 @@
 
 Three-way anchoring for every hot kernel this PR optimised:
 
-* plan/pool fast path  vs  naive Python loops (``repro.nn.reference``)
+* plan/pool fast path  vs  naive Python loops (``tests/nn_oracles.py``)
 * plan/pool fast path  vs  the verbatim pre-optimisation ("legacy") code
 * gradcheck (central differences) on the optimised modules directly
 
@@ -17,18 +17,23 @@ never more than ~1e-12 at these sizes).
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, TemporalConvolution, gradcheck_module
+from repro.nn import Conv2d, TemporalConvolution
 from repro.nn.bufferpool import BufferPool
-from repro.nn.functional import col2im, conv_plan, im2col
+from repro.nn.functional import conv_plan
 from repro.nn.reference import (
-    col2im_naive,
     conv2d_backward_legacy,
     conv2d_forward_legacy,
-    conv2d_forward_naive,
-    im2col_naive,
     temporal_conv_backward_legacy,
-    temporal_conv_backward_naive,
     temporal_conv_forward_legacy,
+)
+from tests.nn_oracles import (
+    col2im,
+    col2im_naive,
+    conv2d_forward_naive,
+    gradcheck_module,
+    im2col,
+    im2col_naive,
+    temporal_conv_backward_naive,
     temporal_conv_forward_naive,
 )
 

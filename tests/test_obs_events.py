@@ -13,10 +13,8 @@ Covers the tentpole contracts of ``repro.obs.events``:
 * every rank's tape survives the fork (``extras["rank_tapes"]``).
 """
 
-import json
 import multiprocessing
 import queue
-from pathlib import Path
 
 import pytest
 
@@ -356,12 +354,12 @@ def test_mp_publishes_per_rank_counters(prob):
 
 
 def test_grid_runner_emits_sweep_events(tmp_path):
-    from repro.harness.parallel import run_experiment_parallel
+    from tests.test_harness_parallel import sweep
 
     mem = ev.InMemorySink()
     bus = ev.EventBus(sinks=[mem])
     with obs.use_events(bus):
-        run_experiment_parallel(
+        sweep(
             "fig2", jobs=1, cache_dir=tmp_path / "cache",
             p_values=(1, 2), epochs=1,
         )
@@ -375,7 +373,7 @@ def test_grid_runner_emits_sweep_events(tmp_path):
     mem2 = ev.InMemorySink()
     bus2 = ev.EventBus(sinks=[mem2])
     with obs.use_events(bus2):
-        run_experiment_parallel(
+        sweep(
             "fig2", jobs=1, cache_dir=tmp_path / "cache",
             p_values=(1, 2), epochs=1,
         )
@@ -427,6 +425,40 @@ def test_cli_inspect_summarises_event_log(tmp_path, capsys):
     assert "contiguous" in out
     assert "fault/recovery timeline:" in out
     assert "elastic_restart" in out
+
+
+def test_cli_watch_connect_renders_a_live_stream_once(capsys):
+    from repro.net.events import TcpEventSink
+
+    sink = TcpEventSink("tcp://127.0.0.1:0")
+    bus = ev.EventBus(sinks=[sink])
+    try:
+        bus.publish(ev.RUN_STARTED, algo="sasgd", problem="toy", p=2,
+                    backend="mp", seed=1, epochs=3, n_shards=0, resumed=False)
+        bus.publish(ev.EPOCH_PROGRESS, epoch=1, samples=64, train_loss=2.25,
+                    train_acc=0.125)
+        # a subscriber that attaches mid-run gets the snapshot first
+        assert main(["watch", "--connect", sink.addr, "--once"]) == 0
+    finally:
+        bus.close()
+    out = capsys.readouterr().out
+    assert "[running]" in out and "totals:" in out
+    assert "epoch 1  samples=64  train_loss=2.2500  train_acc=0.1250" in out
+
+
+def test_cli_watch_connect_to_a_closed_port_fails(monkeypatch, capsys):
+    import socket
+
+    from repro.net import events as net_events
+
+    # the connect retries for 10 s by default (the publisher may be starting)
+    monkeypatch.setattr(net_events.iter_remote_events, "__defaults__", (0.5, None))
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    # nothing listens there any more
+    assert main(["watch", "--connect", f"127.0.0.1:{port}", "--once"]) == 1
+    assert "cannot reach" in capsys.readouterr().err
 
 
 def test_cli_watch_empty_log_fails(tmp_path, capsys):

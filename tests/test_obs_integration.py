@@ -202,30 +202,6 @@ def test_manifest_load_rejects_other_files(tmp_path):
         obs.RunManifest.load(path)
 
 
-# -- profiler ------------------------------------------------------------------------
-
-
-def test_profiler_flame_table(prob):
-    with obs.observe(obs.ObsSession(trace=True)) as session:
-        SASGDTrainer(prob, small_cfg(), SASGDOptions(T=2)).train()
-    prof = obs.Profiler()
-    with prof:
-        pass
-    prof.ingest_spans(session.trace_runs[0].spans)
-    prof.ingest_layers(
-        [
-            {"layer": "conv1", "params": 100, "flops": 3e6},
-            {"layer": "fc", "params": 10, "flops": 1e6},
-            {"layer": "TOTAL", "params": 110, "flops": 4e6},
-        ]
-    )
-    table = prof.format_flame()
-    assert "learner0" in table
-    assert "compute" in table and "comm" in table
-    assert "conv1" in table and "TOTAL" not in table
-    assert "wall:" in table
-
-
 # -- CLI -----------------------------------------------------------------------------
 
 
@@ -273,6 +249,20 @@ def test_cli_run_writes_all_artifacts(tmp_path, capsys):
     for artifact in (save, trace, metrics, obs.manifest_path_for(save)):
         assert main(["inspect", str(artifact)]) == 0
         assert capsys.readouterr().out
+
+    # the trace summary is Fig. 1's breakdown: every learner of every run on
+    # one line with its compute and comm busy seconds
+    assert main(["inspect", str(trace)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for run in runs.values():
+        for actor in sorted({s.actor for s in run.spans if s.actor.startswith("learner")}):
+            cats = obs.busy_seconds(run.spans, actor)
+            assert cats["compute"] > 0 and cats["comm"] > 0
+            want = (f"comm={cats['comm']:.3f}s", f"compute={cats['compute']:.3f}s")
+            assert any(
+                line.split()[0] == actor and all(w in line for w in want)
+                for line in lines if line.strip()
+            ), (actor, want)
     assert obs.active() is None  # the CLI uninstalled its session
 
 

@@ -1,20 +1,14 @@
-"""Tests for result/parameter persistence and the CLI."""
+"""Tests for result persistence and the CLI."""
 
 import json
 
-import numpy as np
-import pytest
-
 from repro.harness import (
     ExperimentResult,
-    load_params,
     load_result,
     result_from_dict,
     result_to_dict,
-    save_params,
     save_result,
 )
-from repro.nn import Linear, Sequential, flatten_module
 
 
 def sample_result():
@@ -47,37 +41,6 @@ def test_result_file_roundtrip(tmp_path):
     assert back.series["p=2"] == [(1.0, 0.1), (2.0, 0.4)]
 
 
-def test_params_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    net = Sequential(Linear(4, 3, dtype=np.float32, rng=rng))
-    flat = flatten_module(net)
-    snap = flat.copy_data()
-    path = tmp_path / "params.npz"
-    save_params(flat, path, algorithm="sasgd", epoch=7)
-    flat.data[...] = 0.0
-    meta = load_params(flat, path)
-    np.testing.assert_array_equal(flat.data, snap)
-    assert meta == {"algorithm": "sasgd", "epoch": "7"}
-
-
-def test_params_size_mismatch_rejected(tmp_path):
-    rng = np.random.default_rng(0)
-    small = flatten_module(Sequential(Linear(2, 2, dtype=np.float32, rng=rng)))
-    big = flatten_module(Sequential(Linear(4, 4, dtype=np.float32, rng=rng)))
-    path = tmp_path / "p.npz"
-    save_params(small, path)
-    with pytest.raises(ValueError, match="mismatch"):
-        load_params(big, path)
-
-
-def test_params_dtype_mismatch_rejected(tmp_path):
-    rng = np.random.default_rng(0)
-    f32 = flatten_module(Sequential(Linear(3, 3, dtype=np.float32, rng=rng)))
-    f64 = flatten_module(Sequential(Linear(3, 3, dtype=np.float64, rng=rng)))
-    path = tmp_path / "p.npz"
-    save_params(f32, path)
-    with pytest.raises(ValueError, match="dtype"):
-        load_params(f64, path)
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -128,5 +91,11 @@ def test_cli_unknown_experiment(capsys):
 def test_cli_claims(capsys):
     from repro.__main__ import main
 
+    from repro.spec import EXPERIMENTS, ensure_populated
+
     assert main(["claims"]) == 0
-    assert "fig1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    ensure_populated()
+    for exp_id in EXPERIMENTS:
+        meta = EXPERIMENTS.meta(exp_id)
+        assert f"{exp_id}: {meta['title']}\n  {meta['claim']}\n" in out

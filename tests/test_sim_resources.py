@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store and Barrier."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Barrier, Delay, Engine, Resource, SimulationError, Store
+from repro.sim import Delay, Engine, Resource, SimulationError, Store
 
 
 # -- Resource ---------------------------------------------------------------
@@ -203,60 +203,3 @@ def test_store_len():
     store.put(1)
     store.put(2)
     assert len(store) == 2
-
-
-# -- Barrier ------------------------------------------------------------------
-
-
-def test_barrier_parties_validation():
-    eng = Engine()
-    with pytest.raises(SimulationError):
-        Barrier(eng, parties=0)
-
-
-def test_barrier_releases_all_at_last_arrival():
-    eng = Engine()
-    bar = Barrier(eng, parties=3)
-    released = []
-
-    def party(name, arrive):
-        yield Delay(arrive)
-        gen = yield from bar.wait()
-        released.append((eng.now, name, gen))
-
-    eng.spawn(party("a", 1.0))
-    eng.spawn(party("b", 2.0))
-    eng.spawn(party("c", 3.0))
-    eng.run()
-    assert [t for t, _, _ in released] == [3.0, 3.0, 3.0]
-    assert {g for _, _, g in released} == {0}
-
-
-def test_barrier_reusable_generations():
-    eng = Engine()
-    bar = Barrier(eng, parties=2)
-    gens = []
-
-    def party(delay):
-        for _ in range(3):
-            yield Delay(delay)
-            gen = yield from bar.wait()
-            gens.append(gen)
-
-    eng.spawn(party(1.0))
-    eng.spawn(party(1.5))
-    eng.run()
-    assert sorted(gens) == [0, 0, 1, 1, 2, 2]
-    assert bar.generation == 3
-
-
-def test_barrier_single_party_never_blocks():
-    eng = Engine()
-    bar = Barrier(eng, parties=1)
-
-    def party():
-        gen0 = yield from bar.wait()
-        gen1 = yield from bar.wait()
-        return (gen0, gen1)
-
-    assert eng.run_process(party()) == (0, 1)

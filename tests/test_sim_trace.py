@@ -93,7 +93,7 @@ def test_breakdown_sums_by_category():
 
     eng.spawn(proc())
     eng.run()
-    bd = tr.breakdown("w")
+    bd = tr.mean_breakdown(["w"])
     assert bd.compute_seconds == pytest.approx(6.0)
     assert bd.comm_seconds == pytest.approx(3.0)
     assert bd.comm_fraction == pytest.approx(1.0 / 3.0)
@@ -110,7 +110,7 @@ def test_breakdown_window_clipping():
 
     eng.spawn(proc())
     eng.run()
-    bd = tr.breakdown("w", start=2.0, end=5.0)
+    bd = tr.mean_breakdown(["w"], start=2.0, end=5.0)
     assert bd.seconds["compute"] == pytest.approx(3.0)
 
 
@@ -124,7 +124,7 @@ def test_apply_counts_as_compute():
 
     eng.spawn(proc())
     eng.run()
-    assert tr.breakdown("w").compute_seconds == pytest.approx(4.0)
+    assert tr.mean_breakdown(["w"]).compute_seconds == pytest.approx(4.0)
 
 
 def test_mean_breakdown_over_actors():
@@ -164,5 +164,5 @@ def test_actors_listing_preserves_first_seen_order():
 
 def test_comm_fraction_zero_when_idle():
     eng, tr = _engine_with_tracer()
-    bd = tr.breakdown("ghost")
+    bd = tr.mean_breakdown(["ghost"])
     assert bd.comm_fraction == 0.0

@@ -53,6 +53,11 @@ def test_registries_populate_at_definition_site():
     }
 
 
+def test_registry_repr_counts_entries():
+    ensure_populated()
+    assert repr(reg.BACKENDS) == "Registry('backend', 3 entries)"
+
+
 def test_registry_meta_carries_options_and_split_axes():
     ensure_populated()
     from repro.algos import SASGDOptions

@@ -15,7 +15,6 @@ from repro.theory import (
     asgd_bound,
     asgd_constraint_ok,
     asgd_gap_factor,
-    asgd_optimal_bound,
     bound_in_c,
     c_max,
     corollary3_gamma,
