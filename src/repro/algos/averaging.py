@@ -17,33 +17,21 @@ test SASGD's global step.
 from __future__ import annotations
 
 import time
-from typing import List
 
 import numpy as np
 
 from ..obs.runtime import TrainerObs
 from ..spec.registry import TRAINERS
 from .base import (
-    LearnerWorkload,
     MetricsTape,
     Problem,
     TrainerConfig,
     TrainResult,
+    build_workloads,
     evaluate_model,
-    spawn_rngs,
 )
 
 __all__ = ["OneShotAveragingTrainer", "MinibatchAveragingTrainer"]
-
-
-def _build_workloads(problem: Problem, config: TrainerConfig) -> List[LearnerWorkload]:
-    rngs = spawn_rngs(config.seed, 3 * config.p)
-    return [
-        LearnerWorkload(
-            problem, config.batch_size, rngs[3 * i], rngs[3 * i + 1], rngs[3 * i + 2]
-        )
-        for i in range(config.p)
-    ]
 
 
 @TRAINERS.register(
@@ -58,7 +46,7 @@ class OneShotAveragingTrainer:
     def __init__(self, problem: Problem, config: TrainerConfig) -> None:
         self.problem = problem
         self.config = config
-        self.workloads = _build_workloads(problem, config)
+        self.workloads = build_workloads(problem, config)
         # common initialisation (learner 0's), as all compared methods use
         x0 = self.workloads[0].flat.copy_data()
         for wl in self.workloads[1:]:
@@ -125,7 +113,7 @@ class MinibatchAveragingTrainer:
     def __init__(self, problem: Problem, config: TrainerConfig) -> None:
         self.problem = problem
         self.config = config
-        self.workloads = _build_workloads(problem, config)
+        self.workloads = build_workloads(problem, config)
         x0 = self.workloads[0].flat.copy_data()
         for wl in self.workloads[1:]:
             wl.flat.set_data(x0)

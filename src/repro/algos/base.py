@@ -109,7 +109,6 @@ class LearnerWorkload:
         self.sampler = MinibatchSampler(
             np.arange(len(problem.train_set)), batch_size, sample_rng
         )
-        self.last_logits: Optional[np.ndarray] = None
 
     def next_batch(self) -> np.ndarray:
         return self.sampler.next()
@@ -141,11 +140,26 @@ class LearnerWorkload:
         loss = self.criterion.forward(logits, yb)
         # nobody reads the gradient with respect to the input batch
         self.model.backward(self.criterion.backward(), input_grad=False)
-        self.last_logits = logits
         return loss, accuracy(logits, yb), len(yb)
 
     def batch_flops(self, nb: int) -> float:
         return self.info.flops_train_per_example * nb
+
+
+def build_workloads(problem: Problem, config: TrainerConfig) -> List[LearnerWorkload]:
+    """``config.p`` learners (rng streams: model init, minibatch order, dropout)
+    sharing the first model's layer pools, safe as no process interleaves two
+    gradients (sim runs each to completion; an mp/net rank trains one model)."""
+    rngs = spawn_rngs(config.seed, 3 * config.p)
+    workloads = [LearnerWorkload(problem, config.batch_size, *rngs[3 * i : 3 * i + 3])
+                 for i in range(config.p)]
+    for wl in workloads[1:]:
+        for ours, theirs in zip(workloads[0].model.modules(), wl.model.modules(), strict=True):
+            if type(ours) is not type(theirs):
+                raise ValueError("learner models differ in their layers: they cannot share pools")
+            if hasattr(ours, "_pool"):
+                theirs._pool = ours._pool
+    return workloads
 
 
 def evaluate_model(

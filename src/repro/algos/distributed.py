@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace as _dc_replace
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
 import numpy as np
 
@@ -31,11 +31,11 @@ from ..obs import events as _events
 from ..obs.runtime import TrainerObs, active as _obs_active
 from ..runtime import Backend, resolve_backend
 from .base import (
-    LearnerWorkload,
     MetricsTape,
     Problem,
     TrainerConfig,
     TrainResult,
+    build_workloads,
 )
 
 __all__ = ["DistributedTrainer"]
@@ -78,18 +78,7 @@ class DistributedTrainer:
                 recovery=self.fault_ctx.recovery,
             )
         self.collective = self.backend.collective
-        # 3 rng streams per learner: model init, minibatch order, dropout
-        streams = np.random.SeedSequence(config.seed).spawn(3 * p)
-        self.workloads: List[LearnerWorkload] = [
-            LearnerWorkload(
-                problem,
-                config.batch_size,
-                np.random.default_rng(streams[3 * i]),
-                np.random.default_rng(streams[3 * i + 1]),
-                np.random.default_rng(streams[3 * i + 2]),
-            )
-            for i in range(p)
-        ]
+        self.workloads = build_workloads(problem, config)
         # uniform batch sizes keep bulk-synchronous intervals aligned
         for wl in self.workloads:
             wl.sampler.drop_last = len(problem.train_set) >= config.batch_size

@@ -74,9 +74,9 @@ class SequenceDataset:
     def batch(self, idx: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Pad the selected sentences to a common length.
 
-        Padding replicates each sentence's last token (max-pool read-outs are
-        unaffected by replicated frames, unlike zero padding which could win
-        the max for negative activations).
+        Padding replicates each sentence's last token; a ``kw = 2`` window over
+        two copies of it can win a max-pool, so logits depend on batch-mates (bench
+        NLC-F: 5.7e-3 between eval batches 64 and 16): keep eval batches serial.
         """
         idx = np.asarray(idx)
         seqs = [self.sequences[i] for i in idx]

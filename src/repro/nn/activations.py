@@ -15,8 +15,8 @@ __all__ = ["ReLU", "Tanh", "Flatten"]
 class ReLU(Module):
     """Rectified linear unit (used after every CIFAR-10 conv layer).
 
-    Mask, activation, and gradient buffers come from a per-module pool and
-    are reused across steps.
+    Mask, activation, and gradient buffers come from the layer's pool and
+    are reused across steps (eval mode: fresh arrays, no mask kept).
     """
 
     def __init__(self) -> None:
@@ -25,10 +25,11 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = self._pool.get("mask", x.shape, np.bool_)
+        pool = self._scratch()
+        mask = pool.get("mask", x.shape, np.bool_)
         np.greater(x, 0, out=mask)
-        self._mask = mask
-        y = self._pool.get("y", x.shape, x.dtype)
+        self._mask = mask if self.training else None
+        y = pool.get("y", x.shape, x.dtype)
         np.multiply(x, mask, out=y)
         return y
 
@@ -57,9 +58,9 @@ class Tanh(Module):
         self._y: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y = self._pool.get("y", x.shape, np.result_type(x.dtype, np.float32))
+        y = self._scratch().get("y", x.shape, np.result_type(x.dtype, np.float32))
         np.tanh(x, out=y)
-        self._y = y
+        self._y = y if self.training else None
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

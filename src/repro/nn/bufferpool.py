@@ -1,20 +1,21 @@
 """Reusable scratch buffers for the layer hot paths.
 
-A :class:`BufferPool` gives each module a small named set of flat
+A :class:`BufferPool` gives each layer a small named set of flat
 allocations, each grown to the largest request seen under its name and
-handed out as a prefix view in the asked shape — so a batch-64 evaluation
-and a batch-16 training step share storage, and neither faults fresh pages.
+handed out as a prefix view in the asked shape, so training faults no fresh
+pages.  Models trained in one process share one pool per layer position; an
+eval-mode forward draws from :data:`FRESH` instead and keeps nothing.
 
 Contract
 --------
 * Buffers returned by ``get`` contain garbage; callers must overwrite (or
   use ``zeros``).
-* An array obtained from a module's pool — including layer *outputs* and
-  *input gradients* built on pooled storage — is only valid until that
-  module's next ``forward``/``backward`` call.  The training loops consume
-  layer outputs immediately (``Sequential`` chains them straight into the
-  next layer), so this is invisible there; code that must retain a layer
-  output across steps should ``copy()`` it.
+* An array obtained from a pool, including layer *outputs* and *input
+  gradients* built on pooled storage, is valid until the next gradient
+  computation in this process, whichever model it runs on.  The training
+  loops consume layer outputs immediately (``Sequential`` chains them
+  straight into the next layer), so this is invisible there; code that
+  must retain a layer output across steps should ``copy()`` it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = ["BufferPool"]
+__all__ = ["BufferPool", "FRESH"]
 
 
 class BufferPool:
@@ -58,13 +59,12 @@ class BufferPool:
         buf[...] = 0
         return buf
 
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of storage held (not of the views handed out)."""
-        return sum(v.base.nbytes for v in self._bufs.values())
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._bufs
+class _Fresh(BufferPool):
+    """A new array per request, nothing kept: an eval-mode layer's scratch."""
 
-    def __len__(self) -> int:
-        return len(self._bufs)
+    def get(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
+FRESH = _Fresh()

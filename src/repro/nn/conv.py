@@ -27,9 +27,9 @@ class Conv2d(Module):
     ``(N, C*kh*kw, OH*OW)``, so forward is a single ``W @ col`` batched GEMM
     that lands directly in NCHW, and backward's input gradient and scatter-add
     reuse the same layout.  All large temporaries (padded input, col, output,
-    gradient buffers) come from a per-module :class:`BufferPool` and are
-    reused across steps; the im2col buffer is handed back for reuse as soon
-    as ``backward`` consumes it, so it is never retained between steps.
+    gradient buffers) come from the layer's :class:`BufferPool` and are
+    reused across steps (eval mode: fresh, no col kept); the im2col buffer is
+    handed back as soon as ``backward`` consumes it, never kept between steps.
     """
 
     def __init__(
@@ -77,12 +77,13 @@ class Conv2d(Module):
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
         plan = conv_plan(n, c, h, w, self.kh, self.kw, self.stride, self.padding)
-        col = plan.extract(x, pool=self._pool)  # (N, K, P) channel-major
-        self._col = col
+        pool = self._scratch()
+        col = plan.extract(x, pool=pool)  # (N, K, P) channel-major
+        self._col = col if self.training else None
         self._plan = plan
         wmat = self.weight.data.reshape(self.out_channels, -1)
         out_dtype = np.result_type(wmat.dtype, col.dtype)
-        y = self._pool.get("y", (n, self.out_channels, plan.p), out_dtype)
+        y = pool.get("y", (n, self.out_channels, plan.p), out_dtype)
         np.matmul(wmat, col, out=y)  # (F, K) @ (N, K, P) -> (N, F, P)
         if self.bias is not None:
             y += self.bias.data[:, None]

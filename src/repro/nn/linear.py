@@ -53,7 +53,7 @@ class Linear(Module):
             raise ValueError(
                 f"expected last dim {self.in_features}, got input shape {x.shape}"
             )
-        self._x = x
+        self._x = x if self.training else None
         y = x @ self.weight.data.T
         if self.bias is not None:
             y += self.bias.data

@@ -21,6 +21,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .bufferpool import FRESH, BufferPool
+
 __all__ = ["Parameter", "Module", "Sequential", "FlatParams", "flatten_module"]
 
 
@@ -115,6 +117,9 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
+
+    def _scratch(self) -> BufferPool:  # eval mode: fresh arrays, no shared pool grows
+        return self._pool if self.training else FRESH
 
     # -- compute contract ---------------------------------------------------
 

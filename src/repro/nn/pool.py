@@ -48,7 +48,8 @@ class MaxPool2d(Module):
         oh, ow = h // self.kh, w // self.kw
         if oh < 1 or ow < 1:
             raise ValueError(f"input {h}x{w} smaller than pool {self.kh}x{self.kw}")
-        out, self._hits = max_over_views(self._offset_views(x, oh, ow), self._pool, self.training)
+        views = self._offset_views(x, oh, ow)
+        out, self._hits = max_over_views(views, self._scratch(), self.training)
         self._x_shape = x.shape
         return out
 

@@ -36,7 +36,7 @@ class TemporalConvolution(Module):
     overlap-add is vectorised: each window offset's contribution lands on a
     diagonal-shifted strided view of one scratch buffer, which then collapses
     with a single ``sum`` — no Python loop over ``kw``.  Large temporaries
-    are pooled and reused across steps.
+    are pooled and reused across steps (eval mode: fresh, no col kept).
     """
 
     def __init__(
@@ -83,12 +83,13 @@ class TemporalConvolution(Module):
         # repeats the frame stride — no transpose, no copy until the gather.
         s0, s1, s2 = x.strides
         win = as_strided(x, shape=(n, lo, self.kw, c), strides=(s0, s1, s1, s2))
-        col = self._pool.get("col", (n, lo, self.kw * c), x.dtype)
+        pool = self._scratch()
+        col = pool.get("col", (n, lo, self.kw * c), x.dtype)
         col.reshape(n, lo, self.kw, c)[...] = win
-        self._col = col
+        self._col = col if self.training else None
         self._x_shape = x.shape
         out_dtype = np.result_type(self.weight.data.dtype, col.dtype)
-        y = self._pool.get("y", (n, lo, self.cout), out_dtype)
+        y = pool.get("y", (n, lo, self.cout), out_dtype)
         np.matmul(col, self.weight.data.T, out=y)
         if self.bias is not None:
             y += self.bias.data
@@ -184,7 +185,7 @@ class MaxOverTime(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, _, c = x.shape
-        out = self._pool.get("y", (n, c), x.dtype)
+        out = self._scratch().get("y", (n, c), x.dtype)
         x.max(axis=1, out=out)
         self._hits = None
         if self.training:

@@ -14,6 +14,11 @@ from repro.nn import (
 from repro.nn.bufferpool import BufferPool
 
 
+def _held(pool):
+    """Bytes of storage a pool holds (not of the views it handed out)."""
+    return sum(v.base.nbytes for v in pool._bufs.values())
+
+
 class TestBufferPool:
     def test_reuse_same_shape(self):
         pool = BufferPool()
@@ -47,12 +52,12 @@ class TestBufferPool:
     def test_nbytes_reports_storage_held(self):
         pool = BufferPool()
         pool.get("x", (8, 4), np.float32)
-        assert "x" in pool and len(pool) == 1 and pool.nbytes == 8 * 4 * 4
+        assert list(pool._bufs) == ["x"] and _held(pool) == 8 * 4 * 4
         small = pool.get("x", (3,), np.float32)
         assert small.nbytes == 12
         # the view handed out shrank; the storage behind it did not
-        assert "x" in pool and len(pool) == 1 and pool.nbytes == 8 * 4 * 4
-        assert "y" not in pool
+        assert list(pool._bufs) == ["x"] and _held(pool) == 8 * 4 * 4
+        assert "y" not in pool._bufs
 
     def test_smaller_request_reuses_larger_storage(self):
         pool = BufferPool()
@@ -73,7 +78,7 @@ class TestBufferPool:
         a = pool.get("x", (64,), np.float64)
         b = pool.get("x", (8,), np.float32)  # fewer bytes, but another dtype
         assert b.dtype == np.float32 and not np.shares_memory(a, b)
-        assert pool.nbytes == 8 * 4
+        assert _held(pool) == 8 * 4
 
     def test_shape_given_as_list_or_numpy_ints(self):
         pool = BufferPool()
@@ -112,28 +117,62 @@ class TestModulePooling:
         after = {name: buf.ctypes.data for name, buf in conv._pool._bufs.items()}
         assert ptrs == after  # steady state: no buffer was reallocated
 
-    def test_eval_batch_and_train_batch_share_conv_storage(self):
+    def test_evaluation_leaves_training_pools_untouched(self):
         rng = np.random.default_rng(3)
         model, _, _ = build_cifar10_cnn(width=0.1, rng=rng)
         small = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
         large = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
-        model.eval()
-        model.forward(large)
+        model.backward(np.ones_like(model.forward(small)))
         pools = [m._pool for m in model.modules() if hasattr(m, "_pool")]
-        ptrs = [{k: b.ctypes.data for k, b in p._bufs.items()} for p in pools]
-        assert sum(p.nbytes for p in pools) > 0
-        for _ in range(2):
-            model.train()
-            model.zero_grad()
-            model.backward(np.ones_like(model.forward(small)))
-            model.eval()
-            model.forward(large)
-        # the batch-8 storage served every batch-2 step and was never
-        # replaced; training only added the names backward needs
-        for p, before in zip(pools, ptrs):
-            after = {k: b.ctypes.data for k, b in p._bufs.items()}
-            assert {k: after[k] for k in before} == before
+        before = [({k: b.ctypes.data for k, b in p._bufs.items()}, _held(p)) for p in pools]
+        assert sum(held for _, held in before) > 0
+        model.eval()
+        model.forward(large)  # four times the training batch
+        model.train()
+        # an evaluation draws fresh arrays: no pool grew, moved or gained a name
+        after = [({k: b.ctypes.data for k, b in p._bufs.items()}, _held(p)) for p in pools]
+        assert after == before
 
+    def test_learners_in_one_process_share_one_pool_per_layer(self):
+        from repro.algos import SASGDOptions, SASGDTrainer, TrainerConfig, cifar_problem
+
+        trainer = SASGDTrainer(
+            cifar_problem(scale="unit", seed=3),
+            TrainerConfig(p=4, epochs=1, batch_size=4), SASGDOptions(T=2))
+        per_model = [[m._pool for m in wl.model.modules() if hasattr(m, "_pool")]
+                     for wl in trainer.workloads]
+        assert per_model[0] and len({len(pools) for pools in per_model}) == 1
+        for position in zip(*per_model):
+            assert len({id(pool) for pool in position}) == 1
+        assert len({id(pool) for pool in per_model[0]}) == len(per_model[0])
+
+    def test_models_with_different_layers_refuse_to_share(self):
+        from repro.algos import TrainerConfig
+        from repro.algos.base import Problem, build_workloads
+        from repro.algos.problems import cifar_problem, nlcf_problem
+
+        cifar, nlcf = cifar_problem(scale="unit", seed=3), nlcf_problem(scale="unit", seed=3)
+        builders = iter([cifar.build_model, nlcf.build_model])
+        mixed = Problem("mixed", lambda rng: next(builders)(rng), cifar.train_set, cifar.test_set)
+        with pytest.raises(ValueError, match="differ in their layers"):
+            build_workloads(mixed, TrainerConfig(p=2))
+
+    @pytest.mark.parametrize("which", ["cifar", "nlcf"])
+    def test_backward_after_an_eval_forward_raises(self, which):
+        from repro.algos.base import LearnerWorkload, spawn_rngs
+        from repro.algos.problems import cifar_problem, nlcf_problem
+
+        problem = (cifar_problem if which == "cifar" else nlcf_problem)(scale="unit", seed=3)
+        wl = LearnerWorkload(problem, 4, *spawn_rngs(9, 3))
+        xb, _ = problem.test_set.batch(np.arange(4))
+        logits = wl.model.forward(xb)  # training mode: state kept for backward
+        wl.model.eval()
+        wl.model.forward(xb)  # evaluation drops it again
+        for mod in wl.model.modules():
+            for state in ("_col", "_mask", "_y", "_x", "_hits"):
+                assert getattr(mod, state, None) is None, (type(mod).__name__, state)
+        with pytest.raises(RuntimeError, match="backward before forward"):
+            wl.model.backward(np.ones_like(logits))
 
     @pytest.mark.parametrize("which", ["cifar", "nlcf"])
     def test_evaluation_between_steps_does_not_disturb_training(self, which):
