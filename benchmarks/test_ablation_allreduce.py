@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.comm import ALLREDUCE_ALGORITHMS, Fabric
+from repro.comm import ALLREDUCE_ALGORITHMS, Fabric, allreduce
 from repro.harness import PAPER_PROFILE, calibrated_machine
 
 
@@ -22,8 +22,8 @@ def run_one(algorithm, p=8, nbytes=506378 * 4.0):
     eps = [fabric.attach(names[i], f"gpu{i}") for i in range(p)]
 
     def worker(rank):
-        yield from ALLREDUCE_ALGORITHMS[algorithm](
-            eps[rank], names, rank, None, nbytes=nbytes, ctx="a"
+        yield from allreduce(
+            eps[rank], names, rank, None, nbytes=nbytes, ctx="a", algorithm=algorithm
         )
 
     for i in range(p):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from repro.cluster import build_binary_tree_topology
-from repro.comm import Fabric, allreduce_ring
+from repro.comm import Fabric, allreduce
 from repro.nn import Conv2d
 from repro.obs import active
 from repro.sim import Delay, Engine
@@ -68,7 +68,9 @@ def test_ring_allreduce_throughput(benchmark):
         out = {}
 
         def worker(rank):
-            res = yield from allreduce_ring(eps[rank], names, rank, arrays[rank], ctx="m")
+            res = yield from allreduce(
+                eps[rank], names, rank, arrays[rank], ctx="m", algorithm="ring"
+            )
             out[rank] = res
 
         for i in range(8):

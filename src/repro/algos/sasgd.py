@@ -17,6 +17,7 @@ from typing import Dict, Generator, Optional
 
 import numpy as np
 
+from ..comm.schedule import check_algorithm
 from ..core.compression import make_compressor
 from ..core.sasgd import SASGDConfig, SASGDLocalState
 from ..spec.registry import TRAINERS
@@ -38,9 +39,11 @@ class SASGDOptions:
     the paper's Sec. III equivalence, available as
     ``SASGDConfig.model_averaging``) and the raw sum (γ, which overshoots by
     a factor p).  γ/√p is the classic variance-reduction scaling and is what
-    the bench-scale experiments validate.  ``allreduce_algorithm`` picks the
-    collective ("ring", "recursive_doubling", "tree") where the transport
-    offers a choice (the simulated fabric; shared memory ignores it).
+    the bench-scale experiments validate.  ``allreduce_algorithm`` names
+    the collective schedule (:data:`repro.comm.schedule.ALLREDUCE_ALGORITHMS`:
+    "ring", "recursive_doubling", "tree", "hierarchical"); every backend runs
+    the same one, so a given p and algorithm ends on the same bits on sim,
+    mp and net.
 
     Extensions beyond the paper (both off by default):
 
@@ -71,6 +74,7 @@ class SASGDOptions:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if not (0.0 < self.k_frac <= 1.0):
             raise ValueError(f"k_frac must be in (0, 1], got {self.k_frac}")
+        check_algorithm(self.allreduce_algorithm)
 
 
 @TRAINERS.register(

@@ -1,20 +1,16 @@
-"""Communication substrate: message fabric, collectives, cost models."""
+"""Communication substrate: message fabric, collective schedules and their
+simulated executor, cost models."""
 
-from .collectives import (
-    ALLREDUCE_ALGORITHMS,
-    allgather_ring,
-    allreduce,
-    allreduce_hierarchical,
-    allreduce_recursive_doubling,
-    allreduce_ring,
-    allreduce_tree,
-    broadcast,
-    contiguous_groups,
-    reduce,
-)
+from .collectives import allgather_ring, allreduce, broadcast, run_schedule
 from .costmodel import allreduce_traffic_bytes, ps_traffic_bytes
 from .fabric import Endpoint, Fabric, Message
 from .fastfabric import FastFabric, WavePlan
+from .schedule import (
+    ALLREDUCE_ALGORITHMS,
+    allreduce_schedule,
+    broadcast_schedule,
+    contiguous_groups,
+)
 
 __all__ = [
     "ALLREDUCE_ALGORITHMS",
@@ -25,13 +21,11 @@ __all__ = [
     "WavePlan",
     "allgather_ring",
     "allreduce",
-    "allreduce_hierarchical",
-    "allreduce_recursive_doubling",
-    "allreduce_ring",
+    "allreduce_schedule",
     "allreduce_traffic_bytes",
-    "allreduce_tree",
     "broadcast",
+    "broadcast_schedule",
     "contiguous_groups",
     "ps_traffic_bytes",
-    "reduce",
+    "run_schedule",
 ]

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .collectives import contiguous_groups
+from .schedule import contiguous_groups
 from .fabric import Fabric
 
 __all__ = ["WavePlan", "FastFabric"]
@@ -133,7 +133,7 @@ class WavePlan:
 def _reduce_rounds(nodes: Sequence[str]) -> List[List[Pair]]:
     """Binomial-tree reduce to ``nodes[0]``: per-round (sender, receiver) pairs.
 
-    Mirrors :func:`repro.comm.collectives.reduce`: in round ``mask`` the ranks
+    Mirrors :mod:`repro.comm.schedule`'s reduce: in round ``mask`` the ranks
     whose lowest set bit is ``mask`` send to ``rank − mask`` and retire.
     """
     p = len(nodes)
@@ -224,7 +224,7 @@ class FastFabric:
     ) -> float:
         """Span of one allreduce over ``nodes`` (rank order), by algorithm.
 
-        Matches the schedules in :mod:`repro.comm.collectives`: the same
+        Matches the schedules in :mod:`repro.comm.schedule`: the same
         rounds, the same per-message sizes, one wave per round.
         ``hierarchical`` needs ``groups`` (rank index lists; first rank of
         each group is its leader).
@@ -233,7 +233,7 @@ class FastFabric:
         if p <= 1:
             return 0.0
         if algorithm == "recursive_doubling" and (p & (p - 1)):
-            algorithm = "ring"  # same fallback as collectives.allreduce
+            algorithm = "ring"  # same fallback as schedule.allreduce_schedule
         if algorithm == "ring":
             pairs = [(nodes[i], nodes[(i + 1) % p]) for i in range(p)]
             plan = self.plan(pairs)

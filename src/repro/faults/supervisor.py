@@ -132,12 +132,14 @@ class LivenessBlock:
 
 
 class PollingBarrier:
-    """A reusable p-way barrier over a :class:`LivenessBlock` lane.
+    """Monotone per-rank round counters over a :class:`LivenessBlock` lane:
+    a reusable p-way barrier, or a wait on just the peers a step reads from.
 
     Each rank keeps a private monotone round counter.  ``wait`` publishes
-    the new round into the rank's arrival slot and probes until every
-    *living* peer has published a round at least as new, a peer is declared
-    dead (→ ``DeadPeer``), or ``timeout`` passes (→ ``Timeout``).  Peers in
+    the new round into the rank's arrival slot and probes until every rank
+    in ``peers`` (all of them by default: a barrier) has published a round
+    at least as new, a peer is declared dead (→ ``DeadPeer``), or
+    ``timeout`` passes (→ ``Timeout``).  Peers in
     step arrive within microseconds of each other, so the first
     ``SPIN_PROBES`` probes only yield the core (``os.sched_yield``: on an
     oversubscribed box the peer that is still computing runs instead);
@@ -175,17 +177,22 @@ class PollingBarrier:
         self.round = int(block.arrivals[lane][rank])
         self._stolen = 0  # yields that ran somebody else on this core
 
-    def wait(self, timeout: float) -> None:
-        self.round += 1
+    def wait(self, timeout: float, peers: Optional[Sequence[int]] = None,
+             arrive: bool = True) -> None:
+        """Arrive at the next round (unless ``arrive`` is false), then return
+        once every rank in ``peers`` has arrived at this rank's round."""
         arrivals = self.block.arrivals[self.lane]
-        arrivals[self.rank] = self.round
+        if arrive:
+            self.round += 1
+            arrivals[self.rank] = self.round
         deadline = time.monotonic() + timeout
         probes = 0
         while True:
             dead = self.block.first_dead(exclude=self.rank)
             if dead is not None:
                 raise PollingBarrier.DeadPeer(dead, int(self.block.dead_step[dead]))
-            if bool(np.all(arrivals >= self.round)):
+            if (bool(np.all(arrivals >= self.round)) if peers is None
+                    else all(arrivals[q] >= self.round for q in peers)):
                 return
             now = time.monotonic()
             if now > deadline:

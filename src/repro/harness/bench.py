@@ -340,8 +340,9 @@ def _bench_mp_roundtrips(
     """Latency of the mp backend's two hand-offs, shaped like the net pair
     below so the two transports read side by side.
 
-    ``mp_allreduce_roundtrip`` is one three-barrier shared-memory allreduce
-    of the same model-sized float32 vector between two real processes;
+    ``mp_allreduce_roundtrip`` is one shared-memory allreduce of the same
+    model-sized float32 vector between two real processes (the default
+    schedule: at p = 2 one whole-vector exchange through the inbox slots);
     ``mp_ps_push_pull`` is one push + one pull against a live shard process
     through the mailbox and header pipes, ``mp_ps_exchange`` the fused push
     against two (:data:`_PS_BENCHES`).  Skipped (empty dict) where fork is
@@ -369,7 +370,7 @@ def _bench_mp_roundtrips(
         ar_s, ar_r = _time(lambda: coll._allreduce(0, mine), reps)
         out["mp_allreduce_roundtrip"] = _entry(ar_s, ar_r, dim=dim, p=2)
     finally:
-        liveness.declare_dead(0)  # aborts the peer's barrier wait
+        liveness.declare_dead(0)  # aborts the peer's wait
         _reap_peer(peer)
         coll.teardown()
         liveness.close()
@@ -394,8 +395,9 @@ def _bench_net_roundtrips(
     """Latency of the net backend's two wire primitives on loopback TCP.
 
     ``net_allreduce_roundtrip`` is one allreduce of a model-sized float32
-    vector between two real processes (the framed protocol end to end: at
-    p = 2 one whole-vector ``sendrecv`` exchange, a frame each way).
+    vector between two real processes (the framed protocol end to end: the
+    same schedule as mp's, at p = 2 one whole-vector ``sendrecv`` exchange,
+    a frame each way).
     ``net_ps_push_pull`` is one push + one pull against a live PS shard
     process; ``net_ps_exchange`` is the fused push against two — the
     per-step cost every Downpour learner pays.  Skipped (empty dict) where
@@ -412,7 +414,7 @@ def _bench_net_roundtrips(
     ctx = multiprocessing.get_context("fork")
     out: Dict[str, Dict[str, object]] = {}
 
-    # -- ring allreduce: parent is rank 0, a forked peer is rank 1 ---------
+    # -- allreduce: parent is rank 0, a forked peer is rank 1 --------------
     spec, listeners = allocate_loopback(p=2)
     coll = NetCollective(p=2, timeout=timeout)
     coll.install(spec, {0: listeners["worker0"], 1: listeners["worker1"]})

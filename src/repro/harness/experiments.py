@@ -51,7 +51,7 @@ from ..cluster.machine import (
     power8_cluster_spec,
     torus_spec,
 )
-from ..comm.collectives import contiguous_groups
+from ..comm.schedule import contiguous_groups
 from ..spec import registry as _spec_registry
 from .calibration import PAPER_PROFILE
 from .timing import TimingWorkload, simulate_epoch_time

@@ -5,12 +5,10 @@ through a cluster spec.
 :mod:`repro.runtime.process_backend` holds what every real substrate does;
 this module adds how ``net`` moves bytes and notices death:
 
-* **Collectives** are a TCP ring: each rank holds one connection to its
-  successor and one from its predecessor (established lazily from the
-  cluster spec at the first collective call).  Allreduce is the classic
-  chunked ring (p−1 reduce-scatter steps + p−1 allgather steps, tensors
-  framed zero-copy); broadcast forwards hop by hop; object allgather
-  rotates pickled items around the ring.
+* **Collectives** run the :mod:`repro.comm.schedule` steps the simulated
+  fabric runs, over one connection per ordered pair of ranks (dialled from
+  the cluster spec when first used; tensors framed zero-copy); object
+  allgather rotates pickled items around the ring.
 * **Parameter server** shards are TCP servers (:func:`serve_shard`): one
   selector loop over the listener and every client connection feeds PS_REQ
   frames into the shard state in readiness order, and PS_REP frames answer
@@ -49,6 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..comm.schedule import bounds
 from ..faults.plan import RetryPolicy, _hash_uniform
 from ..faults.supervisor import HeartbeatThread
 from ..obs import events as _events
@@ -162,16 +161,18 @@ def _redial(sess: SessionConn, addr: str, peer: str, hello: Dict[str, Any],
 
 
 class NetCollective(BlockingCollective):
-    """Chunked ring allreduce / hop-forward broadcast / rotation allgather
-    over two TCP connections per rank (successor out, predecessor in).
+    """Collective schedules / rotation allgather over TCP, one connection
+    per ordered (sender, receiver) pair, dialled by the sender the first
+    time a step sends to that peer (the links to ranks r ± 1 are the ring).
 
-    Every ring step is one deadlock-free :meth:`~repro.net.frames.Conn.sendrecv`;
-    at p = 2 the allreduce is one whole-vector exchange (DESIGN §13).
-    Connections are strictly ordered streams, so rounds cannot cross-talk:
-    a fast peer's next-round frame simply queues behind the current one.
-    A dead ring neighbour surfaces as :class:`ConnectionLost` on the next
-    send/recv and is rethrown as a typed :class:`LearnerFailure` naming it;
-    a peer that stops reading is reported as a stall.
+    A step with both sides is one deadlock-free
+    :meth:`~repro.net.frames.Conn.sendrecv`, a one-sided step one
+    ``send_tensor`` or ``recv``.  Connections are strictly ordered streams,
+    so rounds cannot cross-talk: a fast peer's next-round frame simply
+    queues behind the current one.  A dead peer surfaces as
+    :class:`ConnectionLost` on the next send/recv and is rethrown as a typed
+    :class:`LearnerFailure` naming it; a peer that stops reading is
+    reported as a stall.
     """
 
     def __init__(self, p: int, timeout: float) -> None:
@@ -179,13 +180,14 @@ class NetCollective(BlockingCollective):
         self._spec: Optional[ClusterSpec] = None
         self._listeners: Dict[int, Optional[socket.socket]] = {}
         self._rank: Optional[int] = None
-        self._next = None  # Conn, or SessionConn under recovery=reconnect
-        self._prev = None
+        # by peer rank: Conn, or SessionConn under recovery=reconnect
+        self._out: Dict[int, Any] = {}
+        self._in: Dict[int, Any] = {}
         self._session: Optional[str] = None
         self._resume_deadline = _RECONNECT_DEADLINE
         self._resume_retry = RetryPolicy()
         self._resume_seed = 0
-        self._resumes = 0  # per-session resume budget consumed (both links)
+        self._resumes = 0  # per-session resume budget consumed (all links)
 
     def install(self, spec: ClusterSpec,
                 listeners: Dict[int, socket.socket]) -> None:
@@ -196,61 +198,109 @@ class NetCollective(BlockingCollective):
 
     def configure_resume(self, session: str, deadline: float,
                          retry: RetryPolicy, seed: int) -> None:
-        """Enable session-resumable ring links (recovery=reconnect).
+        """Enable session-resumable links (recovery=reconnect).
 
-        Must run before :meth:`_setup` joins the ring — the links are
-        wrapped in :class:`SessionConn` so seq numbering and the replay
-        buffer survive socket replacement.
+        Must run before the first link is made — the links are wrapped in
+        :class:`SessionConn` so seq numbering and the replay buffer survive
+        socket replacement.
         """
         self._session = session
         self._resume_deadline = deadline
         self._resume_retry = retry
         self._resume_seed = seed
 
-    def _setup(self, rank: int) -> None:
-        """Join the ring (first collective call in this process only)."""
-        if self._next is not None:
-            return
-        self._rank = rank
-        listener = self._listeners.get(rank)
-        if listener is None:
-            # external mode: bind our own spec address (fixed port)
-            listener = bind_listener(self._spec.workers[rank])
-            self._listeners[rank] = listener
-        succ = (rank + 1) % self.p
-        # connect-then-accept is deadlock-free: the SYN queues in the
-        # successor's listen backlog even before it reaches accept()
-        nxt = connect(
-            self._spec.workers[succ], f"learner{succ}", timeout=self.timeout
-        )
-        # the ring handshake rides at seq 0, outside the session stream
-        nxt.send(HELLO, {"rank": rank}, seq=0)
-        listener.settimeout(self.timeout)
-        try:
-            sock, _ = listener.accept()
-        except socket.timeout:
-            raise LearnerFailure(
-                message=f"ring bootstrap: no predecessor connected within "
-                f"{self.timeout}s; a peer died and the surviving ranks "
-                "deadlocked"
-            ) from None
-        prev = (rank - 1) % self.p
-        prv = Conn(sock, f"learner{prev}")
-        if self._session is not None:
-            self._next = SessionConn(nxt, self._session)
-            self._prev = SessionConn(prv, self._session)
-        else:
-            self._next, self._prev = nxt, prv
-        self._prev.settimeout(self.timeout)
-        self._next.settimeout(self.timeout)
-        self._prev.recv()  # the predecessor's HELLO (seq 0)
+    def _wrap(self, conn: Conn):
+        return conn if self._session is None else SessionConn(conn, self._session)
+
+    def _link_out(self, peer: int):
+        """The link this rank sends to ``peer`` on, dialled on first use."""
+        conn = self._out.get(peer)
+        if conn is None:
+            conn = connect(
+                self._spec.workers[peer], f"learner{peer}", timeout=self.timeout
+            )
+            # the handshake rides at seq 0, outside the session stream
+            conn.send(HELLO, {"rank": self._rank}, seq=0)
+            conn.settimeout(self.timeout)
+            conn = self._out[peer] = self._wrap(conn)
+        elif self._session is not None and select.select([conn.sock], [], [], 0)[0]:
+            # nothing comes back on an outgoing link, so it was closed: a frame
+            # sent into it may vanish, and a schedule that sends once per link
+            # may make no later send to replay it from
+            self._repair_out(peer, ConnectionLost(conn.peer, sending=True))
+        return conn
+
+    def _link_in(self, peer: int):
+        """The link ``peer`` sends to this rank on, accepted on first use
+        (a dial queues in the listen backlog, so dialling before accepting
+        cannot deadlock)."""
+        while peer not in self._in:
+            if self._accept(self.timeout) is None:
+                raise LearnerFailure(
+                    message=f"collective bootstrap: learner{peer} did not "
+                    f"connect within {self.timeout}s; a peer died and the "
+                    "surviving ranks deadlocked"
+                )
+        return self._in[peer]
 
     def teardown_rank(self) -> None:
-        """Close this process's ring endpoints (worker exit path)."""
-        for conn in (self._next, self._prev):
-            if conn is not None:
+        """Close this process's links (worker exit path)."""
+        for conn in [*self._out.values(), *self._in.values()]:
+            conn.close()
+        self._out, self._in = {}, {}
+
+    def _accept(self, window: float,
+                deadline: Optional[float] = None) -> Optional[int]:
+        """Accept one connection on our own listener: a HELLO from a peer
+        seats its incoming link, a RESUME (session token + a peer whose link
+        we hold) is answered with the last seq we processed — so the dialer
+        replays only what we missed — and adopted.  Returns the peer's rank,
+        −1 when a bad handshake was turned away, None when nobody dialled
+        within ``window``.
+
+        The repair of an outgoing link calls this between its RESUME_OK
+        polls, which breaks the symmetric deadlock: when *both* of a pair's
+        links die at once (any p=2 cut, or a full partition), both ranks hit
+        the failed *send* first — each dialing a peer that is itself dialing.
+        """
+        listener = self._listeners.get(self._rank)
+        if listener is None:
+            # external mode: bind our own spec address (fixed port)
+            listener = self._listeners[self._rank] = bind_listener(
+                self._spec.workers[self._rank]
+            )
+        listener.settimeout(window)
+        try:
+            sock, _ = listener.accept()
+        except (socket.timeout, OSError):
+            return None
+        conn = Conn(sock, "learner?")
+        try:
+            conn.settimeout(
+                self.timeout if deadline is None
+                else max(0.05, deadline - time.monotonic())
+            )
+            frame = conn.recv()
+            peer = int(frame.meta.get("rank", -1))
+            conn.peer = f"learner{peer}"
+            if frame.kind == HELLO and 0 <= peer < self.p and peer not in self._in:
+                conn.settimeout(self.timeout)
+                self._in[peer] = self._wrap(conn)
+                return peer
+            if (
+                frame.kind != RESUME
+                or frame.meta.get("sess") != self._session
+                or peer not in self._in
+            ):
                 conn.close()
-        self._next = self._prev = None
+                return -1
+            conn.send(RESUME_OK, {"last": self._in[peer].last_recv_seq}, seq=0)
+            conn.settimeout(self.timeout)
+        except (ConnectionLost, ProtocolError, socket.timeout):
+            conn.close()
+            return -1
+        self._in[peer].adopt(conn)
+        return peer
 
     # -- session resume (recovery=reconnect) --------------------------------
 
@@ -259,123 +309,80 @@ class NetCollective(BlockingCollective):
         session may repair its links max_retries + 1 times in total."""
         return self._resumes < self._resume_retry.max_retries + 1
 
-    def _send_next(self, op: Callable[[Any], Any]) -> None:
-        """Run ``op(self._next)``; on connection loss, repair the outgoing
-        link and rely on the replay buffer (the frame was recorded before
-        the failed send, so the repair already re-delivered it)."""
-        try:
-            op(self._next)
-        except ConnectionLost as exc:
-            if self._session is None:
-                raise
-            self._repair_next(exc)
-
-    def _recv_prev(self):
-        """Receive from the predecessor, re-accepting the incoming link on
-        connection loss (duplicate replayed frames are skipped by the
-        SessionConn)."""
-        while True:
-            try:
-                return self._prev.recv()
-            except ConnectionLost as exc:
-                if self._session is None:
-                    raise
-                self._repair_prev(exc)
-
-    def _accept_resume(self, window: float,
-                       deadline: Optional[float] = None) -> Optional[bool]:
-        """Accept one connection on our own listener and, if it is the
-        predecessor's RESUME (session token + expected rank), answer with the
-        last seq we processed — so the dialer replays only what we missed —
-        and adopt it.  True: adopted; False: a bad handshake was turned away;
-        None: nobody dialled within ``window``.
-
-        :meth:`_repair_next` calls this between its RESUME_OK polls, which
-        breaks the symmetric deadlock: when *both* of a pair's links die at
-        once (any p=2 cut, or a full partition), both ranks hit the failed
-        *send* first — each dialing a peer that is itself dialing.
-        """
-        listener = self._listeners.get(self._rank)
-        if listener is None:
-            return None
-        prev = (self._rank - 1) % self.p
-        listener.settimeout(window)
-        try:
-            sock, _ = listener.accept()
-        except (socket.timeout, OSError):
-            return None
-        conn = Conn(sock, f"learner{prev}")
-        try:
-            conn.settimeout(
-                1.0 if deadline is None
-                else max(0.05, deadline - time.monotonic())
-            )
-            frame = conn.recv()
-            if (
-                frame.kind != RESUME
-                or frame.meta.get("sess") != self._session
-                or int(frame.meta.get("rank", -1)) != prev
-            ):
-                conn.close()
-                return False
-            conn.send(RESUME_OK, {"last": self._prev.last_recv_seq}, seq=0)
-            conn.settimeout(self.timeout)
-        except (ConnectionLost, ProtocolError, socket.timeout):
-            conn.close()
-            return False
-        self._prev.adopt(conn)
-        return True
-
-    def _repair_next(self, cause: ConnectionLost) -> None:
-        """Re-dial the successor and replay un-acked frames, servicing our
-        own listener between polls (:meth:`_accept_resume`).  Gives up
-        (re-raises the original loss) when the reconnect deadline or the
-        per-session budget expires, or the replay no longer covers the gap."""
+    def _repair_out(self, peer: int, cause: ConnectionLost) -> None:
+        """Re-dial ``peer`` and replay un-acked frames, servicing our own
+        listener between polls (:meth:`_accept`).  Gives up (re-raises the
+        original loss) when the reconnect deadline or the per-session budget
+        expires, or the replay no longer covers the gap."""
         if not self._budget_ok():
             raise cause
         self._resumes += 1
-        succ = (self._rank + 1) % self.p
+        deadline = time.monotonic() + self._resume_deadline
         if not _redial(
-            self._next, self._spec.workers[succ], f"learner{succ}",
-            {"rank": self._rank, "sess": self._session},
-            time.monotonic() + self._resume_deadline,
+            self._out[peer], self._spec.workers[peer], f"learner{peer}",
+            {"rank": self._rank, "sess": self._session}, deadline,
             lambda attempt: _resume_pause(
                 self._resume_retry, self._resume_seed, self._rank,
                 self._resumes, attempt,
             ),
-            self.timeout, idle=lambda: self._accept_resume(0.05),
+            self.timeout, idle=lambda: self._accept(0.05, deadline),
         ):
             raise cause
 
-    def _repair_prev(self, cause: ConnectionLost) -> None:
-        """Re-accept the predecessor's replacement connection; gives up
-        (re-raises the original loss) when the reconnect deadline or the
-        per-session budget expires."""
+    def _repair_in(self, peer: int, cause: ConnectionLost) -> None:
+        """Re-accept ``peer``'s replacement connection; gives up (re-raises
+        the original loss) when the reconnect deadline or the per-session
+        budget expires."""
         if not self._budget_ok():
             raise cause
         self._resumes += 1
         deadline = time.monotonic() + self._resume_deadline
         while True:
             remaining = deadline - time.monotonic()
-            adopted = (
-                self._accept_resume(remaining, deadline) if remaining > 0 else None
-            )
-            if adopted is None:
+            got = self._accept(remaining, deadline) if remaining > 0 else None
+            if got is None:
                 raise cause
-            if adopted:
+            if got == peer:
                 return
 
-    def _step(self, array: np.ndarray, meta: Dict[str, Any]):
-        """One ring step; under recovery=reconnect a failed send repairs the
-        outgoing link (its replay re-delivers our frame)."""
+    # -- one step -------------------------------------------------------------
+
+    def _send(self, peer: int, array: np.ndarray) -> None:
+        """Send to ``peer``; under recovery=reconnect a failed send repairs
+        the link, and the replay re-delivers the frame (it was recorded
+        before the send failed)."""
+        conn = self._link_out(peer)
         try:
-            return self._next.sendrecv(self._prev, DATA, array, meta)
+            conn.send_tensor(DATA, array)
+        except ConnectionLost as exc:
+            if self._session is None:
+                raise
+            self._repair_out(peer, exc)
+
+    def _recv(self, peer: int):
+        """Receive from ``peer``, re-accepting the link on connection loss
+        (duplicate replayed frames are skipped by the SessionConn)."""
+        conn = self._link_in(peer)
+        while True:
+            try:
+                return conn.recv()
+            except ConnectionLost as exc:
+                if self._session is None:
+                    raise
+                self._repair_in(peer, exc)
+
+    def _exchange(self, send_to: int, array: np.ndarray, recv_from: int,
+                  meta: Optional[Dict[str, Any]] = None):
+        """Send to one peer while receiving from another (or the same)."""
+        out, inp = self._link_out(send_to), self._link_in(recv_from)
+        try:
+            return out.sendrecv(inp, DATA, array, meta)
         except ConnectionLost as exc:
             if self._session is None:
                 raise
             if exc.sending:
-                self._repair_next(exc)
-            return exc.frame if exc.frame is not None else self._recv_prev()
+                self._repair_out(send_to, exc)
+            return exc.frame if exc.frame is not None else self._recv(recv_from)
 
     def _fail(self, exc: BaseException, opname: str, rank: int) -> LearnerFailure:
         if isinstance(exc, ConnectionLost) and not exc.stalled:
@@ -383,81 +390,59 @@ class NetCollective(BlockingCollective):
             return LearnerFailure(
                 victim,
                 None,
-                f"{opname}: ring connection to {exc.peer} lost (peer died); "
+                f"{opname}: connection to {exc.peer} lost (peer died); "
                 f"rank {rank} abandoned the round (surviving ranks would "
                 "have deadlocked)",
             )
         return LearnerFailure(
-            message=f"{opname} stalled for {self.timeout}s on the ring; a "
+            message=f"{opname} stalled for {self.timeout}s on a link; a "
             "peer died undetected and the surviving ranks deadlocked"
         )
 
     # -- BlockingCollective bodies ------------------------------------------
 
-    def _broadcast(self, rank: int, array, root: int) -> np.ndarray:
-        if self.p == 1:
-            return np.array(array, copy=True)
-        self._setup(rank)
+    def _run(self, rank: int, schedule, local, opname: str) -> np.ndarray:
+        self._rank = rank
         try:
-            if rank == root:
-                out = np.array(array, copy=True)
-                self._send_next(lambda c: c.send_tensor(DATA, out, {"op": "bc"}))
-            else:
-                frame = self._recv_prev()
-                out = np.array(frame.tensor(), copy=True)
-                if (rank + 1) % self.p != root:
-                    self._send_next(
-                        lambda c: c.send_tensor(DATA, out, {"op": "bc"})
-                    )
+            for step in schedule:
+                if step is None:
+                    continue
+                if step.send is not None:
+                    lo, hi = bounds(step.send, local.size)
+                    piece = local[lo:hi]
+                    self.bytes_moved += float(piece.nbytes)
+                    if step.recv is None:
+                        self._send(step.send_to, piece)
+                        continue
+                    frame = self._exchange(step.send_to, piece, step.recv_from)
+                else:
+                    frame = self._recv(step.recv_from)
+                got = frame.tensor()
+                if local is None:
+                    local = np.array(got, copy=True)
+                    continue
+                lo, hi = bounds(step.recv, local.size)
+                if step.add:
+                    local[lo:hi] += got
+                else:
+                    local[lo:hi] = got
         except (ConnectionLost, socket.timeout) as exc:
-            raise self._fail(exc, "broadcast", rank) from None
-        if rank != root:  # received bytes: (p - 1)·n in all, as the sim fabric counts
-            self.bytes_moved += float(out.nbytes)
-        return out
-
-    def _allreduce(self, rank: int, array: np.ndarray) -> np.ndarray:
-        if self.p == 1:
-            return np.array(array, copy=True)
-        self._setup(rank)
-        arr = np.ascontiguousarray(array)
-        try:
-            out = (arr + self._step(arr, {"op": "ar"}).tensor() if self.p == 2
-                   else self._ring_allreduce(rank, arr.copy()))
-        except (ConnectionLost, socket.timeout) as exc:
-            raise self._fail(exc, "allreduce", rank) from None
-        self.bytes_moved += 2.0 * float(arr.nbytes) * (self.p - 1) / self.p
-        return out
-
-    def _ring_allreduce(self, rank: int, arr: np.ndarray) -> np.ndarray:
-        flat = arr.reshape(-1)
-        edges = np.linspace(0, flat.size, self.p + 1).astype(int)
-        bounds = list(zip(edges[:-1], edges[1:]))
-        # p-1 reduce-scatter steps leave rank r the full sum of chunk (r+1)
-        # mod p; p-1 allgather steps circulate the sums the same way round
-        for step in range(2 * self.p - 2):
-            scatter, chunk = step < self.p - 1, (rank - step) % self.p
-            lo, hi = bounds[chunk]
-            op = "ar" if scatter else "ag"
-            frame = self._step(flat[lo:hi], {"op": op, "c": chunk})
-            lo, hi = bounds[(rank - step - 1) % self.p]
-            if hi > lo and scatter:
-                flat[lo:hi] += frame.tensor()
-            elif hi > lo:
-                flat[lo:hi] = frame.tensor()
-        return arr
+            raise self._fail(exc, opname, rank) from None
+        return local
 
     def _allgather(self, rank: int, item, tag, nbytes: float) -> List[Any]:
         if self.p == 1:
             return [item]
-        self._setup(rank)
+        self._rank = rank
         pieces: List[Any] = [None] * self.p
         pieces[rank] = item
         cur_src, cur = rank, item
         try:
             for _ in range(self.p - 1):
                 blob = np.frombuffer(pickle.dumps(cur, protocol=4), np.uint8)
-                frame = self._step(
-                    blob, {"op": "gather", "src": cur_src, "tag": str(tag)}
+                frame = self._exchange(
+                    (rank + 1) % self.p, blob, (rank - 1) % self.p,
+                    {"op": "gather", "src": cur_src, "tag": str(tag)},
                 )
                 cur_src = int(frame.meta["src"])
                 cur = frame.obj()
@@ -1138,8 +1123,8 @@ class NetBackend(ProcessBackend):
         self._worker_fault_counts["disconnect"] += 1
         # emit before cutting: the event frame needs the live ctrl socket
         super().fault_disconnect(lid, step)
-        _shutdown_quietly(self.collective._next)
-        _shutdown_quietly(self.collective._prev)
+        for conn in [*self.collective._out.values(), *self.collective._in.values()]:
+            _shutdown_quietly(conn)
         if self._ps is not None:
             for client in self._ps._clients:
                 for conn in list(client.channel.conns.values()):

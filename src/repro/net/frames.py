@@ -557,8 +557,5 @@ class SessionConn:
     def conn(self) -> Conn:
         return self._conn
 
-    def settimeout(self, seconds: Optional[float]) -> None:
-        self._conn.settimeout(seconds)
-
     def close(self) -> None:
         self._conn.close()

@@ -171,9 +171,8 @@ class Collective(ABC):
     ) -> Generator:
         """Sum-allreduce ``array`` across ranks; returns the reduced array.
 
-        ``algorithm`` selects the wire schedule where the transport offers a
-        choice (the simulated fabric: ring / recursive_doubling / tree); a
-        shared-memory transport may ignore it.
+        ``algorithm`` names the schedule (:mod:`repro.comm.schedule`); every
+        transport runs it, so it gives the same bits on every backend.
         """
 
     @abstractmethod

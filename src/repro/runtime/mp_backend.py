@@ -4,12 +4,9 @@
 this module adds how ``mp`` moves bytes and notices death (``fork`` start
 method, so workers inherit the constructed trainer without pickling):
 
-* **Collectives** move the flat parameter vector through
-  ``multiprocessing.shared_memory`` segments: each rank publishes its input
-  into its own segment, a barrier aligns the round, every rank reduces its
-  owned contiguous chunk into a shared result segment (a chunked
-  reduce-scatter), a second barrier publishes the sums, and every rank
-  copies the full result back out (the allgather half).  Object allgather
+* **Collectives** run the :mod:`repro.comm.schedule` steps the simulated
+  fabric runs, through one ``multiprocessing.shared_memory`` inbox segment
+  and per-rank round counters (:class:`MPCollective`).  Object allgather
   (compressed SASGD's sparse pieces) rides per-rank queues instead.
 * **Parameter server** shards each own a contiguous slice of one shared
   parameter segment.  Tensors travel through a shared *mailbox* (a request
@@ -39,6 +36,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from ..comm.schedule import bounds
 from ..faults.plan import FaultPlan, RetryPolicy
 from ..faults.supervisor import HeartbeatThread, LivenessBlock, PollingBarrier
 from ..obs import events as _events
@@ -80,13 +78,16 @@ def _unlink_quietly(shm: Optional[shared_memory.SharedMemory]) -> None:
 
 
 class MPCollective(BlockingCollective):
-    """Chunked reduce-scatter/allgather allreduce over shared memory.
+    """Collective schedules over shared memory.
 
-    Synchronisation is a :class:`~repro.faults.supervisor.PollingBarrier`
-    over the run's liveness block rather than ``multiprocessing.Barrier``:
-    a dead peer aborts the round with a typed failure naming the victim
-    within one supervision pass, and the barrier itself survives the failed
-    round.
+    Each rank owns an inbox segment row of two slots; in round k a sender
+    writes its piece into the receiver's slot k mod 2 and both advance a
+    :class:`~repro.faults.supervisor.PollingBarrier` round counter over the
+    run's liveness block.  A receiver waits only on the peer it reads from;
+    a sender first checks that the receiver has left round k − 1, so it has
+    read the slot's round k − 2 (at p = 2 that check always passes at
+    once).  A dead peer aborts the round with a typed failure naming the
+    victim within one supervision pass.
     """
 
     def __init__(self, ctx, p: int, timeout: float) -> None:
@@ -94,59 +95,49 @@ class MPCollective(BlockingCollective):
         self._ctx = ctx
         self._size = 0
         self._dtype: Optional[np.dtype] = None
-        self._shm_in: List[shared_memory.SharedMemory] = []
-        self._shm_out: Optional[shared_memory.SharedMemory] = None
-        self._in: List[np.ndarray] = []  # views of the segments, built once
-        self._out: Optional[np.ndarray] = None
+        self._shm: Optional[shared_memory.SharedMemory] = None
+        self._inbox: Optional[np.ndarray] = None  # (p, 2, size) view, built once
         self._liveness: Optional[LivenessBlock] = None  # owned by the backend
         self._barriers: Dict[int, PollingBarrier] = {}  # per-process, by rank
         self._queues = None
-        self._bounds: List[Any] = []
         self._stash: dict = {}  # tag -> [(src, item)] received out of round
 
     def allocate(self, size: int, dtype, liveness: LivenessBlock) -> None:
-        """Create the shared segments on the run's liveness block (which needs
+        """Create the inbox segment on the run's liveness block (which needs
         a ``"coll"`` lane).  Must run before fork."""
         if self._queues is not None:
             raise RuntimeError("collective already allocated")
         self._size = int(size)
         self._dtype = np.dtype(dtype)
-        nbytes = max(1, self._size * self._dtype.itemsize)
-        self._shm_in = [
-            shared_memory.SharedMemory(create=True, size=nbytes)
-            for _ in range(self.p)
-        ]
-        self._shm_out = shared_memory.SharedMemory(create=True, size=nbytes)
-        self._in = [self._view(shm) for shm in self._shm_in]
-        self._out = self._view(self._shm_out)
+        self._shm = shared_memory.SharedMemory(
+            create=True, size=max(1, 2 * self.p * self._size * self._dtype.itemsize)
+        )
+        self._inbox = np.ndarray(
+            (self.p, 2, self._size), dtype=self._dtype, buffer=self._shm.buf
+        )
         self._liveness = liveness
         self._queues = [self._ctx.Queue() for _ in range(self.p)]
-        edges = np.linspace(0, self._size, self.p + 1).astype(int)
-        self._bounds = list(zip(edges[:-1], edges[1:]))
 
     def teardown(self) -> None:
-        self._in = []
-        self._out = None
-        for shm in self._shm_in:
-            _unlink_quietly(shm)
-        _unlink_quietly(self._shm_out)
-        self._shm_in = []
-        self._shm_out = None
+        self._inbox = None
+        _unlink_quietly(self._shm)
+        self._shm = None
         self._liveness = None
         self._barriers = {}
         self._queues = None
 
-    def _view(self, shm: shared_memory.SharedMemory) -> np.ndarray:
-        return np.ndarray((self._size,), dtype=self._dtype, buffer=shm.buf)
-
-    def _wait(self, rank: int) -> None:
+    def _barrier(self, rank: int) -> PollingBarrier:
         barrier = self._barriers.get(rank)
         if barrier is None:
             barrier = self._barriers[rank] = PollingBarrier(
                 self._liveness, "coll", rank
             )
+        return barrier
+
+    def _wait(self, rank: int, peers=None, arrive: bool = True) -> None:
+        """One round counter step: see :meth:`PollingBarrier.wait`."""
         try:
-            barrier.wait(self.timeout)
+            self._barrier(rank).wait(self.timeout, peers, arrive)
         except PollingBarrier.DeadPeer as dead:
             raise LearnerFailure(
                 dead.rank,
@@ -161,43 +152,31 @@ class MPCollective(BlockingCollective):
                 "a peer stalled undetected and the surviving ranks deadlocked"
             ) from None
 
-    # -- BlockingCollective bodies ------------------------------------------
-
-    def _broadcast(self, rank: int, array, root: int) -> np.ndarray:
-        if self.p == 1:
-            return np.array(array, copy=True)
-        if rank == root:
-            self._out[:] = array
-        self._wait(rank)  # result segment holds the root's data
-        out = self._out.copy()
-        self._wait(rank)  # nobody may overwrite the segment before all copied
-        if rank != root:  # received bytes: (p - 1)·n in all, as the sim fabric counts
-            self.bytes_moved += float(out.nbytes)
-        return out
-
-    def _allreduce(self, rank: int, array: np.ndarray) -> np.ndarray:
-        if self.p == 1:
-            return np.array(array, copy=True)
-        if array.size != self._size or array.dtype != self._dtype:
+    def _run(self, rank: int, schedule, local, opname: str) -> np.ndarray:
+        if local is None:
+            local = np.empty(self._size, self._dtype)
+        elif local.size != self._size or local.dtype != self._dtype:
             raise ValueError(
-                f"allreduce expects a ({self._size},) {self._dtype} vector, "
-                f"got {array.shape} {array.dtype}"
+                f"{opname} expects a ({self._size},) {self._dtype} vector, "
+                f"got {local.shape} {local.dtype}"
             )
-        self._in[rank][:] = array
-        self._wait(rank)  # every rank's input is published
-        lo, hi = self._bounds[rank]
-        if hi > lo:
-            # reduce-scatter: this rank owns [lo, hi) and sums it in a fixed
-            # peer order, so the result is deterministic given the inputs
-            acc = self._out[lo:hi]
-            np.add(self._in[0][lo:hi], self._in[1][lo:hi], out=acc)
-            for peer in range(2, self.p):
-                acc += self._in[peer][lo:hi]
-        self._wait(rank)  # every chunk is reduced
-        out = self._out.copy()
-        self._wait(rank)  # allgather complete; segments may be reused
-        self.bytes_moved += 2.0 * float(array.nbytes) * (self.p - 1) / self.p
-        return out
+        inbox, barrier = self._inbox, self._barrier(rank)
+        for step in schedule:
+            slot = (barrier.round + 1) % 2
+            if step is not None and step.send is not None:
+                lo, hi = bounds(step.send, self._size)
+                self._wait(rank, (step.send_to,), arrive=False)
+                inbox[step.send_to, slot, lo:hi] = local[lo:hi]
+                self.bytes_moved += float((hi - lo) * local.itemsize)
+            reads = step is not None and step.recv is not None
+            self._wait(rank, (step.recv_from,) if reads else ())
+            if reads:
+                lo, hi = bounds(step.recv, self._size)
+                if step.add:
+                    local[lo:hi] += inbox[rank, slot, lo:hi]
+                else:
+                    local[lo:hi] = inbox[rank, slot, lo:hi]
+        return local
 
     def _allgather(self, rank: int, item, tag, nbytes: float) -> List[Any]:
         if self.p == 1:

@@ -30,10 +30,11 @@ import os
 import time
 from abc import abstractmethod
 from collections import Counter
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..comm.schedule import allreduce_schedule, broadcast_schedule
 from ..faults.plan import FaultPlan, RetryPolicy, _hash_uniform
 from ..obs import events as _events
 from ..ps.server import ShardLayout
@@ -79,12 +80,16 @@ def _noop() -> None:
 
 class BlockingCollective(Collective):
     """A collective whose operations block the calling process: the coroutine
-    factories wrap the transport's ``_broadcast`` / ``_allreduce`` /
-    ``_allgather``.  ``algorithm`` picks a wire schedule on the simulated
-    fabric; a real transport has exactly one, so it is ignored."""
+    factories wrap ``_broadcast`` / ``_allreduce`` / ``_allgather``.  Broadcast
+    and allreduce are the schedules of :mod:`repro.comm.schedule`, the ones
+    the simulated fabric runs, so ``algorithm`` means the same on every
+    substrate and the sums come out the same bits.  The transport supplies
+    ``_run(rank, schedule, local, opname)``: execute one rank's schedule on
+    ``local`` in place (``None`` for a broadcast receiver, which has no
+    vector yet), add the bytes it sends to ``bytes_moved``, return the
+    result."""
 
-    _broadcast: Callable[..., np.ndarray]
-    _allreduce: Callable[..., np.ndarray]
+    _run: Callable[..., np.ndarray]
     _allgather: Callable[..., List[Any]]
 
     def __init__(self, p: int, timeout: float) -> None:
@@ -92,13 +97,24 @@ class BlockingCollective(Collective):
         self.timeout = timeout
         self.bytes_moved = 0.0  # per-process accumulator after fork
 
+    def _broadcast(self, rank: int, array, root: int = 0) -> np.ndarray:
+        local = np.array(array, copy=True).reshape(-1) if rank == root else None
+        return self._run(rank, broadcast_schedule(self.p, rank, root), local,
+                         "broadcast")
+
+    def _allreduce(self, rank: int, array, algorithm: str = "recursive_doubling",
+                   groups: Optional[Sequence[Sequence[int]]] = None) -> np.ndarray:
+        schedule = allreduce_schedule(algorithm, self.p, rank, groups)
+        local = np.array(array, copy=True).reshape(-1)
+        return self._run(rank, schedule, local, "allreduce")
+
     def broadcast(self, rank, array, root=0, nbytes=0.0, ctx=0) -> Generator:
         return blocking(self._broadcast, rank, array, root)
 
     def allreduce(
         self, rank, array, nbytes=0.0, ctx=0, algorithm="recursive_doubling"
     ) -> Generator:
-        return blocking(self._allreduce, rank, array)
+        return blocking(self._allreduce, rank, array, algorithm)
 
     def allgather(self, rank, item, nbytes=0.0, ctx=0) -> Generator:
         return blocking(self._allgather, rank, item, ctx, nbytes)

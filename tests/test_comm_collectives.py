@@ -1,4 +1,5 @@
-"""Correctness and traffic tests for the collective algorithms."""
+"""Correctness and traffic tests for the collective schedules, run by the
+simulated fabric's executor."""
 
 import math
 
@@ -13,11 +14,9 @@ from repro.comm import (
     Fabric,
     allgather_ring,
     allreduce,
-    allreduce_recursive_doubling,
-    allreduce_ring,
-    allreduce_tree,
+    allreduce_schedule,
     broadcast,
-    reduce,
+    run_schedule,
 )
 from repro.sim import Engine
 
@@ -75,20 +74,31 @@ def test_broadcast_rank_validation():
         eng.run_process(broadcast(ep, ["r0"], 5, np.zeros(1)))
 
 
-# -- reduce ---------------------------------------------------------------------
+# -- reduce: the first half of the tree schedule ---------------------------------
+
+
+def _reduce_schedule(p, rank):
+    return allreduce_schedule("tree", p, rank)[: (p - 1).bit_length()]
+
+
+def reduce(ep, names, rank, arr, ctx):
+    return run_schedule(ep, names, _reduce_schedule(len(names), rank), arr, ctx=ctx)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8])
 def test_reduce_sums_to_root(p):
     def build(ep, names, rank):
         arr = np.full(5, float(rank + 1))
-        return reduce(ep, names, rank, arr, root=0, ctx="r")
+        return reduce(ep, names, rank, arr, ctx="r")
 
     results, _, _ = run_collective(p, build)
     expected = sum(range(1, p + 1))
     assert np.allclose(results[0], expected)
     for rank in range(1, p):
-        assert results[rank] is None
+        # a non-root retires after its one send: nothing reaches it later
+        steps = [step for step in _reduce_schedule(p, rank) if step is not None]
+        assert [step.send is not None for step in steps].count(True) == 1
+        assert steps[-1].send is not None and steps[-1].recv is None
 
 
 def test_reduce_does_not_mutate_input():
@@ -130,7 +140,7 @@ def test_allreduce_sum_pow2(algo, p):
     expected = np.sum(inputs, axis=0)
 
     def build(ep, names, rank):
-        return ALLREDUCE_ALGORITHMS[algo](ep, names, rank, inputs[rank], ctx=("a", algo))
+        return allreduce(ep, names, rank, inputs[rank], ctx=("a", algo), algorithm=algo)
 
     results, _, _ = run_collective(p, build)
     for rank in range(p):
@@ -145,7 +155,7 @@ def test_allreduce_sum_non_pow2(algo, p):
     expected = np.sum(inputs, axis=0)
 
     def build(ep, names, rank):
-        return ALLREDUCE_ALGORITHMS[algo](ep, names, rank, inputs[rank], ctx="a")
+        return allreduce(ep, names, rank, inputs[rank], ctx="a", algorithm=algo)
 
     results, _, _ = run_collective(p, build)
     for rank in range(p):
@@ -153,11 +163,9 @@ def test_allreduce_sum_non_pow2(algo, p):
 
 
 def test_recursive_doubling_rejects_non_pow2():
-    def build(ep, names, rank):
-        return allreduce_recursive_doubling(ep, names, rank, np.zeros(3), ctx="a")
-
+    # the builder itself; allreduce_schedule runs the ring under the name
     with pytest.raises(ValueError, match="power-of-two"):
-        run_collective(3, build)
+        ALLREDUCE_ALGORITHMS["recursive_doubling"](3, 0)
 
 
 def test_allreduce_dispatch_falls_back_to_ring_for_non_pow2():
@@ -184,7 +192,7 @@ def test_allreduce_does_not_mutate_inputs():
     snapshots = [arr.copy() for arr in inputs]
 
     def build(ep, names, rank):
-        return allreduce_ring(ep, names, rank, inputs[rank], ctx="a")
+        return allreduce(ep, names, rank, inputs[rank], ctx="a", algorithm="ring")
 
     run_collective(4, build)
     for arr, snap in zip(inputs, snapshots):
@@ -200,8 +208,8 @@ def test_consecutive_allreduces_do_not_crosstalk():
 
     def build(ep, names, rank):
         def inner():
-            a = yield from allreduce_ring(ep, names, rank, round1[rank], ctx=1)
-            b = yield from allreduce_ring(ep, names, rank, round2[rank], ctx=2)
+            a = yield from allreduce(ep, names, rank, round1[rank], ctx=1, algorithm="ring")
+            b = yield from allreduce(ep, names, rank, round2[rank], ctx=2, algorithm="ring")
             return a, b
 
         return inner()
@@ -226,7 +234,7 @@ def test_allreduce_matches_numpy_sum_property(p, size, seed, algo):
     expected = np.sum(inputs, axis=0)
 
     def build(ep, names, rank):
-        return ALLREDUCE_ALGORITHMS[algo](ep, names, rank, inputs[rank], ctx="h")
+        return allreduce(ep, names, rank, inputs[rank], ctx="h", algorithm=algo)
 
     results, _, _ = run_collective(p, build, contention=False)
     for rank in range(p):
@@ -244,7 +252,7 @@ def test_allreduce_algorithms_agree_property(p, seed):
     outs = {}
     for algo in sorted(ALLREDUCE_ALGORITHMS):
         def build(ep, names, rank, algo=algo):
-            return ALLREDUCE_ALGORITHMS[algo](ep, names, rank, inputs[rank], ctx=algo)
+            return allreduce(ep, names, rank, inputs[rank], ctx=algo, algorithm=algo)
 
         results, _, _ = run_collective(p, build, contention=False)
         outs[algo] = results[0]
@@ -261,7 +269,7 @@ def test_tree_allreduce_traffic_matches_formula(p):
     nbytes = 1000.0
 
     def build(ep, names, rank):
-        return allreduce_tree(ep, names, rank, None, nbytes=nbytes, ctx="t")
+        return allreduce(ep, names, rank, None, nbytes=nbytes, ctx="t", algorithm="tree")
 
     _, fab, _ = run_collective(p, build)
     # reduce: p-1 sends; broadcast: p-1 sends; all of m bytes
@@ -273,7 +281,7 @@ def test_ring_allreduce_per_rank_bytes(p):
     nbytes = 800.0
 
     def build(ep, names, rank):
-        return allreduce_ring(ep, names, rank, None, nbytes=nbytes, ctx="t")
+        return allreduce(ep, names, rank, None, nbytes=nbytes, ctx="t", algorithm="ring")
 
     results, fab, _ = run_collective(p, build)
     # each rank sends 2(p-1) chunks of m/p bytes
@@ -285,7 +293,9 @@ def test_recursive_doubling_traffic(p):
     nbytes = 512.0
 
     def build(ep, names, rank):
-        return allreduce_recursive_doubling(ep, names, rank, None, nbytes=nbytes, ctx="t")
+        return allreduce(
+            ep, names, rank, None, nbytes=nbytes, ctx="t", algorithm="recursive_doubling"
+        )
 
     _, fab, _ = run_collective(p, build)
     assert fab.total_bytes == pytest.approx(p * math.log2(p) * nbytes)
@@ -293,7 +303,7 @@ def test_recursive_doubling_traffic(p):
 
 def test_timing_only_mode_returns_none():
     def build(ep, names, rank):
-        return allreduce_ring(ep, names, rank, None, nbytes=100.0, ctx="t")
+        return allreduce(ep, names, rank, None, nbytes=100.0, ctx="t", algorithm="ring")
 
     results, _, _ = run_collective(4, build)
     assert all(v is None for v in results.values())
@@ -303,7 +313,7 @@ def test_p1_allreduce_copies_not_aliases():
     arr = np.ones(4)
 
     def build(ep, names, rank):
-        return allreduce_ring(ep, names, rank, arr, ctx="t")
+        return allreduce(ep, names, rank, arr, ctx="t", algorithm="ring")
 
     results, _, _ = run_collective(1, build)
     assert np.array_equal(results[0], arr)

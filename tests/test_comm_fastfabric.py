@@ -10,7 +10,7 @@ Every assertion here pins the vector mode to the per-message reference:
   (uncontended waves, parameter-server stars, disjoint single-hop rounds
   such as the torus ring);
 * the hierarchical allreduce schedule the wave model prices is the same
-  one :func:`repro.comm.collectives.allreduce_hierarchical` actually runs,
+  one :mod:`repro.comm.schedule` writes and the fabric actually runs,
   so it is checked for numeric correctness too;
 * a full epoch simulated in ``comm_mode="vector"`` moves exactly the same
   number of bytes as ``comm_mode="message"``.

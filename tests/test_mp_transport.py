@@ -1,9 +1,12 @@
-"""The mp transport's hand-offs: barrier wake-up and the PS mailbox channel.
+"""The mp transport's hand-offs: barrier wake-up, the collective inbox and
+the PS mailbox channel.
 
 ``test_mp_starvation.py`` pins what a failed round *reports*; this file pins
 how one process hands work to another — the bounded yield-spin of
 :class:`PollingBarrier` (progress, dead-peer abort and timeout in both the
-spin and the sleep phase, the heartbeat thread alive meanwhile) and the
+spin and the sleep phase, the heartbeat thread alive meanwhile, a wait on
+named peers), the collective schedules over the shared inbox (a slow reader
+and its slots, hierarchical groups against the sim executor), and the
 shared-memory mailbox + header pipes of the parameter server (bit-equality
 with the :class:`ShardState` oracle, the fused push and its legs in flight
 under one stamp included; stale headers, same-``seq`` resends, a
@@ -22,7 +25,7 @@ import pytest
 from repro.faults.plan import RetryPolicy
 from repro.faults.supervisor import HeartbeatThread, LivenessBlock, PollingBarrier
 from repro.runtime import RetryBudgetExhausted
-from repro.runtime.mp_backend import MPParameterServer, _unlink_quietly
+from repro.runtime.mp_backend import MPCollective, MPParameterServer, _unlink_quietly
 from repro.runtime.process_backend import ShardState
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -210,6 +213,117 @@ def test_barrier_never_naps_when_its_yields_come_straight_back(monkeypatch):
     assert clock.sleeps and all(
         at == PollingBarrier.SPIN_PROBES and s == PollingBarrier.POLL_SECONDS
         for at, s in clock.sleeps)
+
+
+def test_barrier_wait_on_named_peers_ignores_the_rest():
+    # a collective step waits on the one peer it reads from; all peers is
+    # the barrier.  Without arriving, a wait asks only that the peers have
+    # reached this rank's current round
+    block = LivenessBlock(3, ["coll"])
+    try:
+        barrier = PollingBarrier(block, "coll", 0)
+        block.arrivals["coll"][1] = 1
+        barrier.wait(1.0, peers=(1,))  # rank 2 is still at round 0
+        assert barrier.round == 1 and block.arrivals["coll"][0] == 1
+        barrier.wait(1.0, peers=(1,), arrive=False)
+        assert barrier.round == 1
+        with pytest.raises(PollingBarrier.Timeout):
+            barrier.wait(0.1, peers=(2,), arrive=False)
+        with pytest.raises(PollingBarrier.Timeout):
+            barrier.wait(0.1)
+    finally:
+        block.close()
+
+
+# --------------------------------------------------------------------------
+# the collective schedules over shared memory
+# --------------------------------------------------------------------------
+
+
+def _on_mp_ranks(p, size, body, timeout=10.0):
+    """Run ``body(coll, rank)`` in ``p`` forked ranks sharing one
+    :class:`MPCollective`; returns the per-rank results, and checks the
+    inbox segment is gone after teardown."""
+    ctx = multiprocessing.get_context("fork")
+    block = LivenessBlock(p, ["coll"])
+    coll = MPCollective(ctx, p, timeout)
+    coll.allocate(size, np.float32, block)
+    name = coll._shm.name
+    results = ctx.Queue()
+
+    def main(rank):
+        try:
+            results.put((rank, body(coll, rank)))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            results.put((rank, exc))
+
+    procs = [ctx.Process(target=main, args=(r,), daemon=True) for r in range(p)]
+    try:
+        for proc in procs:
+            proc.start()
+        got = dict(results.get(timeout=timeout * 2) for _ in range(p))
+        for proc in procs:
+            proc.join(timeout=5.0)
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+        coll.teardown()
+        block.close()
+    assert not _segment_exists(name)
+    for rank in range(p):
+        if isinstance(got[rank], BaseException):
+            raise got[rank]
+    return [got[rank] for rank in range(p)]
+
+
+@needs_fork
+@pytest.mark.parametrize("p", [2, 4])
+def test_a_slow_reader_still_sums_exactly_while_its_peers_run_ahead(p):
+    # rank 1 dawdles between seeing its data arrive and reading it; rank 0
+    # meanwhile finishes the allreduce (at p = 4 with ranks 2 and 3) and
+    # starts the next one, whose rounds write rank 1's inbox again.  Two
+    # slots, and a writer that waits for the reader to leave the slot's
+    # previous round, keep the unread data intact
+    n, calls = 1_000, 4
+    rng = np.random.default_rng(0)
+    xs = [[rng.standard_normal(n).astype(np.float32) for _ in range(p)]
+          for _ in range(calls)]
+    # recursive doubling's order: pairs first
+    want = [(x[0] + x[1]) + (x[2] + x[3]) if p == 4 else x[0] + x[1] for x in xs]
+
+    def body(coll, rank):
+        if rank == 1:
+            wait = coll._wait
+
+            def slow(r, peers=None, arrive=True):
+                wait(r, peers, arrive)
+                if arrive and peers:
+                    time.sleep(0.05)
+
+            coll._wait = slow
+        return [coll._allreduce(rank, x[rank]) for x in xs]
+
+    for out in _on_mp_ranks(p, n, body):
+        for got, w in zip(out, want):
+            assert got.tobytes() == w.tobytes()
+
+
+@needs_fork
+def test_hierarchical_with_groups_equals_the_sim_executor_bit_for_bit():
+    from tests.test_comm_collectives import run_collective
+    from repro.comm import allreduce
+
+    p, n, groups = 4, 37, [[0, 1], [2, 3]]
+    rng = np.random.default_rng(4)
+    xs = [(rng.standard_normal(n) * 10.0 ** r).astype(np.float32) for r in range(p)]
+    sim, _, _ = run_collective(p, lambda ep, names, r: allreduce(
+        ep, names, r, xs[r], ctx="h", algorithm="hierarchical", groups=groups))
+    out = _on_mp_ranks(
+        p, n, lambda coll, r: coll._allreduce(r, xs[r], "hierarchical", groups)
+    )
+    for rank in range(p):
+        assert out[rank].tobytes() == sim[rank].tobytes() == sim[0].tobytes()
 
 
 # --------------------------------------------------------------------------

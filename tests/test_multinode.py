@@ -8,7 +8,7 @@ from repro.cluster import (
     build_multinode_topology,
     power8_cluster_spec,
 )
-from repro.comm import Fabric, allreduce_ring
+from repro.comm import Fabric, allreduce
 
 
 def test_multinode_validation():
@@ -67,8 +67,8 @@ def test_allreduce_works_across_nodes():
     results = {}
 
     def worker(rank):
-        out = yield from allreduce_ring(
-            eps[rank], names, rank, np.full(10, float(rank)), ctx="x"
+        out = yield from allreduce(
+            eps[rank], names, rank, np.full(10, float(rank)), ctx="x", algorithm="ring"
         )
         results[rank] = out
 

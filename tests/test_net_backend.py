@@ -2,9 +2,9 @@
 
 Mirrors the mp-backend guarantees on real sockets:
 
-* **Equivalence** — synchronous SASGD over the socket ring reaches the
-  same parameters as the sim backend (identical per-rank RNG streams; only
-  fp summation order differs); PS algorithms complete with finite losses.
+* **Equivalence** — synchronous SASGD over sockets ends on the sim
+  backend's bits (identical per-rank RNG streams, the same collective
+  schedule); PS algorithms complete with finite losses.
 * **Failure** — a killed learner process surfaces as a typed
   :class:`LearnerFailure` naming the victim, detected via connection loss;
   elastic recovery finishes the run with the survivors (injected frame
@@ -91,11 +91,9 @@ def test_net_sasgd_matches_sim_within_tolerance():
     sim_res = sim.train()
     net = _make_trainer("sasgd", backend=NetBackend(timeout=60.0))
     net_res = net.train()
-    # identical per-rank RNG streams: only fp summation order inside the
-    # ring allreduce may differ from the simulator's tree reduction
-    a = np.asarray(sim.workloads[0].flat.data, np.float64)
-    b = np.asarray(net.workloads[0].flat.data, np.float64)
-    np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
+    # identical per-rank RNG streams and the same allreduce schedule: the
+    # same bits (the tolerance in the name is the one the test once had)
+    assert np.array_equal(sim.workloads[0].flat.data, net.workloads[0].flat.data)
     assert net_res.records
     assert abs(sim_res.records[-1].test_acc - net_res.records[-1].test_acc) <= 0.1
     assert net.allreduce_count == sim.allreduce_count
@@ -373,7 +371,8 @@ def test_net_reconnect_resumes_full_cohort_and_matches_sim():
     # a mid-run TCP disconnect under recovery="reconnect": the victim
     # re-dials, RESUME/RESUME_OK replays the un-acked frames, and the run
     # finishes with all p learners — no respawn, no degradation — landing
-    # on the same parameters as an undisturbed sim run
+    # on the same bits as an undisturbed sim run: the replay re-delivers
+    # the cut frames, so every sum is the one the schedule makes
     sim = _make_trainer("sasgd")
     sim.train()
     net = _make_trainer(
@@ -389,9 +388,7 @@ def test_net_reconnect_resumes_full_cohort_and_matches_sim():
         res = net.train()
     assert res.records
     assert res.extras["workers"] == 2  # resumed, not degraded
-    a = np.asarray(sim.workloads[0].flat.data, np.float64)
-    b = np.asarray(net.workloads[0].flat.data, np.float64)
-    np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
+    assert np.array_equal(sim.workloads[0].flat.data, net.workloads[0].flat.data)
     assert any(
         e.kind == obs_events.FAULT_INJECTED
         and e.data.get("fault") == "disconnect"
@@ -405,6 +402,29 @@ def test_net_reconnect_resumes_full_cohort_and_matches_sim():
     assert resumes, "no reconnect recovery event was emitted"
     assert resumes[0].get("mode") == "reconnect"
     assert resumes[0].get("learner") == 1
+
+
+@needs_fork
+@pytest.mark.parametrize("p, victim, step", [(2, 1, 7), (2, 0, 7), (4, 1, 3)])
+def test_net_reconnect_resumes_a_cut_before_the_last_allreduce(p, victim, step):
+    # recursive doubling sends once per link per allreduce: a frame written
+    # into a link the victim has cut would be the last one on that link, so
+    # the sender re-dials before it sends, not at a next send that never
+    # comes (p = 2 runs 4 allreduces of 2 steps, p = 4 runs 2)
+    config = TrainerConfig(p=p, epochs=2, batch_size=8, lr=0.02, seed=3)
+    problem = cifar_problem(scale="unit", seed=1)
+    sim = SASGDTrainer(problem, config, SASGDOptions(T=2))
+    sim.train()
+    net = SASGDTrainer(
+        problem, config, SASGDOptions(T=2), backend=NetBackend(timeout=60.0),
+        fault_ctx=FaultContext(
+            plan=FaultPlan.parse(f"disconnect:learner={victim},step={step}"),
+            recovery="reconnect",
+        ),
+    )
+    res = net.train()
+    assert res.extras["workers"] == p  # resumed, not degraded
+    assert np.array_equal(sim.workloads[0].flat.data, net.workloads[0].flat.data)
 
 
 @needs_fork

@@ -14,7 +14,8 @@
   the cut.
 * **p = 2 is one exchange, bit for bit the ring** — ``own + peer`` equals
   the chunked ring schedule at every length, and unit SASGD ends on
-  identical parameters on sim, mp and net.
+  identical parameters on sim, mp and net; hierarchical groups, whose
+  links are not the ring's, equal the sim executor too.
 
 Ranks are threads of this process, one :class:`NetCollective` each, over
 real loopback sockets; the collective bodies are driven directly.
@@ -121,16 +122,17 @@ def test_p3_resumable_ring_reduces_exactly_through_a_cut_outgoing_link():
     want = np.sum(xs, axis=0, dtype=np.float32)
 
     def body(coll, rank):
-        coll._setup(rank)
+        coll._rank = rank
         if rank == 0:
-            link = coll._prev.conn
+            # the ring links: rank 2 dials us at its first step
+            link, succ = coll._link_in(2).conn, coll._link_out(1)
             read = link.recv
 
             def recv(pump=None):
                 def cut_then_pump():  # runs before each read of the frame
                     cut.append(True)
                     if len(cut) == 3:  # header and meta in, payload begun
-                        coll._next.sock.shutdown(socket.SHUT_RDWR)
+                        succ.sock.shutdown(socket.SHUT_RDWR)
                     pump()
 
                 return read(cut_then_pump if pump and not cut else pump)
@@ -318,7 +320,7 @@ def test_p2_exchange_equals_the_chunked_ring_bit_for_bit(n, dtype):
 
     def both(coll, rank):
         exchanged = coll._allreduce(rank, xs[rank])
-        ring = coll._ring_allreduce(rank, xs[rank].copy())
+        ring = coll._allreduce(rank, xs[rank], "ring")
         return exchanged, ring
 
     outs = _on_ring(2, both)
@@ -326,6 +328,22 @@ def test_p2_exchange_equals_the_chunked_ring_bit_for_bit(n, dtype):
     for exchanged, ring in outs:
         assert exchanged.dtype == dtype and exchanged.shape == (n,)
         assert exchanged.tobytes() == ring.tobytes() == ring0.tobytes()
+
+
+def test_hierarchical_with_groups_equals_the_sim_executor_bit_for_bit():
+    # the schedule's extra links (group members to their leader and back,
+    # leader to leader) are dialled on first use, as the ring's are
+    from repro.comm import allreduce
+    from tests.test_comm_collectives import run_collective
+
+    p, n, groups = 4, 37, [[0, 1], [2, 3]]
+    rng = np.random.default_rng(4)
+    xs = [(rng.standard_normal(n) * 10.0 ** r).astype(np.float32) for r in range(p)]
+    sim, _, _ = run_collective(p, lambda ep, names, r: allreduce(
+        ep, names, r, xs[r], ctx="h", algorithm="hierarchical", groups=groups))
+    outs = _on_ring(p, lambda coll, r: coll._allreduce(r, xs[r], "hierarchical", groups))
+    for rank in range(p):
+        assert outs[rank].tobytes() == sim[rank].tobytes() == sim[0].tobytes()
 
 
 @needs_fork

@@ -9,10 +9,10 @@ Pins the three guarantees the runtime refactor makes:
    implementation exactly: golden curves/timings/bytes captured from
    ``main`` must match to the last bit.
 3. **MP equivalence** — the real-multiprocessing backend trains the same
-   problems to matching parameters/accuracy (identical RNG streams; only
-   floating-point summation order may differ), and failure injection
-   surfaces as a typed :class:`~repro.runtime.LearnerFailure` on both
-   substrates.
+   problems to the same bits (identical RNG streams, and every substrate
+   runs the same collective schedule, so the same additions in the same
+   order), and failure injection surfaces as a typed
+   :class:`~repro.runtime.LearnerFailure` on both substrates.
 """
 
 import ast
@@ -34,6 +34,12 @@ from repro.algos import (
     TrainerConfig,
 )
 from repro.algos.problems import cifar_problem
+from repro.comm.schedule import (
+    ALLREDUCE_ALGORITHMS,
+    allreduce_schedule,
+    bounds,
+    broadcast_schedule,
+)
 from repro.runtime import (
     LearnerFailure,
     MPBackend,
@@ -176,11 +182,9 @@ def test_mp_sasgd_matches_sim_within_tolerance():
         "sasgd", config=_p2_config(), backend=MPBackend(timeout=60.0)
     )
     mp_res = mp.train()
-    # identical per-rank RNG streams: trajectories differ only by fp
-    # summation order inside the allreduce
-    a = np.asarray(sim.workloads[0].flat.data, np.float64)
-    b = np.asarray(mp.workloads[0].flat.data, np.float64)
-    np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
+    # identical per-rank RNG streams and the same allreduce schedule: the
+    # same bits (the tolerance in the name is the one the test once had)
+    assert np.array_equal(sim.workloads[0].flat.data, mp.workloads[0].flat.data)
     assert mp_res.records, "mp run recorded no epochs"
     sim_acc = sim_res.records[-1].test_acc
     mp_acc = mp_res.records[-1].test_acc
@@ -190,21 +194,53 @@ def test_mp_sasgd_matches_sim_within_tolerance():
     assert mp_res.extras["workers"] == 2
 
 
+def _sent_bytes(schedule, n: int, itemsize: int) -> int:
+    return sum(
+        (hi - lo) * itemsize
+        for step in schedule if step is not None and step.send is not None
+        for lo, hi in [bounds(step.send, n)]
+    )
+
+
 @needs_fork
-def test_sasgd_total_bytes_equal_on_sim_mp_net():
-    """One SASGD spec at p = 2 reports the ring's algorithmic byte count on
-    every substrate: mp once counted each allreduce twice."""
+@pytest.mark.parametrize("algorithm", sorted(ALLREDUCE_ALGORITHMS))
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_sasgd_total_bytes_equal_on_sim_mp_net(p, algorithm):
+    """One SASGD spec ends on the same bits and reports the same bytes on
+    every substrate — the sum of what the broadcast and allreduce schedules
+    send: mp once counted each allreduce twice, and mp and net once ran
+    their own allreduce whatever the algorithm."""
     from repro.net import NetBackend
 
-    got = {}
+    config = TrainerConfig(p=p, epochs=2, batch_size=8, lr=0.02, seed=3)
+    got, params = {}, {}
     for name, backend in (
         ("sim", None),
         ("mp", MPBackend(timeout=60.0)),
         ("net", NetBackend(timeout=60.0)),
     ):
-        trainer = _make_trainer("sasgd", config=_p2_config(epochs=1), backend=backend)
+        trainer = _make_trainer(
+            "sasgd", config=config, backend=backend, allreduce_algorithm=algorithm
+        )
         got[name] = trainer.train().extras["total_bytes"]
-    assert got["mp"] == got["sim"] == got["net"] > 0, got
+        params[name] = np.array(trainer.workloads[0].flat.data, copy=True)
+    assert np.array_equal(params["sim"], params["mp"])
+    assert np.array_equal(params["sim"], params["net"])
+    flat = params["sim"]
+    want = sum(
+        _sent_bytes(broadcast_schedule(p, r), flat.size, flat.itemsize)
+        + trainer.allreduce_count
+        * _sent_bytes(allreduce_schedule(algorithm, p, r), flat.size, flat.itemsize)
+        for r in range(p)
+    )
+    assert got["mp"] == got["sim"] == got["net"] == want > 0, got
+
+
+def test_an_unknown_allreduce_algorithm_is_refused_before_any_backend():
+    with pytest.raises(ValueError, match="unknown allreduce algorithm 'rign'") as err:
+        SASGDOptions(allreduce_algorithm="rign")
+    for name in ALLREDUCE_ALGORITHMS:
+        assert repr(name) in str(err.value)
 
 
 @needs_fork
