@@ -119,13 +119,15 @@ class TcpEventSink(_events.Sink):
 
 
 def iter_remote_events(
-    addr: str, timeout: float = 10.0, idle_timeout: Optional[float] = None
+    addr: str, timeout: float = 1.5, idle_timeout: Optional[float] = None
 ) -> Iterator[_events.Event]:
     """Subscribe to a :class:`TcpEventSink` and yield decoded events.
 
     Ends when the publisher closes the stream (run finished) or, with
     ``idle_timeout``, when nothing arrives for that long.  ``timeout``
-    bounds the initial connect (the publisher may not be up yet).
+    bounds the initial connect: a refused dial is retried that long (the
+    publisher may be starting), so ``repro watch --connect`` pointed at a
+    port nobody serves gives up within it.
     """
     conn = connect(strip_scheme(addr), "events", timeout=timeout)
     conn.settimeout(idle_timeout)

@@ -4,7 +4,7 @@ A :class:`BufferPool` gives each layer a small named set of flat
 allocations, each grown to the largest request seen under its name and
 handed out as a prefix view in the asked shape, so training faults no fresh
 pages.  Models trained in one process share one pool per layer position; an
-eval-mode forward draws from :data:`FRESH` instead and keeps nothing.
+eval-mode forward draws from a pool of its own that the call drops.
 
 Contract
 --------
@@ -16,6 +16,11 @@ Contract
   loops consume layer outputs immediately (``Sequential`` chains them
   straight into the next layer), so this is invisible there; code that
   must retain a layer output across steps should ``copy()`` it.
+* A layer may overwrite what its ``forward`` filled once its own
+  ``backward`` has read it for the last time: ``Conv2d`` and
+  ``TemporalConvolution`` write the input-gradient columns over the im2col
+  ``col`` right after the weight gradient is formed.  ``col`` is live from
+  the forward to that point only, and nothing outside the layer holds it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = ["BufferPool", "FRESH"]
+__all__ = ["BufferPool"]
 
 
 class BufferPool:
@@ -59,12 +64,3 @@ class BufferPool:
         buf[...] = 0
         return buf
 
-
-class _Fresh(BufferPool):
-    """A new array per request, nothing kept: an eval-mode layer's scratch."""
-
-    def get(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        return np.empty(shape, dtype)
-
-
-FRESH = _Fresh()

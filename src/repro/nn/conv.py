@@ -28,8 +28,13 @@ class Conv2d(Module):
     that lands directly in NCHW, and backward's input gradient and scatter-add
     reuse the same layout.  All large temporaries (padded input, col, output,
     gradient buffers) come from the layer's :class:`BufferPool` and are
-    reused across steps (eval mode: fresh, no col kept); the im2col buffer is
-    handed back as soon as ``backward`` consumes it, never kept between steps.
+    reused across steps.  ``backward`` writes the input-gradient columns over
+    ``col`` once the weight gradient has read it, so a step holds one
+    im2col-sized buffer, and drops its reference, never keeping it between
+    steps.  An eval-mode forward keeps nothing and unfolds at most the largest
+    training batch this layer has seen at a time (the whole batch before any
+    training), each slab's GEMM landing in the full-batch output: ``matmul``
+    runs one GEMM per example, so the slabs change no bit of the result.
     """
 
     def __init__(
@@ -71,20 +76,28 @@ class Conv2d(Module):
         self._pool = BufferPool()
         self._col: Optional[np.ndarray] = None
         self._plan: Optional[ConvPlan] = None
+        self._batch = 0  # largest training batch seen: an eval forward's slab size
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
-        plan = conv_plan(n, c, h, w, self.kh, self.kw, self.stride, self.padding)
+        if self.training:
+            self._batch = max(self._batch, n)
         pool = self._scratch()
-        col = plan.extract(x, pool=pool)  # (N, K, P) channel-major
-        self._col = col if self.training else None
-        self._plan = plan
+        # eval: im2col + GEMM one training batch at a time (an empty batch: one empty slab)
+        step = min(n, self._batch or n) or 1
+        plan = conv_plan(step, c, h, w, self.kh, self.kw, self.stride, self.padding)
         wmat = self.weight.data.reshape(self.out_channels, -1)
-        out_dtype = np.result_type(wmat.dtype, col.dtype)
-        y = pool.get("y", (n, self.out_channels, plan.p), out_dtype)
-        np.matmul(wmat, col, out=y)  # (F, K) @ (N, K, P) -> (N, F, P)
+        y = pool.get("y", (n, self.out_channels, plan.p), np.result_type(wmat.dtype, x.dtype))
+        for lo in range(0, n or 1, step):
+            xs = x[lo : lo + step]
+            if len(xs) < step:  # the last, partial slab
+                plan = conv_plan(len(xs), c, h, w, self.kh, self.kw, self.stride, self.padding)
+            col = plan.extract(xs, pool=pool)  # (S, K, P) channel-major
+            np.matmul(wmat, col, out=y[lo : lo + step])  # (F, K) @ (S, K, P) -> (S, F, P)
+        self._col = col if self.training else None
+        self._plan = plan if self.training else None
         if self.bias is not None:
             y += self.bias.data[:, None]
         return y.reshape(n, self.out_channels, plan.oh, plan.ow)
@@ -109,9 +122,9 @@ class Conv2d(Module):
             self.bias.grad += gof.sum(axis=(0, 2))
         if not input_grad:
             return None
-        gcol = self._pool.get("gcol", col.shape, out_dtype)
-        np.matmul(wmat.T, gof, out=gcol)  # (K, F) @ (N, F, P) -> (N, K, P)
-        return plan.fold(gcol, pool=self._pool)
+        # nothing reads col after gw3: the input-gradient columns overwrite it
+        np.matmul(wmat.T, gof, out=col)  # (K, F) @ (N, F, P) -> (N, K, P)
+        return plan.fold(col, pool=self._pool)
 
     def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         c, h, w = in_shape

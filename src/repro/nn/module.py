@@ -21,7 +21,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bufferpool import FRESH, BufferPool
+from .bufferpool import BufferPool
 
 __all__ = ["Parameter", "Module", "Sequential", "FlatParams", "flatten_module"]
 
@@ -118,8 +118,8 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def _scratch(self) -> BufferPool:  # eval mode: fresh arrays, no shared pool grows
-        return self._pool if self.training else FRESH
+    def _scratch(self) -> BufferPool:  # eval mode: the call's own, no shared pool grows
+        return self._pool if self.training else BufferPool()
 
     # -- compute contract ---------------------------------------------------
 
@@ -221,17 +221,6 @@ class FlatParams:
         self.data = data
         self.grad = grad
         self._params = list(params)
-        self._scratch: Optional[np.ndarray] = None
-
-    def scratch(self) -> np.ndarray:
-        """A reusable work vector shaped like ``data`` (lazily allocated).
-
-        The optimisers and the scaled :meth:`add_` use it to keep the step
-        arithmetic allocation-free; contents are unspecified between calls.
-        """
-        if self._scratch is None or self._scratch.shape != self.data.shape:
-            self._scratch = np.empty_like(self.data)
-        return self._scratch
 
     @property
     def size(self) -> int:
@@ -251,19 +240,6 @@ class FlatParams:
         if vec.shape != self.data.shape:
             raise ValueError(f"shape mismatch: {vec.shape} vs {self.data.shape}")
         np.copyto(self.data, vec)
-
-    def add_(self, vec: np.ndarray, alpha: float = 1.0) -> None:
-        """In-place ``data += alpha * vec`` (the SGD step primitive).
-
-        Allocation-free: the scaled case stages ``alpha * vec`` in the
-        flat-vector scratch buffer instead of a fresh temporary.
-        """
-        if alpha == 1.0:
-            np.add(self.data, vec, out=self.data)
-        else:
-            scaled = self.scratch()
-            np.multiply(vec, alpha, out=scaled)
-            np.add(self.data, scaled, out=self.data)
 
 
 def flatten_module(module: Module) -> FlatParams:

@@ -36,7 +36,8 @@ class TemporalConvolution(Module):
     overlap-add is vectorised: each window offset's contribution lands on a
     diagonal-shifted strided view of one scratch buffer, which then collapses
     with a single ``sum`` — no Python loop over ``kw``.  Large temporaries
-    are pooled and reused across steps (eval mode: fresh, no col kept).
+    are pooled and reused across steps (eval mode: fresh, no col kept), and
+    the input-gradient columns overwrite ``col`` once ``gw`` has read it.
     """
 
     def __init__(
@@ -113,8 +114,8 @@ class TemporalConvolution(Module):
             self.bias.grad += go2.sum(axis=0)
         if not input_grad:
             return None
-        gcol = self._pool.get("gcol", (n, lo, self.kw * c), out_dtype)
-        np.matmul(grad_out, self.weight.data, out=gcol)
+        # nothing reads col after gw: the input-gradient columns overwrite it
+        gcol = np.matmul(grad_out, self.weight.data, out=col)
         # overlap-add without a kw loop: writing window offset k's plane onto a
         # view shifted k frames along the time axis places every contribution,
         # then one sum over the kw axis folds them into grad_x.

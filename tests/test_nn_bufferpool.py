@@ -206,15 +206,6 @@ def _flat(dim, seed):
 
 
 class TestAllocationFreeSteps:
-    def test_flatparams_add_keeps_storage(self):
-        flat = _flat(1000, 0)
-        ptr = flat.data.ctypes.data
-        vec = np.ones(1000)
-        flat.add_(vec)
-        flat.add_(vec, alpha=0.5)
-        flat.set_data(np.zeros(1000))
-        assert flat.data.ctypes.data == ptr
-
     def test_sgd_step_allocation_free(self):
         flat = _flat(50_000, 1)
         opt = SGD(flat, lr=0.1, weight_decay=1e-4)

@@ -1,0 +1,148 @@
+"""A conv layer's memory is one training batch.
+
+Two rules keep it so: ``backward`` writes the input-gradient columns into the
+im2col storage ``forward`` filled (the weight gradient is its last reader),
+and an eval-mode ``Conv2d.forward`` runs im2col + GEMM on slabs of at most
+the largest training batch the layer has seen.  Neither may change a bit:
+``np.matmul`` runs one GEMM per example, so a slab's logits are the
+full-batch ones.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algos.base import evaluate_model
+from repro.algos.problems import cifar_problem
+from repro.nn import Conv2d, TemporalConvolution
+from tests.nn_oracles import col2im, gradcheck_module, im2col, temporal_conv_backward_naive
+
+MiB = 2**20
+
+# (kernel, stride, pad): square and oblong kernels, strides 1-3, pads 0-2
+_GEOMETRIES = st.sampled_from(
+    [(3, 1, 1), (3, 1, 0), (5, 1, 2), (2, 2, 0), ((3, 2), 2, 1), (3, 3, 2), (1, 1, 0)]
+)
+
+
+def _conv_backward_oracle(x, weight, gout, stride, pad):
+    """``(gx, gw, gb)`` through the row-major im2col/col2im oracles."""
+    n, f = x.shape[0], weight.shape[0]
+    kh, kw = weight.shape[2:]
+    col = im2col(x, kh, kw, stride=stride, pad=pad)  # (N, P, K)
+    g = gout.reshape(n, f, -1).transpose(0, 2, 1)  # (N, P, F)
+    gx = col2im(g @ weight.reshape(f, -1), x.shape, kh, kw, stride=stride, pad=pad)
+    gw = np.einsum("npf,npk->fk", g, col).reshape(weight.shape)
+    return gx, gw, gout.sum(axis=(0, 2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 70),
+    batch=st.integers(1, 16),
+    c=st.integers(1, 3),
+    hw=st.integers(4, 9),
+    geometry=_GEOMETRIES,
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_eval_forward_in_slabs_equals_the_training_forward(seed, n, batch, c, hw, geometry, dtype):
+    kernel, stride, pad = geometry
+    rng = np.random.default_rng(seed)
+    conv = Conv2d(c, 4, kernel, stride=stride, padding=pad, dtype=dtype, rng=rng)
+    x = rng.standard_normal((n, c, hw, hw)).astype(dtype)
+    conv.forward(x[:batch])  # the training batch sets the slab size
+    conv.eval()
+    got = conv.forward(x).copy()
+    assert conv._col is None and conv._plan is None  # an eval forward keeps nothing
+    held = {k: (v.ctypes.data, v.base.nbytes) for k, v in conv._pool._bufs.items()}
+    conv.train()
+    assert held == {k: (v.ctypes.data, v.base.nbytes) for k, v in conv._pool._bufs.items()}
+    np.testing.assert_array_equal(got, conv.forward(x))
+
+
+def test_an_untrained_conv_evaluates_like_its_training_forward():
+    rng = np.random.default_rng(0)
+    conv = Conv2d(2, 3, 3, padding=1, rng=rng)
+    x = rng.standard_normal((5, 2, 6, 6)).astype(np.float32)
+    conv.eval()
+    got = conv.forward(x).copy()
+    conv.train()
+    np.testing.assert_array_equal(got, conv.forward(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 4),
+    c=st.integers(1, 3),
+    hw=st.integers(4, 8),
+    geometry=_GEOMETRIES,
+)
+def test_backward_into_the_col_storage_matches_the_oracle(seed, n, c, hw, geometry):
+    kernel, stride, pad = geometry
+    rng = np.random.default_rng(seed)
+    conv = Conv2d(c, 3, kernel, stride=stride, padding=pad, dtype=np.float64, rng=rng)
+    x = rng.standard_normal((n, c, hw, hw))
+    for _ in range(2):  # the second round runs on reused buffers
+        y = conv.forward(x)
+        col = conv._col
+        gout = rng.standard_normal(y.shape)
+        want_gx, want_gw, want_gb = _conv_backward_oracle(x, conv.weight.data, gout, stride, pad)
+        conv.zero_grad()
+        gx = conv.backward(gout)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(conv.weight.grad, want_gw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(conv.bias.grad, want_gb, rtol=1e-12, atol=1e-12)
+        # the input-gradient columns went where the forward's im2col was
+        gcol = np.einsum("fk,nfp->nkp", conv.weight.data.reshape(3, -1), gout.reshape(n, 3, -1))
+        np.testing.assert_allclose(col, gcol, rtol=1e-12, atol=1e-12)
+        assert "gcol" not in conv._pool._bufs
+
+
+@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 2), (2, 1), (3, 0)])
+def test_gradcheck_with_the_input_gradient_in_col(stride, pad):
+    rng = np.random.default_rng(11)
+    conv = Conv2d(2, 3, 3, stride=stride, padding=pad, dtype=np.float64, rng=rng)
+    perr, xerr = gradcheck_module(conv, rng.standard_normal((3, 2, 6, 7)), rng=rng)
+    assert perr < 1e-6 and xerr < 1e-6
+    assert "gcol" not in conv._pool._bufs
+
+
+def test_temporal_backward_into_the_col_storage_matches_the_oracle():
+    rng = np.random.default_rng(12)
+    tc = TemporalConvolution(3, 4, 2, dtype=np.float64, rng=rng)
+    x = rng.standard_normal((2, 7, 3))
+    for _ in range(2):
+        gout = rng.standard_normal(tc.forward(x).shape)
+        tc.zero_grad()
+        gx = tc.backward(gout)
+        want_gx, want_gw, want_gb = temporal_conv_backward_naive(x, tc.weight.data, gout, 2)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tc.weight.grad, want_gw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tc.bias.grad, want_gb, rtol=1e-12, atol=1e-12)
+        assert "gcol" not in tc._pool._bufs
+
+
+def test_cifar_bench_model_memory_is_one_training_batch():
+    # bench-scale CIFAR (width 0.25), batch 16 as the e2e CIFAR workloads train
+    problem = cifar_problem(scale="bench", seed=5)
+    model, crit, _ = problem.build_model(np.random.default_rng(5))
+    xb, yb = problem.train_set.batch(np.arange(16))
+    crit.forward(model.forward(xb), yb)
+    model.backward(crit.backward())  # with the input gradient: every fold runs
+    pools = {id(m._pool): m._pool for m in model.modules() if hasattr(m, "_pool")}
+    held = sum(v.base.nbytes for pool in pools.values() for v in pool._bufs.values())
+    # 28.6 MiB with a second im2col-sized buffer for the input gradient
+    assert held <= 21 * MiB, held / MiB
+    tracemalloc.start()
+    try:
+        evaluate_model(model, problem.test_set, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 23.5 MiB when the first conv unfolds all 64 test images at once
+    assert peak < 12 * MiB, peak / MiB

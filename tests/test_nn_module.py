@@ -211,16 +211,6 @@ def test_flat_set_data_shape_check():
         flat.set_data(np.zeros(3))
 
 
-def test_flat_add_inplace():
-    flat = flatten_module(small_net())
-    snap = flat.copy_data()
-    v = np.ones_like(flat.data)
-    flat.add_(v, alpha=-0.5)
-    np.testing.assert_allclose(flat.data, snap - 0.5)
-    flat.add_(v)
-    np.testing.assert_allclose(flat.data, snap + 0.5)
-
-
 def test_flatten_empty_module_raises():
     with pytest.raises(ValueError):
         flatten_module(ReLU())
