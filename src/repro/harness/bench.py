@@ -7,12 +7,9 @@ and a test-set evaluation, optimiser steps over flat parameters, one SASGD
 aggregation interval — plus one small end-to-end figure experiment, and
 writes the numbers to ``BENCH_<git-rev>.json``.
 
-The optimised conv kernels are timed **against the verbatim pre-optimisation
-code paths** preserved in :mod:`repro.nn.reference`, so the reported speedup
-factors are honest "vs the code this PR replaced" numbers rather than vs a
-strawman.  A committed baseline file plus :func:`compare_to_baseline` gives
-CI a cheap regression tripwire: wall-clock on shared runners is noisy, so
-the default threshold is a generous 2×.
+A committed baseline file plus :func:`compare_to_baseline` gives CI a cheap
+regression tripwire: wall-clock on shared runners is noisy, so the default
+threshold is a generous 2×.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ def _entry(seconds: float, reps: int, **extra) -> Dict[str, object]:
 
 def _bench_conv2d(reps: int) -> Dict[str, Dict[str, object]]:
     from ..nn.conv import Conv2d
-    from ..nn.reference import conv2d_backward_legacy, conv2d_forward_legacy
 
     rng = np.random.default_rng(0)
     conv = Conv2d(_CONV_C, _CONV_F, _CONV_K, padding=_CONV_PAD, rng=rng)
@@ -94,19 +90,9 @@ def _bench_conv2d(reps: int) -> Dict[str, Dict[str, object]]:
         conv.backward(gout)
 
     fb_s, fb_r = _time(fast_step, reps)
-
-    w, b = conv.weight.data, conv.bias.data if conv.bias is not None else None
-
-    def legacy_step() -> None:
-        yl, col = conv2d_forward_legacy(x, w, b, stride=1, pad=_CONV_PAD)
-        conv2d_backward_legacy(col, x.shape, w, gout, stride=1, pad=_CONV_PAD)
-
-    lg_s, lg_r = _time(legacy_step, reps)
-
     return {
         "conv2d_forward": _entry(fwd_s, fwd_r, **shape),
         "conv2d_forward_backward": _entry(fb_s, fb_r, **shape),
-        "conv2d_forward_backward_legacy": _entry(lg_s, lg_r, **shape),
     }
 
 
@@ -132,10 +118,6 @@ def _bench_im2col(reps: int) -> Dict[str, Dict[str, object]]:
 
 
 def _bench_temporal(reps: int) -> Dict[str, Dict[str, object]]:
-    from ..nn.reference import (
-        temporal_conv_backward_legacy,
-        temporal_conv_forward_legacy,
-    )
     from ..nn.temporal import TemporalConvolution
 
     rng = np.random.default_rng(2)
@@ -152,19 +134,7 @@ def _bench_temporal(reps: int) -> Dict[str, Dict[str, object]]:
         tc.backward(gout)
 
     fb_s, fb_r = _time(fast_step, reps)
-
-    w = tc.weight.data
-    b = tc.bias.data if tc.bias is not None else None
-
-    def legacy_step() -> None:
-        yl, col = temporal_conv_forward_legacy(x, w, b, kw)
-        temporal_conv_backward_legacy(col, x.shape, w, gout, kw)
-
-    lg_s, lg_r = _time(legacy_step, reps)
-    return {
-        "temporal_conv_forward_backward": _entry(fb_s, fb_r, **shape),
-        "temporal_conv_forward_backward_legacy": _entry(lg_s, lg_r, **shape),
-    }
+    return {"temporal_conv_forward_backward": _entry(fb_s, fb_r, **shape)}
 
 
 def _bench_nn_step(reps: int) -> Dict[str, Dict[str, object]]:
@@ -591,11 +561,11 @@ def run_benchmarks(
     def want(*names: str) -> bool:
         return name_filter is None or any(name_filter in n for n in names)
 
-    if want("conv2d_forward", "conv2d_forward_backward", "conv2d_forward_backward_legacy"):
+    if want("conv2d_forward", "conv2d_forward_backward"):
         benches.update(_bench_conv2d(reps))
     if want("im2col_plan", "col2im_plan"):
         benches.update(_bench_im2col(reps))
-    if want("temporal_conv_forward_backward", "temporal_conv_forward_backward_legacy"):
+    if want("temporal_conv_forward_backward"):
         benches.update(_bench_temporal(reps))
     if want(
         "maxpool2d_forward_backward", "cifar_train_step", "nlcf_train_step", "cifar_evaluate_model"
@@ -631,14 +601,6 @@ def run_benchmarks(
             return None
         return float(a["seconds"]) / float(b["seconds"])
 
-    r = ratio("conv2d_forward_backward_legacy", "conv2d_forward_backward")
-    if r is not None:
-        derived["conv2d_speedup_vs_legacy"] = round(r, 3)
-    r = ratio(
-        "temporal_conv_forward_backward_legacy", "temporal_conv_forward_backward"
-    )
-    if r is not None:
-        derived["temporal_speedup_vs_legacy"] = round(r, 3)
     r = ratio("engine_event_throughput_legacy", "engine_event_throughput")
     if r is not None:
         derived["engine_speedup_vs_legacy"] = round(r, 3)

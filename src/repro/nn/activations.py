@@ -15,9 +15,14 @@ __all__ = ["ReLU", "Tanh", "Flatten"]
 class ReLU(Module):
     """Rectified linear unit (used after every CIFAR-10 conv layer).
 
-    Mask, activation, and gradient buffers come from the layer's pool and
-    are reused across steps (eval mode: fresh arrays, no mask kept).
+    ``y`` is written over a scratch input and ``gx`` over a scratch
+    ``grad_out`` (see ``Module.gives_scratch``); otherwise they, like the
+    mask, come from the layer's pool and are reused across steps.  The
+    products are the same ``x * mask`` and ``grad_out * mask`` either way,
+    so no bit depends on where they land.  Eval mode keeps no mask.
     """
+
+    gives_scratch = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -29,7 +34,7 @@ class ReLU(Module):
         mask = pool.get("mask", x.shape, np.bool_)
         np.greater(x, 0, out=mask)
         self._mask = mask if self.training else None
-        y = pool.get("y", x.shape, x.dtype)
+        y = x if self._x_scratch else pool.get("y", x.shape, x.dtype)
         np.multiply(x, mask, out=y)
         return y
 
@@ -38,7 +43,10 @@ class ReLU(Module):
         if mask is None:
             raise RuntimeError("backward before forward")
         self._mask = None
-        gx = self._pool.get("gx", grad_out.shape, grad_out.dtype)
+        if self._grad_scratch:
+            gx = grad_out
+        else:
+            gx = self._pool.get("gx", grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, mask, out=gx)
         return gx
 

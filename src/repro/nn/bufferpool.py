@@ -4,7 +4,8 @@ A :class:`BufferPool` gives each layer a small named set of flat
 allocations, each grown to the largest request seen under its name and
 handed out as a prefix view in the asked shape, so training faults no fresh
 pages.  Models trained in one process share one pool per layer position; an
-eval-mode forward draws from a pool of its own that the call drops.
+eval-mode forward draws from a pool of its own that the call drops, except
+that ``Conv2d`` unfolds its slabs into its idle training pool when they fit.
 
 Contract
 --------
@@ -14,13 +15,21 @@ Contract
   gradients* built on pooled storage, is valid until the next gradient
   computation in this process, whichever model it runs on.  The training
   loops consume layer outputs immediately (``Sequential`` chains them
-  straight into the next layer), so this is invisible there; code that
-  must retain a layer output across steps should ``copy()`` it.
-* A layer may overwrite what its ``forward`` filled once its own
-  ``backward`` has read it for the last time: ``Conv2d`` and
-  ``TemporalConvolution`` write the input-gradient columns over the im2col
-  ``col`` right after the weight gradient is formed.  ``col`` is live from
-  the forward to that point only, and nothing outside the layer holds it.
+  straight into the next layer), so this is invisible there; code that must
+  retain a layer output across steps should ``copy()`` it.  An evaluation
+  runs between steps, never between a forward and its backward: an
+  eval-mode ``Conv2d`` unfolds into the training ``col``.
+* A layer overwrites an array only once nothing will read it again:
+  - what its own ``forward`` filled, after its ``backward`` has read it for
+    the last time: ``Conv2d`` and ``TemporalConvolution`` write the
+    input-gradient columns over the im2col ``col`` right after the weight
+    gradient is formed;
+  - its forward input, when ``Sequential`` marked it scratch (the layer
+    before keeps no reference to it, see ``Module.gives_scratch``):
+    ``ReLU`` writes ``y`` over it, and ``MaxPool2d``, which reads it only in
+    the forward, writes ``gx`` over it in the backward;
+  - its ``grad_out``, when marked scratch: ``ReLU`` writes ``gx`` over it.
+  A chain's input and the loss gradient are never scratch.
 """
 
 from __future__ import annotations
@@ -57,6 +66,13 @@ class BufferPool:
             flat = np.empty(size, dtype)
         view = self._bufs[name] = flat[:size].reshape(shape)
         return view
+
+    def fits(self, name: str, shape: Tuple[int, ...], dtype) -> bool:
+        """Whether :meth:`get` would hand out the storage ``name`` already holds."""
+        view = self._bufs.get(name)
+        if view is None:
+            return False
+        return view.base.dtype == dtype and view.base.size >= math.prod(shape)
 
     def zeros(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """Like :meth:`get` but zero-filled."""

@@ -33,9 +33,14 @@ class Conv2d(Module):
     im2col-sized buffer, and drops its reference, never keeping it between
     steps.  An eval-mode forward keeps nothing and unfolds at most the largest
     training batch this layer has seen at a time (the whole batch before any
-    training), each slab's GEMM landing in the full-batch output: ``matmul``
-    runs one GEMM per example, so the slabs change no bit of the result.
+    training), each slab's GEMM landing in a full-batch output of the call's
+    own: ``matmul`` runs one GEMM per example, so the slabs change no bit of
+    the result.  A slab unfolds into the training pool's ``col`` (and padded
+    input), idle between steps, when it fits there, so evaluation allocates
+    no im2col storage and the pool does not grow.
     """
+
+    gives_scratch = True
 
     def __init__(
         self,
@@ -84,12 +89,21 @@ class Conv2d(Module):
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
         if self.training:
             self._batch = max(self._batch, n)
-        pool = self._scratch()
         # eval: im2col + GEMM one training batch at a time (an empty batch: one empty slab)
         step = min(n, self._batch or n) or 1
         plan = conv_plan(step, c, h, w, self.kh, self.kw, self.stride, self.padding)
         wmat = self.weight.data.reshape(self.out_channels, -1)
-        y = pool.get("y", (n, self.out_channels, plan.p), np.result_type(wmat.dtype, x.dtype))
+        shape = (n, self.out_channels, plan.p)
+        dtype = np.result_type(wmat.dtype, x.dtype)
+        if self.training:
+            pool = self._pool
+            y = pool.get("y", shape, dtype)
+        else:  # y is the call's own; the slabs unfold into the idle training pool if they fit
+            y = np.empty(shape, dtype)
+            fits = self._pool.fits("col", (step, plan.k, plan.p), x.dtype) and (
+                self.padding == 0 or self._pool.fits("col.pad", plan.padded_shape, x.dtype)
+            )
+            pool = self._pool if fits else BufferPool()
         for lo in range(0, n or 1, step):
             xs = x[lo : lo + step]
             if len(xs) < step:  # the last, partial slab

@@ -22,6 +22,8 @@ class Linear(Module):
     word2vec token).
     """
 
+    gives_scratch = True
+
     def __init__(
         self,
         in_features: int,

@@ -66,7 +66,19 @@ class Module:
     * ``flops_per_example(in_shape)`` returns the *forward* FLOP count for one
       example; training cost is conventionally ``3×`` forward (fwd + input
       grad + weight grad).
+
+    ``gives_scratch`` declares that this layer keeps no reference to what its
+    ``forward`` or ``backward`` returns, and that neither result is (a view
+    of) an array it was handed unless :class:`Sequential` told it that one was
+    scratch: the next layer in a chain may write over it.  ``Sequential``
+    records on each layer whether its forward input (``_x_scratch``) and its
+    backward ``grad_out`` (``_grad_scratch``) came from such a neighbour;
+    standalone, neither is.
     """
+
+    gives_scratch = False
+    _x_scratch = False
+    _grad_scratch = False
 
     def __init__(self) -> None:
         self.training = True
@@ -150,7 +162,13 @@ class Module:
 
 
 class Sequential(Module):
-    """Chain of layers; backward replays them in reverse."""
+    """Chain of layers; backward replays them in reverse.
+
+    Appending a layer tells it whether its input is scratch (the layer before
+    it ``gives_scratch``), and tells that layer whether its ``grad_out`` is.
+    The first layer's input is the caller's, the last layer's ``grad_out`` the
+    loss gradient: neither is ever scratch.
+    """
 
     def __init__(self, *layers: Module) -> None:
         super().__init__()
@@ -159,6 +177,11 @@ class Sequential(Module):
             self.append(layer)
 
     def append(self, layer: Module) -> "Sequential":
+        last = self.layers[-1] if self.layers else None
+        layer._x_scratch = last is not None and last.gives_scratch
+        layer._grad_scratch = False
+        if last is not None:
+            last._grad_scratch = layer.gives_scratch
         self.layers.append(layer)
         self.register_child(layer)
         return self

@@ -23,8 +23,12 @@ class MaxPool2d(Module):
     a running ``np.maximum`` over the ``kh*kw`` window-offset views of the
     input; in training mode one boolean mask per offset routes the gradient
     (first occurrence on ties), and backward is one masked multiply per
-    offset.  Eval-mode forward keeps no routing state.
+    offset.  A scratch input (see ``Module.gives_scratch``) is dead once the
+    forward has read it, so backward writes ``gx`` over it instead of a
+    pooled buffer.  Eval-mode forward keeps no routing state.
     """
+
+    gives_scratch = True
 
     def __init__(self, kernel_size: int | Tuple[int, int]) -> None:
         super().__init__()
@@ -35,6 +39,7 @@ class MaxPool2d(Module):
             raise ValueError(f"bad kernel size {kernel_size}")
         self._pool = BufferPool()
         self._hits: Optional[np.ndarray] = None
+        self._x: Optional[np.ndarray] = None  # the scratch input backward writes gx over
         self._x_shape: Optional[Tuple[int, ...]] = None
 
     def _offset_views(self, a: np.ndarray, oh: int, ow: int) -> List[np.ndarray]:
@@ -50,6 +55,7 @@ class MaxPool2d(Module):
             raise ValueError(f"input {h}x{w} smaller than pool {self.kh}x{self.kw}")
         views = self._offset_views(x, oh, ow)
         out, self._hits = max_over_views(views, self._scratch(), self.training)
+        self._x = x if self._x_scratch and self.training else None
         self._x_shape = x.shape
         return out
 
@@ -57,9 +63,12 @@ class MaxPool2d(Module):
         hits, x_shape = self._hits, self._x_shape
         if hits is None or x_shape is None:
             raise RuntimeError("backward before forward")
-        self._hits = None
+        x, self._hits, self._x = self._x, None, None
         oh, ow = grad_out.shape[2:]
-        gx = self._pool.get("gx", x_shape, grad_out.dtype)
+        if x is not None and x.dtype == grad_out.dtype:
+            gx = x
+        else:
+            gx = self._pool.get("gx", x_shape, grad_out.dtype)
         gx[:, :, oh * self.kh :, :] = 0  # floor-division remainder only
         gx[:, :, : oh * self.kh, ow * self.kw :] = 0
         for hit, gv in zip(hits, self._offset_views(gx, oh, ow)):

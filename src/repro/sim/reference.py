@@ -3,11 +3,10 @@
 This is the engine exactly as it shipped before the large-p performance
 pass (PR 7) vectorised the live :mod:`repro.sim.engine`: a single binary
 heap of per-resume ``_ScheduledItem`` dataclass records, one push/pop per
-resume.  It exists for the same reason :mod:`repro.nn.reference` keeps the
-naive conv kernels — so ``repro bench`` reports an honest
-"vs the code this PR replaced" speedup (``engine_speedup_vs_legacy``)
-instead of a strawman, and so the equivalence tests can assert the batched
-calendar produces bit-identical schedules.
+resume.  It exists so ``repro bench`` reports an honest "vs the code it
+replaced" speedup (``engine_speedup_vs_legacy``) instead of a strawman, and
+so the equivalence tests can assert the batched calendar produces
+bit-identical schedules.
 
 Do not use this in production code; import :class:`repro.sim.Engine`.
 """

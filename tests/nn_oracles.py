@@ -11,8 +11,8 @@ differences is ~1e-9 relative, far below the tolerances used.
 ``(N, OH*OW, C*kh*kw)`` (the natural shape for ``col @ W.T``) that
 :class:`~repro.nn.functional.ConvPlan`'s channel-major layout is pinned
 against.  The ``*_naive`` kernels are straight loops over output positions,
-the "obviously correct" form the plan/pool and legacy kernels are compared
-with on small shapes.
+the "obviously correct" form the plan/pool kernels are compared with on
+small shapes.
 """
 
 from __future__ import annotations
@@ -204,6 +204,27 @@ def conv2d_forward_naive(
     if bias is not None:
         y += bias[None, :, None, None]
     return y
+
+
+def conv2d_backward_naive(
+    x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray, stride: int = 1, pad: int = 0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns ``(grad_x, grad_weight, grad_bias)`` via per-window loops."""
+    n, c, h, w = x.shape
+    _, _, kh, kw = weight.shape
+    oh, ow = grad_out.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(weight)
+    for b in range(n):
+        for oi in range(oh):
+            for oj in range(ow):
+                win = (b, slice(None), slice(oi * stride, oi * stride + kh),
+                       slice(oj * stride, oj * stride + kw))
+                go = grad_out[b, :, oi, oj]
+                gw += go[:, None, None, None] * xp[win]
+                gxp[win] += np.tensordot(go, weight, axes=1)
+    return gxp[:, :, pad : pad + h, pad : pad + w], gw, grad_out.sum(axis=(0, 2, 3))
 
 
 def temporal_conv_forward_naive(

@@ -37,11 +37,9 @@ def test_expected_benches_present(doc):
     assert {
         "conv2d_forward",
         "conv2d_forward_backward",
-        "conv2d_forward_backward_legacy",
         "im2col_plan",
         "col2im_plan",
         "temporal_conv_forward_backward",
-        "temporal_conv_forward_backward_legacy",
         "maxpool2d_forward_backward",
         "cifar_train_step",
         "nlcf_train_step",
@@ -54,15 +52,12 @@ def test_expected_benches_present(doc):
 
 
 def test_derived_speedups(doc):
-    derived = doc["derived"]
-    assert "conv2d_speedup_vs_legacy" in derived
-    assert "temporal_speedup_vs_legacy" in derived
-    # the whole point of the optimisation pass: faster than the old code.
-    # conv2d's ~2x gap is robust even at quick reps; the temporal gap
-    # (~1.5x in the committed baseline) can dip under timer noise, so only
-    # sanity-bound it here
-    assert derived["conv2d_speedup_vs_legacy"] > 1.0
-    assert derived["temporal_speedup_vs_legacy"] > 0.5
+    # the kernels are timed alone: their speedups over the code they replaced
+    # are recorded history, not ratios each run recomputes
+    legacy_kernels = {"conv2d_forward_backward_legacy", "temporal_conv_forward_backward_legacy"}
+    assert not legacy_kernels & set(doc["benches"])
+    assert set(doc["derived"]) == {"engine_speedup_vs_legacy", "fabric_wave_speedup_vs_message"}
+    assert doc["derived"]["engine_speedup_vs_legacy"] > 1.0
 
 
 def test_save_load_roundtrip(doc, tmp_path):

@@ -3,11 +3,12 @@
 Two rules keep it so: ``backward`` writes the input-gradient columns into the
 im2col storage ``forward`` filled (the weight gradient is its last reader),
 and an eval-mode ``Conv2d.forward`` runs im2col + GEMM on slabs of at most
-the largest training batch the layer has seen.  Neither may change a bit:
-``np.matmul`` runs one GEMM per example, so a slab's logits are the
-full-batch ones.
+the largest training batch the layer has seen, unfolding them into the idle
+training pool when they fit it.  Neither may change a bit: ``np.matmul``
+runs one GEMM per example, so a slab's logits are the full-batch ones.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algos.base import evaluate_model
-from repro.algos.problems import cifar_problem
+from repro.algos.problems import CIFAR_SCALES, cifar_problem
+from repro.data.synth_cifar import make_synthetic_cifar
 from repro.nn import Conv2d, TemporalConvolution
 from tests.nn_oracles import col2im, gradcheck_module, im2col, temporal_conv_backward_naive
 
@@ -55,12 +57,15 @@ def test_eval_forward_in_slabs_equals_the_training_forward(seed, n, batch, c, hw
     conv = Conv2d(c, 4, kernel, stride=stride, padding=pad, dtype=dtype, rng=rng)
     x = rng.standard_normal((n, c, hw, hw)).astype(dtype)
     conv.forward(x[:batch])  # the training batch sets the slab size
+    held = {k: (v.ctypes.data, v.base.nbytes) for k, v in conv._pool._bufs.items()}
     conv.eval()
     got = conv.forward(x).copy()
     assert conv._col is None and conv._plan is None  # an eval forward keeps nothing
-    held = {k: (v.ctypes.data, v.base.nbytes) for k, v in conv._pool._bufs.items()}
-    conv.train()
+    # the slabs unfold into the training pool, which does not grow, and an
+    # input too large for it unfolds into storage of its own
+    conv.forward(rng.standard_normal((n, c, hw + 3, hw)).astype(dtype))
     assert held == {k: (v.ctypes.data, v.base.nbytes) for k, v in conv._pool._bufs.items()}
+    conv.train()
     np.testing.assert_array_equal(got, conv.forward(x))
 
 
@@ -136,13 +141,36 @@ def test_cifar_bench_model_memory_is_one_training_batch():
     model.backward(crit.backward())  # with the input gradient: every fold runs
     pools = {id(m._pool): m._pool for m in model.modules() if hasattr(m, "_pool")}
     held = sum(v.base.nbytes for pool in pools.values() for v in pool._bufs.values())
-    # 28.6 MiB with a second im2col-sized buffer for the input gradient
-    assert held <= 21 * MiB, held / MiB
+    # 28.6 MiB with a second im2col-sized buffer for the input gradient, and
+    # 20.4 MiB while ReLU's y and gx and MaxPool's gx had pooled buffers
+    assert held <= 15.8 * MiB, held / MiB
     tracemalloc.start()
     try:
         evaluate_model(model, problem.test_set, 64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 23.5 MiB when the first conv unfolds all 64 test images at once
-    assert peak < 12 * MiB, peak / MiB
+    # 23.5 MiB when the first conv unfolds all 64 test images at once, and
+    # 9.8 MiB while each slab unfolded into fresh storage and ReLU copied
+    assert peak < 6.1 * MiB, peak / MiB
+
+
+def test_bench_cifar_data_is_synthesised_in_slabs_to_the_same_bits():
+    scale = CIFAR_SCALES["bench"]
+    tracemalloc.start()
+    try:
+        train, test = make_synthetic_cifar(
+            n_train=scale["n_train"], n_test=scale["n_test"], noise=scale["noise"], seed=5
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the float32 result is 8.3 MiB; 24.3 MiB with three full-size float64 temporaries
+    assert peak < 12.2 * MiB, peak / MiB
+    digest = hashlib.sha256()
+    for ds in (train, test):
+        digest.update(ds.x.tobytes())
+        digest.update(ds.y.tobytes())
+    assert digest.hexdigest() == (
+        "c4544703988bc3b9480c497a5e1a84de833a0d49e70d33fbde879d8128358db5"
+    )

@@ -1,9 +1,10 @@
 """Numerical equivalence of the optimised kernels vs reference loops.
 
-Three-way anchoring for every hot kernel this PR optimised:
+Every hot kernel is anchored against ``tests/nn_oracles.py``:
 
-* plan/pool fast path  vs  naive Python loops (``tests/nn_oracles.py``)
-* plan/pool fast path  vs  the verbatim pre-optimisation ("legacy") code
+* plan/pool fast path  vs  naive Python loops
+* Conv2d  vs  the historical ("legacy") row-major im2col/col2im formulation
+  the plan's channel-major layout replaced
 * gradcheck (central differences) on the optimised modules directly
 
 im2col is a pure gather, so it must be **bit-identical** everywhere.  The
@@ -20,15 +21,10 @@ import pytest
 from repro.nn import Conv2d, TemporalConvolution
 from repro.nn.bufferpool import BufferPool
 from repro.nn.functional import conv_plan
-from repro.nn.reference import (
-    conv2d_backward_legacy,
-    conv2d_forward_legacy,
-    temporal_conv_backward_legacy,
-    temporal_conv_forward_legacy,
-)
 from tests.nn_oracles import (
     col2im,
     col2im_naive,
+    conv2d_backward_naive,
     conv2d_forward_naive,
     gradcheck_module,
     im2col,
@@ -97,11 +93,12 @@ def test_conv2d_forward_matches_naive_and_legacy(case):
     x = rng.standard_normal((n, c, h, w)).astype(np.float32)
     y = conv.forward(x)
     y_naive = conv2d_forward_naive(x, conv.weight.data, conv.bias.data, stride, pad)
-    y_legacy, _ = conv2d_forward_legacy(x, conv.weight.data, conv.bias.data, stride, pad)
+    cols = im2col(x, kh, kw, stride=stride, pad=pad)  # (n, p, k) row-major
+    y_legacy = (cols @ conv.weight.data.reshape(4, -1).T + conv.bias.data).transpose(0, 2, 1)
     np.testing.assert_allclose(y, y_naive, rtol=1e-5, atol=1e-5)
     # same GEMM, different layout: bit-identical is too strong a claim across
     # BLAS kernels, but the float32 agreement is much tighter than vs loops
-    np.testing.assert_allclose(y, y_legacy, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(y.reshape(n, 4, -1), y_legacy, rtol=1e-6, atol=1e-6)
 
 
 @pytest.mark.parametrize("case", CONV_CASES)
@@ -115,28 +112,28 @@ def test_conv2d_backward_matches_legacy(case):
     conv.zero_grad()
     gx = conv.backward(gout)
 
-    _, col = conv2d_forward_legacy(x, conv.weight.data, conv.bias.data, stride, pad)
-    gx_l, gw_l, gb_l = conv2d_backward_legacy(
-        col, x.shape, conv.weight.data, gout, stride, pad
-    )
-    np.testing.assert_allclose(gx, gx_l, rtol=1e-5, atol=1e-5)
-    np.testing.assert_allclose(conv.weight.grad, gw_l, rtol=1e-4, atol=1e-4)
-    np.testing.assert_allclose(conv.bias.grad, gb_l, rtol=1e-5, atol=1e-5)
+    wmat = conv.weight.data.reshape(4, -1)
+    g = gout.reshape(n, 4, -1).transpose(0, 2, 1)  # (n, p, f) row-major
+    gx_l = col2im(g @ wmat, x.shape, kh, kw, stride=stride, pad=pad)
+    gw_l = np.einsum("npf,npk->fk", g, im2col(x, kh, kw, stride=stride, pad=pad))
+    gx_n, gw_n, gb_n = conv2d_backward_naive(x, conv.weight.data, gout, stride, pad)
+    for gx_ref, gw_ref in ((gx_l, gw_l.reshape(conv.weight.data.shape)), (gx_n, gw_n)):
+        np.testing.assert_allclose(gx, gx_ref, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(conv.weight.grad, gw_ref, rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(conv.bias.grad, gb_n, rtol=1e-5, atol=1e-5)
 
 
-def test_temporal_forward_matches_naive_and_legacy():
+def test_temporal_forward_matches_naive():
     rng = np.random.default_rng(5)
     for n, ell, cin, cout, kw in [(2, 9, 3, 4, 3), (1, 7, 2, 5, 5), (3, 12, 4, 2, 1)]:
         tc = TemporalConvolution(cin, cout, kw, rng=rng)
         x = rng.standard_normal((n, ell, cin)).astype(np.float32)
         y = tc.forward(x)
         y_naive = temporal_conv_forward_naive(x, tc.weight.data, tc.bias.data, kw)
-        y_legacy, _ = temporal_conv_forward_legacy(x, tc.weight.data, tc.bias.data, kw)
         np.testing.assert_allclose(y, y_naive, rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(y, y_legacy, rtol=1e-6, atol=1e-6)
 
 
-def test_temporal_backward_matches_naive_and_legacy():
+def test_temporal_backward_matches_naive():
     rng = np.random.default_rng(6)
     for n, ell, cin, cout, kw in [(2, 9, 3, 4, 3), (1, 7, 2, 5, 5), (3, 12, 4, 2, 1)]:
         tc = TemporalConvolution(cin, cout, kw, rng=rng)
@@ -150,14 +147,6 @@ def test_temporal_backward_matches_naive_and_legacy():
         np.testing.assert_allclose(gx, gx_n, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(tc.weight.grad, gw_n, rtol=1e-4, atol=1e-4)
         np.testing.assert_allclose(tc.bias.grad, gb_n, rtol=1e-5, atol=1e-5)
-
-        _, col = temporal_conv_forward_legacy(x, tc.weight.data, tc.bias.data, kw)
-        gx_l, gw_l, gb_l = temporal_conv_backward_legacy(
-            col, x.shape, tc.weight.data, gout, kw
-        )
-        np.testing.assert_allclose(gx, gx_l, rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(tc.weight.grad, gw_l, rtol=1e-4, atol=1e-4)
-        np.testing.assert_allclose(tc.bias.grad, gb_l, rtol=1e-5, atol=1e-5)
 
 
 @pytest.mark.parametrize(
