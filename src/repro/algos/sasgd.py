@@ -18,10 +18,10 @@ from typing import Dict, Generator, Optional
 import numpy as np
 
 from ..comm.schedule import check_algorithm
-from ..core.compression import make_compressor
+from ..core.compression import CompressedGradient, make_compressor
 from ..core.sasgd import SASGDConfig, SASGDLocalState
 from ..spec.registry import TRAINERS
-from .base import Problem, TrainerConfig
+from .base import Problem, TrainerConfig, spawn_rngs
 from .distributed import DistributedTrainer
 
 __all__ = ["SASGDOptions", "SASGDTrainer"]
@@ -51,8 +51,10 @@ class SASGDOptions:
       gradient in *space* as well as time: each learner ships only its
       ``k_frac`` largest-magnitude coordinates (``"topk"``) or a random
       subset (``"randomk"``), carrying the residual forward when
-      ``error_feedback`` is on.  Compressed aggregation uses an allgather of
-      (index, value) pairs with a local sum, as real sparse allreduces do.
+      ``error_feedback`` is on.  Compressed aggregation allgathers one
+      fixed-size row of (index, value) pairs per learner and sums locally in
+      rank order, as real sparse allreduces do — the same bits and bytes on
+      sim, mp and net.
     * ``fail_at`` — failure injection: ``{learner_id: step}`` kills a learner
       after that many local steps.  Bulk-synchronous SASGD then deadlocks at
       the next allreduce (surfaced as a typed
@@ -125,7 +127,9 @@ class SASGDTrainer(DistributedTrainer):
             )
             for _ in range(config.p)
         ]
-        self._compress_rngs = self.backend.spawn_rngs(config.p)
+        # the seed tree's children after the 3p data and model streams of
+        # build_workloads: the same streams on every backend
+        self._compress_rngs = spawn_rngs(config.seed, 4 * config.p)[3 * config.p :]
         self.compressed_bytes_saved = 0.0
 
     def _aggregate(self, lid: int, interval: int, gs: np.ndarray) -> Generator:
@@ -141,14 +145,12 @@ class SASGDTrainer(DistributedTrainer):
             return gs_sum
         sparse = compressor.compress(gs, self._compress_rngs[lid])
         self.compressed_bytes_saved += float(gs.nbytes) - sparse.nbytes
-        pieces = yield from self.collective.allgather(
-            lid,
-            sparse,
-            nbytes=sparse.nbytes,
-            ctx=("cagg", interval),
+        rows = yield from self.collective.allgather(
+            lid, sparse.pack(), ctx=("cagg", interval)
         )
         gs_sum = np.zeros_like(gs)
-        for piece in pieces:
+        for row in rows:
+            piece = CompressedGradient.unpack(row, gs.size, gs.dtype)
             np.add.at(gs_sum, piece.indices, piece.values)
         return gs_sum
 

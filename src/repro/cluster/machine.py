@@ -6,8 +6,9 @@ A :class:`Machine` is the root object every trainer runs against.  It owns
 * the interconnect :class:`~repro.cluster.topology.Topology`,
 * one :class:`~repro.cluster.devices.Device` per compute node,
 * a :class:`~repro.sim.Tracer` for time accounting, and
-* the deterministic seed tree: every device and every learner draws its RNG
-  from ``numpy.random.SeedSequence.spawn`` so runs replay bit-exactly.
+* the devices' seed tree: every device draws its RNG from
+  ``numpy.random.SeedSequence.spawn`` so runs replay bit-exactly (learners
+  draw theirs from the trainer's own tree, the same on every backend).
 
 Placement conventions follow the paper: learners live on GPUs (round-robin
 with device sharing once p exceeds the GPU count — the paper's CUDA MPS
@@ -70,8 +71,7 @@ class Machine:
         self.spec = spec
         self.engine = Engine()
         self.tracer = Tracer(self.engine, enabled=trace)
-        self.seed_seq = np.random.SeedSequence(seed)
-        children = self.seed_seq.spawn(len(spec.device_specs) + 1)
+        children = np.random.SeedSequence(seed).spawn(len(spec.device_specs) + 1)
         self.root_rng = np.random.default_rng(children[0])
         self.devices: Dict[str, Device] = {}
         for child, (name, dspec) in zip(
@@ -86,10 +86,6 @@ class Machine:
     @property
     def host(self) -> Optional[str]:
         return self.spec.host
-
-    def spawn_rngs(self, n: int) -> List[np.random.Generator]:
-        """n fresh independent generators from the machine's seed tree."""
-        return [np.random.default_rng(s) for s in self.seed_seq.spawn(n)]
 
     def place_learners(self, p: int) -> List[str]:
         """Device names for p learners, round-robin over the GPUs.

@@ -1,12 +1,13 @@
 """Communication substrate: message fabric, collective schedules and their
 simulated executor, cost models."""
 
-from .collectives import allgather_ring, allreduce, broadcast, run_schedule
+from .collectives import allgather, allreduce, broadcast, run_schedule
 from .costmodel import allreduce_traffic_bytes, ps_traffic_bytes
 from .fabric import Endpoint, Fabric, Message
 from .fastfabric import FastFabric, WavePlan
 from .schedule import (
     ALLREDUCE_ALGORITHMS,
+    allgather_schedule,
     allreduce_schedule,
     broadcast_schedule,
     contiguous_groups,
@@ -19,7 +20,8 @@ __all__ = [
     "FastFabric",
     "Message",
     "WavePlan",
-    "allgather_ring",
+    "allgather",
+    "allgather_schedule",
     "allreduce",
     "allreduce_schedule",
     "allreduce_traffic_bytes",

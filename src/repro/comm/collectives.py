@@ -1,7 +1,8 @@
 """The simulated fabric's executor of the collective schedules.
 
 SASGD replaces the parameter server with "global reductions" (paper Sec. III):
-``gs ← allreduce(gs, p, id)`` plus an initial ``broadcast`` of the parameters.
+``gs ← allreduce(gs, p, id)`` plus an initial ``broadcast`` of the parameters
+(compressed SASGD an ``allgather`` of one sparse row per rank).
 :mod:`repro.comm.schedule` writes each algorithm down as rounds of steps;
 this module runs them over :class:`~repro.comm.fabric.Endpoint`, *actually
 reducing the NumPy payloads*, so the trainers built on top are numerically
@@ -15,19 +16,27 @@ global aggregation index) so successive rounds can't cross-talk.
 
 Timing-only mode: pass ``array=None`` and ``nbytes=...`` to move bytes without
 doing math — used by the epoch-time experiments at paper scale.  A piece of
-``parts`` pieces is then charged ``nbytes / parts``.
+``parts`` pieces is then charged ``nbytes / parts``.  The allgather has no
+such mode: it always moves its rows.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Any, Generator, Optional, Sequence
 
 import numpy as np
 
 from .fabric import Endpoint
-from .schedule import Schedule, allreduce_schedule, bounds, broadcast_schedule
+from .schedule import (
+    Schedule,
+    allgather_schedule,
+    allreduce_schedule,
+    bounds,
+    broadcast_schedule,
+    gather_start,
+)
 
-__all__ = ["allgather_ring", "allreduce", "broadcast", "run_schedule"]
+__all__ = ["allgather", "allreduce", "broadcast", "run_schedule"]
 
 
 def run_schedule(
@@ -111,27 +120,17 @@ def allreduce(
     return run_schedule(ep, members, schedule, array, nbytes, ctx)
 
 
-def allgather_ring(
+def allgather(
     ep: Endpoint,
     members: Sequence[str],
     rank: int,
-    array: Optional[np.ndarray],
-    nbytes: float = 0.0,
+    row: np.ndarray,
     ctx: Any = 0,
 ) -> Generator:
-    """Ring allgather; returns the list of all ranks' arrays in rank order."""
-    p = len(members)
-    if array is not None and nbytes == 0.0:
-        nbytes = float(array.nbytes)
-    pieces: List[Optional[np.ndarray]] = [None] * p
-    pieces[rank] = array
-    right = members[(rank + 1) % p]
-    left = members[(rank - 1) % p]
-    for step in range(p - 1):
-        send_idx = (rank - step) % p
-        recv_idx = (rank - step - 1) % p
-        msg = yield from ep.sendrecv(
-            right, ("ag", ctx, step), pieces[send_idx], left, ("ag", ctx, step), nbytes
-        )
-        pieces[recv_idx] = msg.payload
-    return pieces
+    """Ring allgather of one fixed-size 1-D ``row`` per rank; returns the
+    ``(p, len(row))`` stack in rank order."""
+    p, row = len(members), np.asarray(row).reshape(-1)
+    local = yield from run_schedule(
+        ep, members, allgather_schedule(p, rank), gather_start(p, rank, row), ctx=ctx
+    )
+    return local.reshape(p, row.size)

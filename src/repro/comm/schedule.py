@@ -1,9 +1,11 @@
-"""Collective schedules: allreduce and broadcast as lists of point-to-point steps.
+"""Collective schedules: allreduce, broadcast and allgather as lists of
+point-to-point steps.
 
 SASGD communicates through an initial ``broadcast`` of x and the interval
 ``allreduce(gs)`` (paper Sec. III), and which allreduce runs decides the
-traffic its O(m log p) claim is about.  So each algorithm is written down
-once, here, as data, and every substrate only executes it
+traffic its O(m log p) claim is about; its compressed variant gathers one
+sparse row per rank instead.  So each algorithm is written down once, here,
+as data, and every substrate only executes it
 (:mod:`repro.comm.collectives` on the simulated fabric, ``MPCollective`` over
 shared memory, ``NetCollective`` over TCP): the same additions in the same
 order, so a given p and algorithm gives the same bits everywhere.
@@ -15,7 +17,8 @@ one peer, then ``local[piece] += received`` (``add``) or
 a receive in round k is the peer's send of the same piece in round k.  A
 piece ``(i, parts)`` is piece i of the vector cut by ``np.array_split``'s
 rule (:func:`bounds`), so the length n enters in one place, and a
-timing-only caller charges ``nbytes / parts``.
+timing-only caller charges ``nbytes / parts``.  An allgather runs over the
+stack of the p rows (:func:`gather_start`), so its pieces are the rows.
 
 =====================  =====================  ==========================
 collective             algorithm              cost (alpha–beta, p ranks)
@@ -25,6 +28,7 @@ allreduce              recursive doubling     log2(p)·(alpha + m·beta)
 allreduce              binomial tree          2·log2(p)·(alpha + m·beta)
 allreduce              hierarchical           group trees + leader ring
 broadcast              binomial tree          log2(p)·(alpha + m·beta)
+allgather (m per row)  ring                   (p−1)·(alpha + m·beta)
 =====================  =====================  ==========================
 
 Recursive doubling needs a power-of-two p; at any other p the name runs the
@@ -36,14 +40,18 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "ALLREDUCE_ALGORITHMS",
     "Step",
+    "allgather_schedule",
     "allreduce_schedule",
     "bounds",
     "broadcast_schedule",
     "check_algorithm",
     "contiguous_groups",
+    "gather_start",
 ]
 
 #: ``(index, parts)``: piece ``index`` of the vector cut into ``parts``
@@ -125,13 +133,22 @@ def _ring(members: Sequence[int], rank: int, r0: int) -> Dict[int, Step]:
     pieces: after p−1 rounds member i holds the full sum of piece i + 1."""
     i, n = members.index(rank), len(members)
     right, left = members[(i + 1) % n], members[(i - 1) % n]
-    out = {}
+    out = _gather(members, rank, r0 + n - 1, 1)
     for s in range(n - 1):
         out[r0 + s] = Step(right, ((i - s) % n, n), left, ((i - s - 1) % n, n), True)
-        out[r0 + n - 1 + s] = Step(
-            right, ((i + 1 - s) % n, n), left, ((i - s) % n, n), False
-        )
     return out
+
+
+def _gather(members: Sequence[int], rank: int, r0: int, shift: int) -> Dict[int, Step]:
+    """Copy-only ring around ``members`` from member i holding piece
+    i + ``shift``: in round s it sends piece i + shift − s right and takes
+    piece i + shift − s − 1 from the left."""
+    i, n = members.index(rank), len(members)
+    right, left, own = members[(i + 1) % n], members[(i - 1) % n], i + shift
+    return {
+        r0 + s: Step(right, ((own - s) % n, n), left, ((own - s - 1) % n, n), False)
+        for s in range(n - 1)
+    }
 
 
 def _schedule(rounds: int, steps: Dict[int, Step]) -> Schedule:
@@ -226,3 +243,19 @@ def broadcast_schedule(p: int, rank: int, root: int = 0) -> Schedule:
     _check_rank(p, root)
     members = [(root + v) % p for v in range(p)]
     return _schedule(_tree_rounds(p), _broadcast(members, rank, 0))
+
+
+def allgather_schedule(p: int, rank: int) -> Schedule:
+    """Rank ``rank``'s rounds of a ring allgather over p ranks, run on the
+    stack of their rows (:func:`gather_start`): p − 1 copy-only rounds."""
+    _check_rank(p, rank)
+    return _schedule(p - 1, _gather(range(p), rank, 0, 0))
+
+
+def gather_start(p: int, rank: int, row) -> np.ndarray:
+    """The vector rank ``rank`` runs an allgather on: p rows of ``row``'s
+    length in rank order, its own ``row`` in place and zeros elsewhere."""
+    row = np.asarray(row).reshape(-1)
+    local = np.zeros(p * row.size, row.dtype)
+    local[rank * row.size:(rank + 1) * row.size] = row
+    return local

@@ -15,8 +15,10 @@ the trade-off can be measured against the paper's plain SASGD:
   back before the next aggregation, which is what makes aggressive sparsity
   converge.
 
-Compressed payloads travel as ``(indices, values)`` pairs; the byte cost
-charged to the fabric is ``k·(4 + itemsize)``.
+A compressed payload travels as one byte row (:meth:`CompressedGradient.pack`):
+k int32 indices, then k values — ``k·(4 + itemsize)`` bytes.  Both
+compressors emit exactly ``k_for(n)`` coordinates, so every rank's row has
+the same length and an allgather can carry them.
 """
 
 from __future__ import annotations
@@ -46,6 +48,17 @@ class CompressedGradient:
     @property
     def nbytes(self) -> float:
         return float(self.indices.nbytes + self.values.nbytes)
+
+    def pack(self) -> np.ndarray:
+        """One byte row: the int32 indices, then the values."""
+        return np.concatenate([self.indices.view(np.uint8), self.values.view(np.uint8)])
+
+    @classmethod
+    def unpack(cls, row: np.ndarray, size: int, dtype) -> "CompressedGradient":
+        """The gradient a :meth:`pack` row carries, for a dense vector of
+        ``size`` elements of ``dtype`` (views into ``row``, no copy)."""
+        k = row.size // (4 + np.dtype(dtype).itemsize)
+        return cls(row[: 4 * k].view(np.int32), row[4 * k :].view(dtype), size)
 
     def densify(self) -> np.ndarray:
         out = np.zeros(self.size, dtype=self.values.dtype)

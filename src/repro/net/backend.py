@@ -7,8 +7,8 @@ this module adds how ``net`` moves bytes and notices death:
 
 * **Collectives** run the :mod:`repro.comm.schedule` steps the simulated
   fabric runs, over one connection per ordered pair of ranks (dialled from
-  the cluster spec when first used; tensors framed zero-copy); object
-  allgather rotates pickled items around the ring.
+  the cluster spec when first used; tensors framed zero-copy) — compressed
+  SASGD's allgather of sparse rows included.
 * **Parameter server** shards are TCP servers (:func:`serve_shard`): one
   selector loop over the listener and every client connection feeds PS_REQ
   frames into the shard state in readiness order, and PS_REP frames answer
@@ -37,7 +37,6 @@ Two modes share all of the above:
 from __future__ import annotations
 
 import os
-import pickle
 import select
 import selectors
 import socket
@@ -161,9 +160,9 @@ def _redial(sess: SessionConn, addr: str, peer: str, hello: Dict[str, Any],
 
 
 class NetCollective(BlockingCollective):
-    """Collective schedules / rotation allgather over TCP, one connection
-    per ordered (sender, receiver) pair, dialled by the sender the first
-    time a step sends to that peer (the links to ranks r ± 1 are the ring).
+    """Collective schedules over TCP, one connection per ordered (sender,
+    receiver) pair, dialled by the sender the first time a step sends to
+    that peer (the links to ranks r ± 1 are the ring).
 
     A step with both sides is one deadlock-free
     :meth:`~repro.net.frames.Conn.sendrecv`, a one-sided step one
@@ -371,12 +370,11 @@ class NetCollective(BlockingCollective):
                     raise
                 self._repair_in(peer, exc)
 
-    def _exchange(self, send_to: int, array: np.ndarray, recv_from: int,
-                  meta: Optional[Dict[str, Any]] = None):
+    def _exchange(self, send_to: int, array: np.ndarray, recv_from: int):
         """Send to one peer while receiving from another (or the same)."""
         out, inp = self._link_out(send_to), self._link_in(recv_from)
         try:
-            return out.sendrecv(inp, DATA, array, meta)
+            return out.sendrecv(inp, DATA, array)
         except ConnectionLost as exc:
             if self._session is None:
                 raise
@@ -429,28 +427,6 @@ class NetCollective(BlockingCollective):
         except (ConnectionLost, socket.timeout) as exc:
             raise self._fail(exc, opname, rank) from None
         return local
-
-    def _allgather(self, rank: int, item, tag, nbytes: float) -> List[Any]:
-        if self.p == 1:
-            return [item]
-        self._rank = rank
-        pieces: List[Any] = [None] * self.p
-        pieces[rank] = item
-        cur_src, cur = rank, item
-        try:
-            for _ in range(self.p - 1):
-                blob = np.frombuffer(pickle.dumps(cur, protocol=4), np.uint8)
-                frame = self._exchange(
-                    (rank + 1) % self.p, blob, (rank - 1) % self.p,
-                    {"op": "gather", "src": cur_src, "tag": str(tag)},
-                )
-                cur_src = int(frame.meta["src"])
-                cur = frame.obj()
-                pieces[cur_src] = cur
-        except (ConnectionLost, socket.timeout) as exc:
-            raise self._fail(exc, f"allgather({tag!r})", rank) from None
-        self.bytes_moved += 2.0 * float(nbytes) * (self.p - 1)
-        return pieces
 
 
 # -- parameter server ----------------------------------------------------------

@@ -4,11 +4,11 @@ The paper's algorithm loops (SASGD's interval allreduce, Downpour's sharded
 parameter server, EAMSGD's elastic averaging) are local-update /
 periodic-communication loops; nothing in them is specific to the
 discrete-event simulator.  This module defines the seam that keeps them that
-way: trainers talk to a :class:`Backend` (workers, clock, RNG streams,
-compute accounting), a :class:`Collective` (broadcast / allreduce /
-allgather), and a :class:`ParameterServerHandle` whose :class:`PSClientLike`
-clients implement push / pull / elastic — never to ``repro.sim``,
-``repro.comm`` or ``repro.ps`` directly.
+way: trainers talk to a :class:`Backend` (workers, clock, compute
+accounting), a :class:`Collective` (broadcast / allreduce / allgather),
+and a :class:`ParameterServerHandle` whose :class:`PSClientLike` clients
+implement push / pull / elastic — never to ``repro.sim``, ``repro.comm``
+or ``repro.ps`` directly.
 
 Calling convention
 ------------------
@@ -176,14 +176,13 @@ class Collective(ABC):
         """
 
     @abstractmethod
-    def allgather(
-        self,
-        rank: int,
-        item: Any,
-        nbytes: float = 0.0,
-        ctx: Any = 0,
-    ) -> Generator:
-        """Gather one (possibly non-array) item per rank, in rank order."""
+    def allgather(self, rank: int, row: np.ndarray, ctx: Any = 0) -> Generator:
+        """Gather one fixed-shape 1-D ``row`` per rank; every rank returns
+        the ``(p, len(row))`` stack in rank order.
+
+        It runs :func:`~repro.comm.schedule.allgather_schedule` over that
+        stack, so it moves the same bytes on every backend.
+        """
 
 
 class PSClientLike(ABC):
@@ -287,10 +286,6 @@ class Backend(ABC):
     @abstractmethod
     def clock(self) -> float:
         """The backend's native time (virtual or wall seconds)."""
-
-    @abstractmethod
-    def spawn_rngs(self, n: int) -> List[np.random.Generator]:
-        """``n`` deterministic child RNG streams off the run seed tree."""
 
     @abstractmethod
     def compute(self, lid: int, flops: float, scale: float = 1.0) -> Generator:

@@ -6,8 +6,8 @@ method, so workers inherit the constructed trainer without pickling):
 
 * **Collectives** run the :mod:`repro.comm.schedule` steps the simulated
   fabric runs, through one ``multiprocessing.shared_memory`` inbox segment
-  and per-rank round counters (:class:`MPCollective`).  Object allgather
-  (compressed SASGD's sparse pieces) rides per-rank queues instead.
+  and per-rank round counters (:class:`MPCollective`): broadcast, allreduce
+  and compressed SASGD's allgather of sparse rows alike.
 * **Parameter server** shards each own a contiguous slice of one shared
   parameter segment.  Tensors travel through a shared *mailbox* (a request
   and a reply slot per rank); only a few-byte header crosses a pipe, written
@@ -32,7 +32,7 @@ import os
 import queue
 import time
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from ..comm.schedule import bounds
 from ..faults.plan import FaultPlan, RetryPolicy
 from ..faults.supervisor import HeartbeatThread, LivenessBlock, PollingBarrier
 from ..obs import events as _events
-from .api import LearnerFailure, RunStats
+from .api import BackendCapabilityError, LearnerFailure, RunStats
 from .process_backend import (
     HEARTBEAT_INTERVAL,
     HEARTBEAT_TIMEOUT,
@@ -80,14 +80,15 @@ def _unlink_quietly(shm: Optional[shared_memory.SharedMemory]) -> None:
 class MPCollective(BlockingCollective):
     """Collective schedules over shared memory.
 
-    Each rank owns an inbox segment row of two slots; in round k a sender
-    writes its piece into the receiver's slot k mod 2 and both advance a
-    :class:`~repro.faults.supervisor.PollingBarrier` round counter over the
-    run's liveness block.  A receiver waits only on the peer it reads from;
-    a sender first checks that the receiver has left round k − 1, so it has
-    read the slot's round k − 2 (at p = 2 that check always passes at
-    once).  A dead peer aborts the round with a typed failure naming the
-    victim within one supervision pass.
+    Each rank owns an inbox segment row of two byte slots; in round k a
+    sender writes its piece at the start of the receiver's slot k mod 2 and
+    both advance a :class:`~repro.faults.supervisor.PollingBarrier` round
+    counter over the run's liveness block.  A receiver waits only on the
+    peer it reads from; a sender first checks that the receiver has left
+    round k − 1, so it has read the slot's round k − 2 (at p = 2 that check
+    always passes at once).  A dead peer aborts the round with a typed
+    failure naming the victim and the collective within one supervision
+    pass.
     """
 
     def __init__(self, ctx, p: int, timeout: float) -> None:
@@ -96,27 +97,25 @@ class MPCollective(BlockingCollective):
         self._size = 0
         self._dtype: Optional[np.dtype] = None
         self._shm: Optional[shared_memory.SharedMemory] = None
-        self._inbox: Optional[np.ndarray] = None  # (p, 2, size) view, built once
+        self._inbox: Optional[np.ndarray] = None  # (p, 2, slot bytes), built once
         self._liveness: Optional[LivenessBlock] = None  # owned by the backend
         self._barriers: Dict[int, PollingBarrier] = {}  # per-process, by rank
-        self._queues = None
-        self._stash: dict = {}  # tag -> [(src, item)] received out of round
 
     def allocate(self, size: int, dtype, liveness: LivenessBlock) -> None:
         """Create the inbox segment on the run's liveness block (which needs
         a ``"coll"`` lane).  Must run before fork."""
-        if self._queues is not None:
+        if self._shm is not None:
             raise RuntimeError("collective already allocated")
         self._size = int(size)
         self._dtype = np.dtype(dtype)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(1, 2 * self.p * self._size * self._dtype.itemsize)
-        )
-        self._inbox = np.ndarray(
-            (self.p, 2, self._size), dtype=self._dtype, buffer=self._shm.buf
-        )
+        # a slot holds the largest piece a run posts: the whole vector, or a
+        # compressed row of up to ``size`` int32 indices and ``size`` values.
+        # Pages no piece reaches cost no memory; 64-byte slots stay aligned
+        slot = max(1, self._size * (4 + self._dtype.itemsize))
+        slot += -slot % 64
+        self._shm = shared_memory.SharedMemory(create=True, size=2 * self.p * slot)
+        self._inbox = np.ndarray((self.p, 2, slot), dtype=np.uint8, buffer=self._shm.buf)
         self._liveness = liveness
-        self._queues = [self._ctx.Queue() for _ in range(self.p)]
 
     def teardown(self) -> None:
         self._inbox = None
@@ -124,7 +123,6 @@ class MPCollective(BlockingCollective):
         self._shm = None
         self._liveness = None
         self._barriers = {}
-        self._queues = None
 
     def _barrier(self, rank: int) -> PollingBarrier:
         barrier = self._barriers.get(rank)
@@ -134,7 +132,7 @@ class MPCollective(BlockingCollective):
             )
         return barrier
 
-    def _wait(self, rank: int, peers=None, arrive: bool = True) -> None:
+    def _wait(self, rank: int, opname: str, peers=None, arrive: bool = True) -> None:
         """One round counter step: see :meth:`PollingBarrier.wait`."""
         try:
             self._barrier(rank).wait(self.timeout, peers, arrive)
@@ -142,83 +140,45 @@ class MPCollective(BlockingCollective):
             raise LearnerFailure(
                 dead.rank,
                 dead.step if dead.step >= 0 else None,
-                f"collective barrier: peer learner{dead.rank} died; rank "
-                f"{rank} abandoned the round (surviving ranks would have "
+                f"{opname}: collective barrier: peer learner{dead.rank} died; "
+                f"rank {rank} abandoned the round (surviving ranks would have "
                 "deadlocked)",
             ) from None
         except PollingBarrier.Timeout:
             raise LearnerFailure(
-                message=f"collective barrier timed out after {self.timeout}s; "
-                "a peer stalled undetected and the surviving ranks deadlocked"
+                message=f"{opname}: collective barrier timed out after "
+                f"{self.timeout}s; a peer stalled undetected and the surviving "
+                "ranks deadlocked"
             ) from None
 
     def _run(self, rank: int, schedule, local, opname: str) -> np.ndarray:
         if local is None:
             local = np.empty(self._size, self._dtype)
-        elif local.size != self._size or local.dtype != self._dtype:
-            raise ValueError(
-                f"{opname} expects a ({self._size},) {self._dtype} vector, "
-                f"got {local.shape} {local.dtype}"
-            )
         inbox, barrier = self._inbox, self._barrier(rank)
         for step in schedule:
             slot = (barrier.round + 1) % 2
             if step is not None and step.send is not None:
-                lo, hi = bounds(step.send, self._size)
-                self._wait(rank, (step.send_to,), arrive=False)
-                inbox[step.send_to, slot, lo:hi] = local[lo:hi]
-                self.bytes_moved += float((hi - lo) * local.itemsize)
+                lo, hi = bounds(step.send, local.size)
+                piece = local[lo:hi].view(np.uint8)
+                if piece.size > inbox.shape[2]:
+                    raise BackendCapabilityError(
+                        "mp", f"{opname} piece of {piece.size} bytes exceeds the "
+                        f"{inbox.shape[2]}-byte inbox slot"
+                    )
+                self._wait(rank, opname, (step.send_to,), arrive=False)
+                inbox[step.send_to, slot, :piece.size] = piece
+                self.bytes_moved += float(piece.size)
             reads = step is not None and step.recv is not None
-            self._wait(rank, (step.recv_from,) if reads else ())
+            self._wait(rank, opname, (step.recv_from,) if reads else ())
             if reads:
-                lo, hi = bounds(step.recv, self._size)
+                lo, hi = bounds(step.recv, local.size)
+                got = inbox[rank, slot, :(hi - lo) * local.itemsize].view(local.dtype)
                 if step.add:
-                    local[lo:hi] += inbox[rank, slot, lo:hi]
+                    local[lo:hi] += got
                 else:
-                    local[lo:hi] = inbox[rank, slot, lo:hi]
+                    local[lo:hi] = got
         return local
 
-    def _allgather(self, rank: int, item, tag, nbytes: float) -> List[Any]:
-        if self.p == 1:
-            return [item]
-        for peer in range(self.p):
-            if peer != rank:
-                self._queues[peer].put((tag, rank, item))
-        pieces: List[Any] = [None] * self.p
-        pieces[rank] = item
-        need = self.p - 1
-        # a fast peer may already be one round ahead; its items were stashed
-        for src, stashed in self._stash.pop(tag, []):
-            pieces[src] = stashed
-            need -= 1
-        deadline = time.monotonic() + self.timeout
-        while need > 0:
-            dead = self._liveness.first_dead(exclude=rank)
-            if dead is not None and pieces[dead] is None:
-                step = int(self._liveness.dead_step[dead])
-                raise LearnerFailure(
-                    dead,
-                    step if step >= 0 else None,
-                    f"allgather({tag!r}): peer learner{dead} died before "
-                    "contributing; the surviving ranks abandoned the round",
-                )
-            try:
-                got_tag, src, payload = self._queues[rank].get(timeout=0.25)
-            except queue.Empty:
-                if time.monotonic() > deadline:
-                    raise LearnerFailure(
-                        message=f"allgather({tag!r}) starved for "
-                        f"{self.timeout}s; a peer died and the surviving "
-                        "ranks deadlocked"
-                    ) from None
-                continue
-            if got_tag != tag:
-                self._stash.setdefault(got_tag, []).append((src, payload))
-                continue
-            pieces[src] = payload
-            need -= 1
-        self.bytes_moved += 2.0 * float(nbytes) * (self.p - 1)
-        return pieces
 
 def _ps_shard_main(ps: "MPParameterServer", sid: int, restored: bool = False) -> None:
     """One shard process: a :class:`ShardState` over x[lo:hi], fed by request

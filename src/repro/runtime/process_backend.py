@@ -34,7 +34,12 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 
 import numpy as np
 
-from ..comm.schedule import allreduce_schedule, broadcast_schedule
+from ..comm.schedule import (
+    allgather_schedule,
+    allreduce_schedule,
+    broadcast_schedule,
+    gather_start,
+)
 from ..faults.plan import FaultPlan, RetryPolicy, _hash_uniform
 from ..obs import events as _events
 from ..ps.server import ShardLayout
@@ -80,17 +85,16 @@ def _noop() -> None:
 
 class BlockingCollective(Collective):
     """A collective whose operations block the calling process: the coroutine
-    factories wrap ``_broadcast`` / ``_allreduce`` / ``_allgather``.  Broadcast
-    and allreduce are the schedules of :mod:`repro.comm.schedule`, the ones
-    the simulated fabric runs, so ``algorithm`` means the same on every
-    substrate and the sums come out the same bits.  The transport supplies
+    factories wrap ``_broadcast`` / ``_allreduce`` / ``_allgather``, which run
+    the schedules of :mod:`repro.comm.schedule`, the ones the simulated
+    fabric runs, so ``algorithm`` means the same on every substrate and the
+    results and byte counts come out the same.  The transport supplies
     ``_run(rank, schedule, local, opname)``: execute one rank's schedule on
     ``local`` in place (``None`` for a broadcast receiver, which has no
     vector yet), add the bytes it sends to ``bytes_moved``, return the
     result."""
 
     _run: Callable[..., np.ndarray]
-    _allgather: Callable[..., List[Any]]
 
     def __init__(self, p: int, timeout: float) -> None:
         self.p = p
@@ -108,6 +112,11 @@ class BlockingCollective(Collective):
         local = np.array(array, copy=True).reshape(-1)
         return self._run(rank, schedule, local, "allreduce")
 
+    def _allgather(self, rank: int, row) -> np.ndarray:
+        local = gather_start(self.p, rank, row)
+        local = self._run(rank, allgather_schedule(self.p, rank), local, "allgather")
+        return local.reshape(self.p, local.size // self.p)
+
     def broadcast(self, rank, array, root=0, nbytes=0.0, ctx=0) -> Generator:
         return blocking(self._broadcast, rank, array, root)
 
@@ -116,8 +125,8 @@ class BlockingCollective(Collective):
     ) -> Generator:
         return blocking(self._allreduce, rank, array, algorithm)
 
-    def allgather(self, rank, item, nbytes=0.0, ctx=0) -> Generator:
-        return blocking(self._allgather, rank, item, ctx, nbytes)
+    def allgather(self, rank, row, ctx=0) -> Generator:
+        return blocking(self._allgather, rank, row)
 
 
 # -- the shard -----------------------------------------------------------------
@@ -657,7 +666,6 @@ class ProcessBackend(Backend):
         self.heartbeat_timeout = heartbeat_timeout
         self._trainer = None
         self._ps: Optional[ProcessParameterServer] = None
-        self._seed_seq: Optional[np.random.SeedSequence] = None
         self._failure = None  # (lid, step) noted in the worker that died
         self._comm_seconds = 0.0  # per-process accumulator after fork
         self._t0: Optional[float] = None
@@ -695,16 +703,12 @@ class ProcessBackend(Backend):
             raise RuntimeError("a backend instance drives exactly one trainer")
         self._trainer = trainer
         self.sample_scale = trainer.config.p
-        self._seed_seq = np.random.SeedSequence(trainer.config.seed)
         self.collective = self._make_collective(trainer.config.p)
 
     def clock(self) -> float:
         if self._t0 is None:
             return 0.0
         return time.perf_counter() - self._t0
-
-    def spawn_rngs(self, n: int) -> List[np.random.Generator]:
-        return [np.random.default_rng(s) for s in self._seed_seq.spawn(n)]
 
     # -- per-step primitives ------------------------------------------------
 

@@ -63,11 +63,8 @@ class SimCollective(Collective):
             nbytes=nbytes, ctx=ctx, algorithm=algorithm,
         )
 
-    def allgather(self, rank, item, nbytes=0.0, ctx=0) -> Generator:
-        return _coll.allgather_ring(
-            self.endpoints[rank], self.members, rank, item,
-            nbytes=nbytes, ctx=ctx,
-        )
+    def allgather(self, rank, row, ctx=0) -> Generator:
+        return _coll.allgather(self.endpoints[rank], self.members, rank, row, ctx=ctx)
 
 
 class SimParameterServer(ParameterServerHandle):
@@ -238,9 +235,6 @@ class SimBackend(Backend):
 
     def clock(self) -> float:
         return self.machine.engine.now
-
-    def spawn_rngs(self, n: int) -> List[np.random.Generator]:
-        return self.machine.spawn_rngs(n)
 
     # -- per-step primitives ------------------------------------------------
 

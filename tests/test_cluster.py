@@ -191,12 +191,6 @@ def test_machine_different_seeds_differ():
     assert a.devices["gpu0"].jitter_factor() != b.devices["gpu0"].jitter_factor()
 
 
-def test_spawn_rngs_independent():
-    m = Machine(power8_oss_spec(), seed=0)
-    r1, r2 = m.spawn_rngs(2)
-    assert r1.random() != r2.random()
-
-
 def test_machine_spec_validates_device_membership():
     from repro.cluster.machine import MachineSpec
 

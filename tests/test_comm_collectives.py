@@ -12,7 +12,7 @@ from repro.cluster import build_binary_tree_topology
 from repro.comm import (
     ALLREDUCE_ALGORITHMS,
     Fabric,
-    allgather_ring,
+    allgather,
     allreduce,
     allreduce_schedule,
     broadcast,
@@ -121,12 +121,13 @@ def test_reduce_does_not_mutate_input():
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 def test_allgather_ring_collects_in_rank_order(p):
     def build(ep, names, rank):
-        return allgather_ring(ep, names, rank, np.array([float(rank)]), ctx="g")
+        return allgather(ep, names, rank, np.array([float(rank), -rank]), ctx="g")
 
     results, _, _ = run_collective(p, build)
+    want = np.array([[float(i), -i] for i in range(p)])
     for rank in range(p):
-        gathered = [float(np.asarray(piece)[0]) for piece in results[rank]]
-        assert gathered == [float(i) for i in range(p)]
+        assert results[rank].shape == (p, 2)
+        assert np.array_equal(results[rank], want)
 
 
 # -- allreduce: all algorithms, exact sums ----------------------------------------

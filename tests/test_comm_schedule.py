@@ -5,7 +5,9 @@ holds on sim, mp and net alike: (a) a receive in round k is the peer's send
 of the same piece in round k, and every send is received; (b) executing the
 rounds leaves every rank with the same bits, and with the exact sum where
 the inputs make every order exact; (c) the pieces are ``np.array_split``'s,
-so with fewer elements than pieces the empty ones move nothing.
+so with fewer elements than pieces the empty ones move nothing.  The
+allgather's copy-only ring meets (a) and (c) too, and leaves every rank
+with every rank's row, bit for bit.
 """
 
 import numpy as np
@@ -15,10 +17,12 @@ from hypothesis import strategies as st
 
 from repro.comm.schedule import (
     ALLREDUCE_ALGORITHMS,
+    allgather_schedule,
     allreduce_schedule,
     bounds,
     broadcast_schedule,
     check_algorithm,
+    gather_start,
 )
 
 
@@ -68,19 +72,25 @@ def _execute(schedules, inputs):
     return local, moved
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=_cases(), seed=st.integers(0, 2**16))
-def test_every_receive_is_a_matching_send_and_every_rank_ends_on_the_same_bits(case, seed):
-    p, n, algorithm, groups = case
-    schedules = [allreduce_schedule(algorithm, p, r, groups) for r in range(p)]
-    assert len({len(s) for s in schedules}) == 1  # the same number of rounds
-    for k in range(len(schedules[0])):  # (a)
+def _assert_matched(schedules):
+    """(a): the same number of rounds, and a receive in round k is the
+    peer's send of the same piece in round k."""
+    assert len({len(s) for s in schedules}) == 1
+    for k in range(len(schedules[0])):
         for rank, schedule in enumerate(schedules):
             step = schedule[k]
             if step is not None and step.recv is not None:
                 theirs = schedules[step.recv_from][k]
                 assert theirs is not None and theirs.send_to == rank
                 assert theirs.send == step.recv
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cases(), seed=st.integers(0, 2**16))
+def test_every_receive_is_a_matching_send_and_every_rank_ends_on_the_same_bits(case, seed):
+    p, n, algorithm, groups = case
+    schedules = [allreduce_schedule(algorithm, p, r, groups) for r in range(p)]
+    _assert_matched(schedules)
     rng = np.random.default_rng(seed)
     floats = [rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4) for _ in range(p)]
     out, _ = _execute(schedules, floats)
@@ -111,6 +121,20 @@ def test_pieces_are_array_split_and_empty_ones_move_nothing(case):
     out, moved = _execute(schedules, [np.ones(n) for _ in range(p)])
     assert moved == want  # (c) an empty piece moves no element
     assert all(np.array_equal(got, np.full(n, float(p))) for got in out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(1, 9), m=st.integers(0, 6), seed=st.integers(0, 2**16))
+def test_allgather_leaves_every_rank_with_every_row_and_empty_rows_move_nothing(p, m, seed):
+    schedules = [allgather_schedule(p, r) for r in range(p)]
+    _assert_matched(schedules)
+    assert all(step.send is not None and not step.add for s in schedules for step in s)
+    rng = np.random.default_rng(seed)
+    rows = [rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4) for _ in range(p)]
+    out, moved = _execute(schedules, [gather_start(p, r, rows[r]) for r in range(p)])
+    for got in out:
+        assert got.tobytes() == np.concatenate(rows).tobytes()
+    assert moved == p * (p - 1) * m  # (c) at m = 0 nothing moves
 
 
 @pytest.mark.parametrize("p", range(1, 10))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    CompressedGradient,
     ErrorFeedback,
     RandomKCompressor,
     TopKCompressor,
@@ -49,6 +50,23 @@ def test_compressed_nbytes_smaller():
     assert sparse.nbytes < 0.05 * g.nbytes
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["topk", "randomk"])
+@pytest.mark.parametrize("k_frac", [0.01, 0.3, 1.0])
+def test_a_packed_row_has_a_fixed_length_and_unpacks_to_the_same_bits(dtype, kind, k_frac):
+    # every rank's row must be equally long for the allgather to carry it
+    g = np.random.default_rng(2).standard_normal(101).astype(dtype)
+    comp = make_compressor(kind, k_frac, g.size, error_feedback=False)
+    sparse = comp.compress(g, np.random.default_rng(3))
+    row = sparse.pack()
+    assert row.dtype == np.uint8
+    assert row.size == sparse.nbytes == comp.k_for(g.size) * (4 + g.itemsize)
+    back = CompressedGradient.unpack(row, g.size, dtype)
+    assert back.indices.tobytes() == sparse.indices.tobytes()
+    assert back.values.dtype == dtype
+    assert back.values.tobytes() == sparse.values.tobytes()
+
+
 def test_randomk_unbiased_in_expectation():
     g = np.random.default_rng(2).standard_normal(500)
     comp = RandomKCompressor(0.2)
@@ -73,7 +91,6 @@ def test_error_feedback_conserves_mass():
     """sent + residual == corrected gradient at every round."""
     rng = np.random.default_rng(4)
     ef = ErrorFeedback(TopKCompressor(0.1), size=100, dtype=np.float64)
-    carried = np.zeros(100)
     for _ in range(5):
         g = rng.standard_normal(100)
         corrected = g + ef.residual.copy()

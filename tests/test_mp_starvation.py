@@ -20,7 +20,12 @@ from repro.algos.problems import cifar_problem
 from repro.faults import FaultContext, FaultPlan
 from repro.faults.plan import RetryPolicy
 from repro.faults.supervisor import LivenessBlock
-from repro.runtime import LearnerFailure, MPBackend, RetryBudgetExhausted
+from repro.runtime import (
+    BackendCapabilityError,
+    LearnerFailure,
+    MPBackend,
+    RetryBudgetExhausted,
+)
 from repro.runtime.mp_backend import MPCollective, MPParameterServer
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -48,15 +53,15 @@ def test_barrier_timeout_is_typed_and_names_the_phase(collective):
     # polling barrier must give up after the timeout with a LearnerFailure
     # (not hang, not raise a bare queue/timeout error)
     with pytest.raises(LearnerFailure) as err:
-        collective._wait(0)
-    assert "collective barrier timed out" in str(err.value)
+        collective._wait(0, "allreduce")
+    assert "allreduce: collective barrier timed out" in str(err.value)
     assert "deadlocked" in str(err.value)
 
 
 def test_barrier_aborts_on_dead_peer_with_victim_identity(collective):
     collective._liveness.declare_dead(1, 7)
     with pytest.raises(LearnerFailure) as err:
-        collective._wait(0)
+        collective._wait(0, "allreduce")
     assert err.value.learner_id == 1
     assert err.value.step == 7
     assert "peer learner1 died" in str(err.value)
@@ -67,33 +72,41 @@ def test_barrier_survives_a_failed_round(collective):
     # multiprocessing.Barrier would be permanently broken here
     collective._liveness.declare_dead(1, 2)
     with pytest.raises(LearnerFailure):
-        collective._wait(0)
+        collective._wait(0, "allreduce")
     with pytest.raises(LearnerFailure) as err:
-        collective._wait(0)
+        collective._wait(0, "allreduce")
     assert err.value.learner_id == 1
 
 
 # --------------------------------------------------------------------------
-# allgather starvation
+# allgather: the same barrier, named
 # --------------------------------------------------------------------------
 
 
 def test_allgather_starvation_names_the_phase(collective):
+    # rank 1 never posts its row and is never declared dead
     with pytest.raises(LearnerFailure) as err:
-        collective._allgather(0, "piece", ("cagg", 0), 64.0)
+        collective._allgather(0, np.arange(4.0))
     msg = str(err.value)
-    assert "allgather" in msg
-    assert "starved" in msg
+    assert err.value.learner_id is None and err.value.step is None
+    assert "allgather: collective barrier timed out" in msg
     assert "deadlocked" in msg
 
 
 def test_allgather_aborts_on_dead_peer_with_victim_identity(collective):
     collective._liveness.declare_dead(1, 4)
     with pytest.raises(LearnerFailure) as err:
-        collective._allgather(0, "piece", ("cagg", 0), 64.0)
+        collective._allgather(0, np.arange(4.0))
     assert err.value.learner_id == 1
     assert err.value.step == 4
-    assert "peer learner1 died before contributing" in str(err.value)
+    assert "allgather: collective barrier: peer learner1 died" in str(err.value)
+
+
+def test_a_row_larger_than_the_inbox_slot_is_refused_not_truncated(collective):
+    # the fixture's 4 float64 elements give a 64-byte slot: room for a row
+    # of four int32 indices and four values, not for 65 bytes
+    with pytest.raises(BackendCapabilityError, match="65 bytes exceeds the 64-byte"):
+        collective._allgather(0, np.zeros(65, np.uint8))
 
 
 # --------------------------------------------------------------------------

@@ -296,8 +296,8 @@ def test_a_slow_reader_still_sums_exactly_while_its_peers_run_ahead(p):
         if rank == 1:
             wait = coll._wait
 
-            def slow(r, peers=None, arrive=True):
-                wait(r, peers, arrive)
+            def slow(r, opname, peers=None, arrive=True):
+                wait(r, opname, peers, arrive)
                 if arrive and peers:
                     time.sleep(0.05)
 

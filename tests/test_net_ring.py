@@ -4,7 +4,8 @@
 * **No deadlock** — chunks larger than the socket buffers (a blocking send
   before the receive used to wedge every rank until the timeout) reduce
   exactly at p = 2 and p = 3, through allgather too, and under the
-  session-resumable links of ``recovery=reconnect``.
+  session-resumable links of ``recovery=reconnect``; a peer that dies
+  mid-allgather is named.
 * **A stall is a stall** — a live peer that stops reading fails the round
   as a stall naming no victim, not as a dead neighbour.
 * **The step's two sides** — a session link records the frame it sends
@@ -146,12 +147,37 @@ def test_p3_resumable_ring_reduces_exactly_through_a_cut_outgoing_link():
 
 
 def test_p2_allgather_of_a_large_item_completes():
-    items = [bytes([r]) * 10_000_000 for r in range(2)]
-    outs = _on_ring(
-        2, lambda coll, r: coll._allgather(r, items[r], "big", len(items[r]))
-    )
+    rows = [np.full(10_000_000, r, np.uint8) for r in range(2)]
+    outs = _on_ring(2, lambda coll, r: coll._allgather(r, rows[r]))
     for out in outs:
-        assert out == items
+        assert out.shape == (2, 10_000_000)
+        assert np.array_equal(out, np.stack(rows))
+
+
+def test_a_peer_that_dies_mid_allgather_is_named():
+    # rank 1 joins the ring, takes rank 0's connection and hangs up on both
+    spec, listeners = allocate_loopback(p=2)
+    coll = NetCollective(2, timeout=5.0)
+    coll.install(spec, {0: listeners["worker0"]})
+    dying = connect(spec.workers[0], "learner0")
+    dying.send(HELLO, {"rank": 1}, seq=0)
+
+    def die():
+        sock, _ = listeners["worker1"].accept()
+        sock.close()
+        dying.close()
+
+    killer = threading.Thread(target=die)
+    killer.start()
+    try:
+        with pytest.raises(LearnerFailure) as info:
+            coll._allgather(0, np.arange(1000, dtype=np.uint8))
+        assert info.value.learner_id == 1
+        assert "allgather: connection to learner1 lost" in str(info.value)
+    finally:
+        killer.join(5.0)
+        coll.teardown_rank()
+        close_all(listeners)
 
 
 # --------------------------------------------------------------------------

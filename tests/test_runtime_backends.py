@@ -36,6 +36,7 @@ from repro.algos import (
 from repro.algos.problems import cifar_problem
 from repro.comm.schedule import (
     ALLREDUCE_ALGORITHMS,
+    allgather_schedule,
     allreduce_schedule,
     bounds,
     broadcast_schedule,
@@ -202,14 +203,10 @@ def _sent_bytes(schedule, n: int, itemsize: int) -> int:
     )
 
 
-@needs_fork
-@pytest.mark.parametrize("algorithm", sorted(ALLREDUCE_ALGORITHMS))
-@pytest.mark.parametrize("p", [2, 3, 4])
-def test_sasgd_total_bytes_equal_on_sim_mp_net(p, algorithm):
-    """One SASGD spec ends on the same bits and reports the same bytes on
-    every substrate — the sum of what the broadcast and allreduce schedules
-    send: mp once counted each allreduce twice, and mp and net once ran
-    their own allreduce whatever the algorithm."""
+def _bytes_everywhere(p, **options):
+    """Train one SASGD spec on sim, mp and net: assert they end on the same
+    bits; return each one's ``total_bytes``, the final parameters and the
+    trainer that ran last."""
     from repro.net import NetBackend
 
     config = TrainerConfig(p=p, epochs=2, batch_size=8, lr=0.02, seed=3)
@@ -219,18 +216,49 @@ def test_sasgd_total_bytes_equal_on_sim_mp_net(p, algorithm):
         ("mp", MPBackend(timeout=60.0)),
         ("net", NetBackend(timeout=60.0)),
     ):
-        trainer = _make_trainer(
-            "sasgd", config=config, backend=backend, allreduce_algorithm=algorithm
-        )
+        trainer = _make_trainer("sasgd", config=config, backend=backend, **options)
         got[name] = trainer.train().extras["total_bytes"]
         params[name] = np.array(trainer.workloads[0].flat.data, copy=True)
     assert np.array_equal(params["sim"], params["mp"])
     assert np.array_equal(params["sim"], params["net"])
-    flat = params["sim"]
+    return got, params["sim"], trainer
+
+
+@needs_fork
+@pytest.mark.parametrize("algorithm", sorted(ALLREDUCE_ALGORITHMS))
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_sasgd_total_bytes_equal_on_sim_mp_net(p, algorithm):
+    """One SASGD spec ends on the same bits and reports the same bytes on
+    every substrate — the sum of what the broadcast and allreduce schedules
+    send: mp once counted each allreduce twice, and mp and net once ran
+    their own allreduce whatever the algorithm."""
+    got, flat, trainer = _bytes_everywhere(p, allreduce_algorithm=algorithm)
     want = sum(
         _sent_bytes(broadcast_schedule(p, r), flat.size, flat.itemsize)
         + trainer.allreduce_count
         * _sent_bytes(allreduce_schedule(algorithm, p, r), flat.size, flat.itemsize)
+        for r in range(p)
+    )
+    assert got["mp"] == got["sim"] == got["net"] == want > 0, got
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "compression,p,k_frac",
+    [(c, p, 0.1) for c in ("topk", "randomk") for p in (2, 3, 4)]
+    + [("topk", 2, 1.0)],  # the largest row: twice the dense vector
+)
+def test_compressed_sasgd_total_bytes_equal_on_sim_mp_net(compression, p, k_frac):
+    """Compressed SASGD gathers one fixed-size row per rank through the
+    same allgather schedule everywhere: the same bits, and bytes that are
+    the sum of what the broadcast and allgather schedules send.  mp and
+    net once counted each allgather twice, and random-k once drew its
+    coordinates from backend-specific streams."""
+    got, flat, trainer = _bytes_everywhere(p, compression=compression, k_frac=k_frac)
+    row = trainer.compressors[0].compressor.k_for(flat.size) * (4 + flat.itemsize)
+    want = sum(
+        _sent_bytes(broadcast_schedule(p, r), flat.size, flat.itemsize)
+        + trainer.allreduce_count * _sent_bytes(allgather_schedule(p, r), p * row, 1)
         for r in range(p)
     )
     assert got["mp"] == got["sim"] == got["net"] == want > 0, got
@@ -312,7 +340,7 @@ def test_eamsgd_failure_injection_tolerated_sim():
     # the previously-missing third failure-injection test: EAMSGD's
     # asynchronous elastic exchange must survive a dead replica
     healthy = _make_trainer("eamsgd")
-    healthy_res = healthy.train()
+    healthy.train()
     trainer = _make_trainer("eamsgd", fail_at={1: 2})
     res = trainer.train()
     assert res.records
