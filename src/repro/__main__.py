@@ -40,14 +40,14 @@ run [EXP_ID | --spec FILE] [--set key=value ...] [--backend {sim,mp}]
     snapshot/delta protocol) that ``repro watch`` tails and ``repro
     inspect`` summarises.
 bench [--quick] [--out FILE] [--check BASELINE] [--threshold X] [--filter SUB]
-    Time the substrate hot paths (conv2d forward/backward vs the legacy
-    kernels, temporal conv, im2col/col2im, optimiser steps, one SASGD
-    interval, sim-engine event throughput and fabric message rate vs their
-    legacy counterparts, one small end-to-end experiment) and write a
-    ``BENCH_<git-rev>.json`` baseline.  ``--check`` compares against a saved
-    baseline and exits non-zero when any bench is more than ``--threshold``
-    (default 2.0) times slower or a derived speedup drops below its floor
-    (the batched engine must hold ≥ 5× the legacy engine).  A ``--filter``
+    Time the substrate hot paths (conv2d, temporal conv, im2col/col2im,
+    optimiser steps, one SASGD interval, sim-engine event throughput, fabric
+    message rate vs the vectorised wave, mp/net round trips, one small
+    end-to-end experiment) and write a ``BENCH_<git-rev>.json`` baseline.
+    ``--check`` compares against a saved baseline and exits non-zero when any
+    bench is more than ``--threshold`` (default 2.0) times slower or a derived
+    ratio drops below its floor (an mp allreduce must not be slower than the
+    net one).  A ``--filter``
     run times only benchmarks whose name holds SUB, and saves only to ``--out``.
 claims
     Print every experiment's paper claim — the checklist EXPERIMENTS.md

@@ -15,8 +15,11 @@ Two communication patterns matter:
   host channel, so p learners' traffic serialises there (O(m·p) bytes through
   one link), which is the mechanism behind the Fig. 1 communication fractions.
 
-Routes are cached per pair: a tree walks the parent map of one BFS over the
-topology's own adjacency; only a cyclic graph (the torus) imports networkx (Dijkstra).
+Routes are cached per pair (``route_record``; ``find_route`` computes one
+without caching, for callers that keep their own arithmetic): a tree walks the
+parent map of one BFS over the topology's own adjacency; only a cyclic graph
+(the torus) imports networkx (Dijkstra).  A route's hops are the very key
+objects ``links`` is keyed by, so a cached route holds references, not copies.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ class Topology:
 
     def __init__(self, name: str, nodes: Iterable[str], links: Iterable[LinkSpec]) -> None:
         self.name = name
-        self._adj: Dict[str, List[str]] = {node: [] for node in nodes}  # in link order
+        # neighbour -> the key ``links`` holds that edge under, in link order
+        self._adj: Dict[str, Dict[str, Tuple[str, str]]] = {node: {} for node in nodes}
         self.links: Dict[Tuple[str, str], LinkSpec] = {}
         for link in links:
             if link.u not in self._adj or link.v not in self._adj:
@@ -81,8 +85,7 @@ class Topology:
             if key in self.links:
                 raise ValueError(f"duplicate link {key}")
             self.links[key] = link
-            self._adj[link.u].append(link.v)
-            self._adj[link.v].append(link.u)
+            self._adj[link.u][link.v] = self._adj[link.v][link.u] = key
         if not self._adj:
             raise ValueError(f"topology {name!r} has no nodes")
         # one BFS from the first node: connectivity, and a tree's parent map
@@ -131,21 +134,25 @@ class Topology:
             down.pop()
         return up + down[-2::-1]
 
+    def find_route(self, src: str, dst: str) -> Route:
+        """The :class:`Route` a message takes from src to dst, computed afresh."""
+        if self._parent or src == dst:
+            path = self._tree_path(src, dst)
+        else:
+            import networkx as nx
+            path = nx.shortest_path(self.graph, src, dst, weight="weight")
+        hops = [self._adj[a][b] for a, b in zip(path, path[1:])]
+        latency = 0.0
+        for hop in hops:
+            latency += self.links[hop].latency
+        bandwidth = min((self.links[h].bandwidth for h in hops), default=float("inf"))
+        return Route(hops, latency, bandwidth)
+
     def route_record(self, src: str, dst: str) -> Route:
-        """The (cached) :class:`Route` a message takes from src to dst."""
+        """The cached :meth:`find_route`."""
         rec = self._routes.get((src, dst))
         if rec is None:
-            if self._parent or src == dst:
-                path = self._tree_path(src, dst)
-            else:
-                import networkx as nx
-                path = nx.shortest_path(self.graph, src, dst, weight="weight")
-            hops = [self._key(a, b) for a, b in zip(path, path[1:])]
-            latency = 0.0
-            for hop in hops:
-                latency += self.links[hop].latency
-            bandwidth = min((self.links[h].bandwidth for h in hops), default=float("inf"))
-            rec = self._routes[src, dst] = Route(hops, latency, bandwidth)
+            rec = self._routes[src, dst] = self.find_route(src, dst)
         return rec
 
     def route(self, src: str, dst: str) -> List[Tuple[str, str]]:

@@ -36,7 +36,8 @@ Durations reuse the fabric's pipelined cut-through model:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,15 +52,16 @@ Pair = Tuple[str, str]
 class WavePlan:
     """Precomputed route arithmetic for one repeated batch of transfers.
 
-    Built once per distinct (ordered) list of ``(src_node, dst_node)`` pairs;
-    every wave of that shape then costs a handful of NumPy ops regardless of
-    how many messages it carries.  Self-pairs (src == dst) are free, like the
-    per-message fabric's early return.
+    Built once per distinct (ordered) batch of ``(src_node, dst_node)`` pairs,
+    which it reads once and keeps no copy of; every wave of that shape then
+    costs a handful of NumPy ops regardless of how many messages it carries.
+    Self-pairs (src == dst) are free, like the per-message fabric's early
+    return.
     """
 
     __slots__ = (
         "fabric",
-        "pairs",
+        "n_messages",
         "lat",
         "inv_bw",
         "hop_link",
@@ -68,17 +70,24 @@ class WavePlan:
         "link_msg_counts",
     )
 
-    def __init__(self, fabric: Fabric, pairs: Sequence[Pair]) -> None:
+    def __init__(self, fabric: Fabric, pairs: Iterable[Pair]) -> None:
         self.fabric = fabric
-        self.pairs = tuple(pairs)
         topo = fabric.topology
         link_keys = list(topo.links)
         link_index = {key: i for i, key in enumerate(link_keys)}
-        routes = [topo.route_record(src, dst) for src, dst in self.pairs]
-        self.lat = np.asarray([r.latency for r in routes])
-        self.inv_bw = np.asarray([1.0 / r.bandwidth for r in routes])
-        self.hop_link = np.asarray([link_index[h] for r in routes for h in r.hops], dtype=np.intp)
-        self.hop_pair = np.asarray([i for i, r in enumerate(routes) for _ in r.hops], dtype=np.intp)
+        # one route alive at a time: the plan is the cache, the topology keeps none
+        lat, inv_bw, hop_link, hop_pair = array("d"), array("d"), array("i"), array("i")
+        for i, (src, dst) in enumerate(pairs):
+            hops, latency, bandwidth = topo.find_route(src, dst)
+            lat.append(latency)
+            inv_bw.append(1.0 / bandwidth)
+            hop_link.extend([link_index[h] for h in hops])
+            hop_pair.extend([i] * len(hops))
+        self.n_messages = len(lat)
+        self.lat = np.frombuffer(lat)
+        self.inv_bw = np.frombuffer(inv_bw)
+        self.hop_link = np.frombuffer(hop_link, np.intc)
+        self.hop_pair = np.frombuffer(hop_pair, np.intc)
         self.link_keys = link_keys
         counts = np.zeros(len(link_keys), dtype=np.intp)
         np.add.at(counts, self.hop_link, 1)
@@ -87,7 +96,7 @@ class WavePlan:
     def _nbytes_vec(self, nbytes) -> np.ndarray:
         """Broadcast a scalar or per-message byte-size sequence to rank order."""
         return np.broadcast_to(
-            np.asarray(nbytes, dtype=float), (len(self.pairs),)
+            np.asarray(nbytes, dtype=float), (self.n_messages,)
         )
 
     def durations(self, nbytes) -> np.ndarray:
@@ -96,7 +105,7 @@ class WavePlan:
 
     def span(self, nbytes) -> float:
         """Virtual seconds one wave of ``nbytes``-sized messages occupies."""
-        if not self.pairs:
+        if not self.n_messages:
             return 0.0
         durations = self.durations(nbytes)
         longest = float(durations.max())
@@ -115,7 +124,7 @@ class WavePlan:
         fabric = self.fabric
         nb = self._nbytes_vec(nbytes)
         fabric.total_bytes += float(nb.sum()) * waves
-        fabric.total_messages += len(self.pairs) * waves
+        fabric.total_messages += self.n_messages * waves
         if self.hop_link.size == 0:
             return
         n_links = len(self.link_keys)
@@ -185,6 +194,8 @@ class FastFabric:
     def __init__(self, fabric: Fabric) -> None:
         self.fabric = fabric
         self._plans: Dict[Tuple[Pair, ...], WavePlan] = {}
+        # (learner nodes, shard nodes) -> the request and reply volleys' plans
+        self._volleys: Dict[Tuple[Tuple[str, ...], ...], Tuple[WavePlan, WavePlan]] = {}
 
     def plan(self, pairs: Sequence[Pair]) -> WavePlan:
         key = tuple(pairs)
@@ -198,7 +209,10 @@ class FastFabric:
 
         ``nbytes`` is a scalar or a per-message sequence in pair order.
         """
-        plan = self.plan(pairs)
+        return self._wave_span(self.plan(pairs), nbytes, waves)
+
+    @staticmethod
+    def _wave_span(plan: WavePlan, nbytes, waves: int = 1) -> float:
         plan.account(nbytes, waves)
         return plan.span(nbytes) * waves
 
@@ -293,11 +307,15 @@ class FastFabric:
             reply_bytes
         ):
             raise ValueError("per-shard byte lists must match shard_nodes")
-        out_pairs = [(ln, sn) for ln in learner_nodes for sn in shard_nodes]
-        back_pairs = [(sn, ln) for ln in learner_nodes for sn in shard_nodes]
+        key = (tuple(learner_nodes), tuple(shard_nodes))
+        plans = self._volleys.get(key)
+        if plans is None:  # p x shards messages each way: no pair list is kept
+            out = ((ln, sn) for ln in learner_nodes for sn in shard_nodes)
+            back = ((sn, ln) for ln in learner_nodes for sn in shard_nodes)
+            plans = self._volleys[key] = (WavePlan(self.fabric, out), WavePlan(self.fabric, back))
         req = np.tile(np.asarray(request_bytes, dtype=float), len(learner_nodes))
         rep = np.tile(np.asarray(reply_bytes, dtype=float), len(learner_nodes))
-        total = self.wave_span(out_pairs, req)
+        total = self._wave_span(plans[0], req)
         total += max(apply_seconds, default=0.0)
-        total += self.wave_span(back_pairs, rep)
+        total += self._wave_span(plans[1], rep)
         return total

@@ -416,15 +416,13 @@ def _bench_net_roundtrips(
 
 
 def _bench_engine(reps: int) -> Dict[str, Dict[str, object]]:
-    """Event throughput of the batched calendar vs the verbatim legacy engine.
+    """Event throughput of the batched calendar.
 
     The workload is the large-p hot path: ``procs`` lockstep processes each
     yielding ``rounds`` constant delays, so every timestamp resumes the whole
-    cohort — one bucket drain per wave on the batched engine, one heap
-    pop/push per process on the legacy one.
+    cohort — one bucket drain per wave.
     """
     from ..sim.engine import Delay, Engine
-    from ..sim.reference import LegacyDelay, LegacyEngine
 
     procs, rounds = 512, 25
     events = procs * (rounds + 1)  # +1 for each spawn's initial resume
@@ -440,26 +438,11 @@ def _bench_engine(reps: int) -> Dict[str, Dict[str, object]]:
             eng.spawn(proc())
         eng.run()
 
-    def legacy() -> None:
-        eng = LegacyEngine()
-
-        def proc():
-            for _ in range(rounds):
-                yield LegacyDelay(1.0)
-
-        for _ in range(procs):
-            eng.spawn(proc())
-        eng.run()
-
     new_s, new_r = _time(batched, reps)
-    old_s, old_r = _time(legacy, reps)
     extra = {"processes": procs, "rounds": rounds, "events": events}
     return {
         "engine_event_throughput": _entry(
             new_s, new_r, events_per_sec=round(events / new_s), **extra
-        ),
-        "engine_event_throughput_legacy": _entry(
-            old_s, old_r, events_per_sec=round(events / old_s), **extra
         ),
     }
 
@@ -575,7 +558,7 @@ def run_benchmarks(
         benches.update(_bench_sgd(reps))
     if want("sasgd_interval"):
         benches.update(_bench_sasgd_interval(max(3, reps // 2)))
-    if want("engine_event_throughput", "engine_event_throughput_legacy"):
+    if want("engine_event_throughput"):
         benches.update(_bench_engine(max(3, reps // 2)))
     if want("fabric_message_rate", "fabric_wave_rate"):
         benches.update(_bench_fabric(max(3, reps // 2)))
@@ -601,9 +584,6 @@ def run_benchmarks(
             return None
         return float(a["seconds"]) / float(b["seconds"])
 
-    r = ratio("engine_event_throughput_legacy", "engine_event_throughput")
-    if r is not None:
-        derived["engine_speedup_vs_legacy"] = round(r, 3)
     r = ratio("fabric_message_rate", "fabric_wave_rate")
     if r is not None:
         derived["fabric_wave_speedup_vs_message"] = round(r, 3)
@@ -644,16 +624,13 @@ def load_bench(path: Union[str, Path]) -> Dict[str, object]:
     return doc
 
 
-#: Minimum derived speedups a BENCH document must hold.  These are the
-#: "honest vs the code this PR replaced" gates: the batched engine must stay
-#: ≥ 5× the verbatim legacy engine on the lockstep event storm, and one
-#: shared-memory allreduce must not be slower than the same allreduce over
-#: loopback TCP (at p = 2 one ``sendrecv`` exchange, a frame each way: 1.6–2.9×
-#: the shared-memory time in full ``--quick`` runs, 0.8–1.3× filtered to the
-#: two roundtrips, so near the floor).  Checked only when the document contains
+#: Minimum derived ratios a BENCH document must hold: one shared-memory
+#: allreduce must not be slower than the same allreduce over loopback TCP (at
+#: p = 2 one ``sendrecv`` exchange, a frame each way: 1.6–2.9× the
+#: shared-memory time in full ``--quick`` runs, 0.8–1.3× filtered to the two
+#: roundtrips, so near the floor).  Checked only when the document contains
 #: the derived entry, so filtered or historical documents pass untouched.
 DERIVED_FLOORS: Dict[str, float] = {
-    "engine_speedup_vs_legacy": 5.0,
     "mp_vs_net_allreduce": 1.0,
 }
 

@@ -32,7 +32,7 @@ from ..algos import (
     cifar_problem,
     nlcf_problem,
 )
-from ..nn.models import build_cifar10_cnn, build_nlcf_net
+from ..nn.models import build_cifar10_cnn, build_nlcf_net, cifar10_info, nlcf_info
 from ..theory import (
     SurfaceConstants,
     asgd_gap_factor,
@@ -198,16 +198,14 @@ def table2(width: float = 1.0) -> ExperimentResult:
 
 
 # --------------------------------------------------------------------------
-# Timing experiments (paper-scale models on the calibrated machine)
+# Timing experiments (paper-scale model sizes on the calibrated machine)
 # --------------------------------------------------------------------------
 
 
 def _paper_workloads() -> Dict[str, TimingWorkload]:
-    _, _, cinfo = build_cifar10_cnn()
-    _, _, ninfo = build_nlcf_net()
     return {
-        "CIFAR-10": TimingWorkload.from_model_info(cinfo, n_train=50_000),
-        "NLC-F": TimingWorkload.from_model_info(ninfo, n_train=2_500),
+        "CIFAR-10": TimingWorkload.from_model_info(cifar10_info(), n_train=50_000),
+        "NLC-F": TimingWorkload.from_model_info(nlcf_info(), n_train=2_500),
     }
 
 
@@ -638,8 +636,7 @@ def theorems_sasgd(
 def traffic(p_values: Sequence[int] = (2, 4, 8, 16)) -> ExperimentResult:
     from ..comm.costmodel import allreduce_traffic_bytes, ps_traffic_bytes
 
-    _, _, cinfo = build_cifar10_cnn()
-    m = cinfo.param_bytes
+    m = cifar10_info().param_bytes
     rows = []
     for p in p_values:
         rows.append(
@@ -757,8 +754,7 @@ def scaling(
     (reference fidelity) and the vectorised wave fabric beyond, which is what
     makes the p=128–1024 cells tractable (see DESIGN §11).
     """
-    _, _, ninfo = build_nlcf_net()
-    wl = TimingWorkload.from_model_info(ninfo, n_train=2_500)
+    wl = TimingWorkload.from_model_info(nlcf_info(), n_train=2_500)
     rows = []
     for p in p_values:
         cell_mode = comm_mode or ("message" if p <= 32 else "vector")

@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bufferpool import BufferPool
-from .module import Module
+from .module import Geometry, Module
 
 __all__ = ["ReLU", "Tanh", "Flatten"]
 
@@ -50,11 +50,9 @@ class ReLU(Module):
         np.multiply(grad_out, mask, out=gx)
         return gx
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        return in_shape
-
-    def flops_per_example(self, in_shape: Tuple[int, ...]) -> float:
-        return float(np.prod(in_shape))
+    @classmethod
+    def geometry(cls, in_shape: Tuple[int, ...]) -> Geometry:
+        return in_shape, float(np.prod(in_shape)), 0
 
 
 class Tanh(Module):
@@ -82,11 +80,9 @@ class Tanh(Module):
         np.multiply(gx, grad_out, out=gx)
         return gx
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        return in_shape
-
-    def flops_per_example(self, in_shape: Tuple[int, ...]) -> float:
-        return 5.0 * float(np.prod(in_shape))  # tanh ≈ a few flops/elt
+    @classmethod
+    def geometry(cls, in_shape: Tuple[int, ...]) -> Geometry:
+        return in_shape, 5.0 * float(np.prod(in_shape)), 0  # tanh ≈ a few flops/elt
 
 
 class Flatten(Module):
@@ -107,5 +103,6 @@ class Flatten(Module):
         self._shape = None
         return grad_out.reshape(shape)
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        return (int(np.prod(in_shape)),)
+    @classmethod
+    def geometry(cls, in_shape: Tuple[int, ...]) -> Geometry:
+        return (int(np.prod(in_shape)),), 0.0, 0

@@ -9,7 +9,7 @@ import numpy as np
 from .bufferpool import BufferPool
 from .functional import ConvPlan, conv2d_output_hw, conv_plan
 from .init import torch_uniform_
-from .module import Module, Parameter
+from .module import Geometry, Module, Parameter
 
 __all__ = ["Conv2d"]
 
@@ -67,6 +67,7 @@ class Conv2d(Module):
             raise ValueError(f"padding must be >= 0, got {padding}")
         self.stride = stride
         self.padding = padding
+        self.config = (in_channels, out_channels, kernel_size, stride, padding, bias)
         rng = rng if rng is not None else np.random.default_rng(0)
         fan_in = in_channels * self.kh * self.kw
         w = np.empty((out_channels, in_channels, self.kh, self.kw), dtype=dtype)
@@ -140,17 +141,25 @@ class Conv2d(Module):
         np.matmul(wmat.T, gof, out=col)  # (K, F) @ (N, F, P) -> (N, K, P)
         return plan.fold(col, pool=self._pool)
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    @classmethod
+    def geometry(
+        cls,
+        in_shape: Tuple[int, ...],
+        in_channels: int,
+        out_channels: int,
+        kernel_size: int | Tuple[int, int],
+        stride: int = 1,
+        padding: int = 0,
+        bias: bool = True,
+    ) -> Geometry:
+        kh, kw = (kernel_size, kernel_size) if isinstance(kernel_size, int) else kernel_size
         c, h, w = in_shape
-        if c != self.in_channels:
-            raise ValueError(f"shape {in_shape} incompatible with {self!r}")
-        oh, ow = conv2d_output_hw(h, w, self.kh, self.kw, self.stride, self.padding)
-        return (self.out_channels, oh, ow)
-
-    def flops_per_example(self, in_shape: Tuple[int, ...]) -> float:
-        _, oh, ow = self.output_shape(in_shape)
-        macs = oh * ow * self.out_channels * self.in_channels * self.kh * self.kw
-        return 2.0 * macs
+        if c != in_channels:
+            raise ValueError(f"shape {in_shape} incompatible with {in_channels} input channels")
+        oh, ow = conv2d_output_hw(h, w, kh, kw, stride, padding)
+        macs = oh * ow * out_channels * in_channels * kh * kw
+        params = out_channels * in_channels * kh * kw + (out_channels if bias else 0)
+        return (out_channels, oh, ow), 2.0 * macs, params
 
     def extra_repr(self) -> str:
         return (

@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .module import Module
+from .module import Geometry, Module
 
 __all__ = ["Dropout"]
 
@@ -24,6 +24,7 @@ class Dropout(Module):
         if not (0.0 <= p < 1.0):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
+        self.config = (p,)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._mask: Optional[np.ndarray] = None
 
@@ -43,11 +44,9 @@ class Dropout(Module):
         self._mask = None
         return grad_out * mask
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        return in_shape
-
-    def flops_per_example(self, in_shape: Tuple[int, ...]) -> float:
-        return float(np.prod(in_shape))
+    @classmethod
+    def geometry(cls, in_shape: Tuple[int, ...], p: float = 0.5) -> Geometry:
+        return in_shape, float(np.prod(in_shape)), 0
 
     def extra_repr(self) -> str:
         return f"p={self.p}"

@@ -8,7 +8,7 @@ import numpy as np
 
 from .bufferpool import BufferPool
 from .init import torch_uniform_
-from .module import Module, Parameter
+from .module import Geometry, Module, Parameter
 
 __all__ = ["Linear"]
 
@@ -37,6 +37,7 @@ class Linear(Module):
             raise ValueError("feature counts must be >= 1")
         self.in_features = in_features
         self.out_features = out_features
+        self.config = (in_features, out_features, bias)
         rng = rng if rng is not None else np.random.default_rng(0)
         w = np.empty((out_features, in_features), dtype=dtype)
         torch_uniform_(w, in_features, rng)
@@ -82,14 +83,15 @@ class Linear(Module):
             return None
         return (grad_out @ self.weight.data).reshape(x.shape)
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        if in_shape[-1] != self.in_features:
-            raise ValueError(f"shape {in_shape} incompatible with {self!r}")
-        return in_shape[:-1] + (self.out_features,)
-
-    def flops_per_example(self, in_shape: Tuple[int, ...]) -> float:
+    @classmethod
+    def geometry(
+        cls, in_shape: Tuple[int, ...], in_features: int, out_features: int, bias: bool = True
+    ) -> Geometry:
+        if in_shape[-1] != in_features:
+            raise ValueError(f"shape {in_shape} incompatible with {in_features} input features")
         tokens = float(np.prod(in_shape[:-1])) if len(in_shape) > 1 else 1.0
-        return tokens * 2.0 * self.in_features * self.out_features
+        params = out_features * in_features + (out_features if bias else 0)
+        return in_shape[:-1] + (out_features,), tokens * 2.0 * in_features * out_features, params
 
     def extra_repr(self) -> str:
         return f"{self.in_features}x{self.out_features}, bias={self.bias is not None}"

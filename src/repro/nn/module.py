@@ -25,6 +25,9 @@ from .bufferpool import BufferPool
 
 __all__ = ["Parameter", "Module", "Sequential", "FlatParams", "flatten_module"]
 
+#: a layer's per-example ``(output shape, forward FLOPs, parameter count)``
+Geometry = Tuple[Tuple[int, ...], float, int]
+
 
 class Parameter:
     """A learnable tensor and its gradient accumulator."""
@@ -62,10 +65,12 @@ class Module:
       into each parameter's ``.grad`` and returns ``grad_in``.  Layers with
       parameters also take ``input_grad=False`` (their input is the network's
       input, nobody reads ``grad_in``) and then return ``None`` instead.
-    * ``output_shape(in_shape)`` propagates a per-example shape (no batch dim).
-    * ``flops_per_example(in_shape)`` returns the *forward* FLOP count for one
-      example; training cost is conventionally ``3×`` forward (fwd + input
-      grad + weight grad).
+    * ``geometry(in_shape, *config)``, a classmethod, returns the per-example
+      output shape (no batch dim), *forward* FLOP count and parameter count of
+      the layer ``cls(*config)`` would build, without building it; the
+      instance keeps its own ``config``, so ``output_shape`` and
+      ``flops_per_example`` read the same arithmetic.  Training cost is
+      conventionally ``3×`` forward (fwd + input grad + weight grad).
 
     ``gives_scratch`` declares that this layer keeps no reference to what its
     ``forward`` or ``backward`` returns, and that neither result is (a view
@@ -77,6 +82,7 @@ class Module:
     """
 
     gives_scratch = False
+    config: Tuple = ()  # the constructor arguments ``geometry`` takes
     _x_scratch = False
     _grad_scratch = False
 
@@ -141,11 +147,16 @@ class Module:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    @classmethod
+    def geometry(cls, in_shape: Tuple[int, ...], *config) -> Geometry:
+        """``(output shape, forward FLOPs, parameters)`` per example of ``cls(*config)``."""
         raise NotImplementedError
 
+    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        return self.geometry(in_shape, *self.config)[0]
+
     def flops_per_example(self, in_shape: Tuple[int, ...]) -> float:
-        return 0.0
+        return self.geometry(in_shape, *self.config)[1]
 
     def extra_repr(self) -> str:
         return ""
@@ -167,7 +178,8 @@ class Sequential(Module):
     Appending a layer tells it whether its input is scratch (the layer before
     it ``gives_scratch``), and tells that layer whether its ``grad_out`` is.
     The first layer's input is the caller's, the last layer's ``grad_out`` the
-    loss gradient: neither is ever scratch.
+    loss gradient: neither is ever scratch.  Its ``config`` is one
+    ``(layer class, *config)`` row per layer, the form ``geometry`` chains.
     """
 
     def __init__(self, *layers: Module) -> None:
@@ -184,6 +196,7 @@ class Sequential(Module):
             last._grad_scratch = layer.gives_scratch
         self.layers.append(layer)
         self.register_child(layer)
+        self.config = self.config + ((type(layer), *layer.config),)
         return self
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -201,17 +214,16 @@ class Sequential(Module):
             return first.backward(grad_out)
         return first.backward(grad_out, input_grad=False)
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        for layer in self.layers:
-            in_shape = layer.output_shape(in_shape)
-        return in_shape
-
-    def flops_per_example(self, in_shape: Tuple[int, ...]) -> float:
-        total = 0.0
-        for layer in self.layers:
-            total += layer.flops_per_example(in_shape)
-            in_shape = layer.output_shape(in_shape)
-        return total
+    @classmethod
+    def geometry(cls, in_shape: Tuple[int, ...], *rows: tuple) -> Geometry:
+        """The rows' geometry in order: the last output shape, FLOPs and
+        parameters summed layer by layer."""
+        flops, params = 0.0, 0
+        for layer_cls, *config in rows:
+            in_shape, layer_flops, layer_params = layer_cls.geometry(in_shape, *config)
+            flops += layer_flops
+            params += layer_params
+        return in_shape, flops, params
 
     def layer_summary(self, in_shape: Tuple[int, ...]) -> List[dict]:
         """Per-layer table: name, output shape, params, forward FLOPs."""

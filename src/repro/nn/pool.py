@@ -9,7 +9,7 @@ import numpy as np
 
 from .bufferpool import BufferPool
 from .functional import max_over_views
-from .module import Module
+from .module import Geometry, Module
 
 __all__ = ["MaxPool2d"]
 
@@ -37,6 +37,7 @@ class MaxPool2d(Module):
         self.kh, self.kw = kernel_size
         if self.kh < 1 or self.kw < 1:
             raise ValueError(f"bad kernel size {kernel_size}")
+        self.config = (kernel_size,)
         self._pool = BufferPool()
         self._hits: Optional[np.ndarray] = None
         self._x: Optional[np.ndarray] = None  # the scratch input backward writes gx over
@@ -75,16 +76,14 @@ class MaxPool2d(Module):
             np.multiply(grad_out, hit, out=gv)
         return gx
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    @classmethod
+    def geometry(cls, in_shape: Tuple[int, ...], kernel_size: int | Tuple[int, int]) -> Geometry:
+        kh, kw = (kernel_size, kernel_size) if isinstance(kernel_size, int) else kernel_size
         c, h, w = in_shape
-        oh, ow = h // self.kh, w // self.kw
+        oh, ow = h // kh, w // kw
         if oh < 1 or ow < 1:
-            raise ValueError(f"shape {in_shape} too small for pool {self.kh}x{self.kw}")
-        return (c, oh, ow)
-
-    def flops_per_example(self, in_shape: Tuple[int, ...]) -> float:
-        c, oh, ow = self.output_shape(in_shape)
-        return float(c * oh * ow * self.kh * self.kw)  # one compare per element
+            raise ValueError(f"shape {in_shape} too small for pool {kh}x{kw}")
+        return (c, oh, ow), float(c * oh * ow * kh * kw), 0  # one compare per element
 
     def extra_repr(self) -> str:
         return f"k=({self.kh},{self.kw})"

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .bufferpool import BufferPool
 from .init import torch_uniform_
-from .module import Module, Parameter
+from .module import Geometry, Module, Parameter
 from .pool import MaxPool2d
 
 __all__ = ["TemporalConvolution", "TemporalMaxPooling", "MaxOverTime"]
@@ -55,6 +55,7 @@ class TemporalConvolution(Module):
         self.cin = input_frame_size
         self.cout = output_frame_size
         self.kw = kw
+        self.config = (input_frame_size, output_frame_size, kw, bias)
         rng = rng if rng is not None else np.random.default_rng(0)
         fan_in = kw * input_frame_size
         w = np.empty((output_frame_size, fan_in), dtype=dtype)
@@ -127,15 +128,21 @@ class TemporalConvolution(Module):
         scat.sum(axis=1, out=gx)
         return gx
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    @classmethod
+    def geometry(
+        cls,
+        in_shape: Tuple[int, ...],
+        input_frame_size: int,
+        output_frame_size: int,
+        kw: int,
+        bias: bool = True,
+    ) -> Geometry:
         ell, c = in_shape
-        if c != self.cin or ell < self.kw:
-            raise ValueError(f"shape {in_shape} incompatible with {self!r}")
-        return (ell - self.kw + 1, self.cout)
-
-    def flops_per_example(self, in_shape: Tuple[int, ...]) -> float:
-        lo, _ = self.output_shape(in_shape)
-        return 2.0 * lo * self.kw * self.cin * self.cout
+        if c != input_frame_size or ell < kw:
+            raise ValueError(f"shape {in_shape} incompatible with frame {input_frame_size}, kw={kw}")
+        lo = ell - kw + 1
+        params = output_frame_size * kw * input_frame_size + (output_frame_size if bias else 0)
+        return (lo, output_frame_size), 2.0 * lo * kw * input_frame_size * output_frame_size, params
 
     def extra_repr(self) -> str:
         return f"{self.cin}->{self.cout}, kw={self.kw}"
@@ -150,6 +157,7 @@ class TemporalMaxPooling(Module):
         if kw < 1:
             raise ValueError(f"kw must be >= 1, got {kw}")
         self.kw = kw
+        self.config = (kw,)
         self._pool2d = self.register_child(MaxPool2d((kw, 1)))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -160,16 +168,13 @@ class TemporalMaxPooling(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return self._pool2d.backward(grad_out[:, None])[:, 0]
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    @classmethod
+    def geometry(cls, in_shape: Tuple[int, ...], kw: int) -> Geometry:
         ell, c = in_shape
-        lo = ell // self.kw
+        lo = ell // kw
         if lo < 1:
-            raise ValueError(f"shape {in_shape} too short for pool kw={self.kw}")
-        return (lo, c)
-
-    def flops_per_example(self, in_shape: Tuple[int, ...]) -> float:
-        lo, c = self.output_shape(in_shape)
-        return float(lo * c * self.kw)
+            raise ValueError(f"shape {in_shape} too short for pool kw={kw}")
+        return (lo, c), float(lo * c * kw), 0
 
     def extra_repr(self) -> str:
         return f"kw={self.kw}"
@@ -207,9 +212,6 @@ class MaxOverTime(Module):
         np.multiply(grad_out[:, None, :], hits, out=gx)
         return gx
 
-    def output_shape(self, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        ell, c = in_shape
-        return (c,)
-
-    def flops_per_example(self, in_shape: Tuple[int, ...]) -> float:
-        return float(np.prod(in_shape))
+    @classmethod
+    def geometry(cls, in_shape: Tuple[int, ...]) -> Geometry:
+        return in_shape[1:], float(np.prod(in_shape)), 0

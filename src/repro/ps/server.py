@@ -74,7 +74,8 @@ class ShardedParameterServer:
 
     ``timing_only=True`` keeps the full request/queue/apply schedule but skips
     the parameter math (payloads are byte counts), for paper-scale epoch-time
-    experiments.
+    experiments; such a server holds no parameter vector (``x`` is None) and
+    refuses :meth:`set_params`.
     """
 
     def __init__(
@@ -100,7 +101,6 @@ class ShardedParameterServer:
         self.learning_rate = learning_rate
         self.dtype = np.dtype(dtype)
         self.name = name
-        self.timing_only = timing_only
         self.apply_flops_per_param = apply_flops_per_param
         # -- fault injection (repro.faults): ``crash_after[sid] = n`` kills
         # shard ``sid`` after its n-th apply.  With ``restart_shards`` the
@@ -125,7 +125,7 @@ class ShardedParameterServer:
         self.shard_hosts = [self.hosts[sid % len(self.hosts)] for sid in range(n_shards)]
         self.shard_devices = [machine.devices[h] for h in self.shard_hosts]
         self.host_device = self.shard_devices[0]
-        self.x = np.zeros(size, dtype=self.dtype)
+        self.x: Optional[np.ndarray] = None if timing_only else np.zeros(size, dtype=self.dtype)
         self.versions = [0] * n_shards
         self.pushes_applied = 0
         self.endpoints: List[Endpoint] = []
@@ -141,6 +141,8 @@ class ShardedParameterServer:
     # -- server side -------------------------------------------------------
 
     def set_params(self, x0: np.ndarray) -> None:
+        if self.x is None:
+            raise TypeError(f"timing-only server {self.name!r} holds no parameters to set")
         if x0.shape != self.x.shape:
             raise ValueError(f"shape mismatch: {x0.shape} vs {self.x.shape}")
         self.x[...] = x0
@@ -157,6 +159,7 @@ class ShardedParameterServer:
         tracer = self.machine.tracer
         engine = self.machine.engine
         req_tag = ("req", self.name, sid)
+        x = self.x  # None in timing-only mode; set_params writes in place
         # resolved lazily so a session installed after construction still sees
         # this shard; None means "not observed" and costs one global read
         obs_latency = obs_depth = None
@@ -166,7 +169,7 @@ class ShardedParameterServer:
         # initial snapshot: by the time the engine first steps this
         # coroutine, set_params() has installed the shared starting point
         self._snapshots[sid] = (
-            None if self.timing_only else self.x[lo:hi].copy(),
+            None if x is None else x[lo:hi].copy(),
             self.versions[sid],
         )
         while True:
@@ -191,15 +194,15 @@ class ShardedParameterServer:
             tracer.end(actor, "apply")
             if kind == "push":
                 # gradient-descent apply in strict arrival order
-                if not self.timing_only and payload is not None:
-                    self.x[lo:hi] -= self.learning_rate * payload
+                if x is not None and payload is not None:
+                    x[lo:hi] -= self.learning_rate * payload
                 self.versions[sid] += 1
                 self.pushes_applied += 1
                 yield from ep.send(
                     learner, ("rep", self.name, sid, seq), self.versions[sid], nbytes=_REQ_NBYTES
                 )
             elif kind == "pull":
-                reply = None if self.timing_only else self.x[lo:hi].copy()
+                reply = None if x is None else x[lo:hi].copy()
                 yield from ep.send(
                     learner,
                     ("rep", self.name, sid, seq),
@@ -209,11 +212,11 @@ class ShardedParameterServer:
             elif kind == "elastic":
                 # EASGD round: e = α(x_i − x̃); x̃ += e; reply e
                 alpha = extra
-                if self.timing_only or payload is None:
+                if x is None or payload is None:
                     e = None
                 else:
-                    e = alpha * (payload - self.x[lo:hi])
-                    self.x[lo:hi] += e
+                    e = alpha * (payload - x[lo:hi])
+                    x[lo:hi] += e
                 self.versions[sid] += 1
                 yield from ep.send(
                     learner,
@@ -229,7 +232,7 @@ class ShardedParameterServer:
                 applies += 1
                 if applies % self.snapshot_every == 0:
                     self._snapshots[sid] = (
-                        None if self.timing_only else self.x[lo:hi].copy(),
+                        None if x is None else x[lo:hi].copy(),
                         self.versions[sid],
                     )
                 if crash_at is not None and applies >= crash_at:
@@ -250,8 +253,8 @@ class ShardedParameterServer:
                         self.crashed_shards.add(sid)
                         return
                     snap_x, snap_v = self._snapshots[sid]
-                    if snap_x is not None:
-                        self.x[lo:hi] = snap_x
+                    if x is not None and snap_x is not None:
+                        x[lo:hi] = snap_x
                     self.versions[sid] = snap_v
                     self.shard_restarts += 1
                     tracer.begin(actor, "restart")
@@ -325,7 +328,7 @@ class PSClient:
     def pull(self) -> Generator:
         """Fetch the full parameter vector (may mix shard versions)."""
         server = self.server
-        out = None if server.timing_only else np.empty_like(server.x)
+        out = None if server.x is None else np.empty_like(server.x)
         version = 0
         for sid, (lo, hi) in enumerate(server.layout.bounds):
             reply, v = yield from self._request(sid, "pull", None, _REQ_NBYTES)
@@ -340,7 +343,7 @@ class PSClient:
         """One EASGD exchange; returns the elastic difference e (or None)."""
         server = self.server
         sess = _obs_active()
-        out = None if server.timing_only else np.empty_like(server.x)
+        out = None if server.x is None else np.empty_like(server.x)
         for sid, (lo, hi) in enumerate(server.layout.bounds):
             payload = None if x_local is None else x_local[lo:hi]
             nbytes = server.layout.slice_bytes(sid, server.dtype.itemsize)

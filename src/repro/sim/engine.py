@@ -27,11 +27,8 @@ entries carry no instance ``__dict__`` (``__slots__`` / plain tuples), and a
 re-yield it every iteration ("allocation-free Delay reuse").  The dominant
 resume case — a process yielding a ``Delay`` — is dispatched on an exact type
 check and scheduled inline, skipping the generic command dispatch.
-
-The pre-optimisation engine is preserved verbatim in
-:mod:`repro.sim.reference` so ``repro bench`` reports an honest
-``engine_speedup_vs_legacy`` and the equivalence tests can assert the batched
-calendar replays the identical schedule.
+The tests pin the calendar to the single-heap loop it replaced (kept as a
+test oracle), schedule for schedule.
 
 Example
 -------

@@ -32,7 +32,13 @@ class Resource:
             yield Delay(nbytes / bandwidth)
         finally:
             link.release()
+
+    A link holds one of these for every edge of the topology, mostly idle, so
+    the instance carries no ``__dict__`` and its waiter queue is a plain list
+    (an empty ``deque`` allocates a 64-slot block up front).
     """
+
+    __slots__ = ("engine", "capacity", "name", "_in_use", "_waiters", "total_wait_time")
 
     def __init__(self, engine: Engine, capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -41,7 +47,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: list[Event] = []
         # accounting for utilisation traces
         self.total_wait_time = 0.0
 
@@ -76,7 +82,7 @@ class Resource:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
             # hand the slot directly to the next waiter (count unchanged)
-            gate = self._waiters.popleft()
+            gate = self._waiters.pop(0)
             gate.trigger(None)
         else:
             self._in_use -= 1

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.algos.problems import CIFAR_SCALES, NLCF_SCALES
 from repro.nn import (
     CrossEntropyLoss,
     build_cifar10_cnn,
     build_nlcf_net,
     flatten_module,
 )
+from repro.nn.models import cifar10_info, nlcf_info
 
 
 def test_cifar_paper_parameter_count():
@@ -111,7 +113,7 @@ def test_cifar_dropout_count():
 
 def test_nlcf_layer_structure_matches_table2():
     model, _, _ = build_nlcf_net()
-    kinds = [type(l).__name__ for l in model.layers]
+    kinds = [type(layer).__name__ for layer in model.layers]
     assert kinds == [
         "Linear",
         "Tanh",
@@ -127,6 +129,32 @@ def test_nlcf_layer_structure_matches_table2():
 
 def test_cifar_layer_structure_matches_table1():
     model, _, _ = build_cifar10_cnn()
-    kinds = [type(l).__name__ for l in model.layers]
+    kinds = [type(layer).__name__ for layer in model.layers]
     stage = ["Conv2d", "ReLU", "MaxPool2d", "Dropout"]
     assert kinds == stage * 4 + ["Flatten", "Linear"]
+
+
+
+@pytest.mark.parametrize("scale", ["paper", "bench", "unit"])
+@pytest.mark.parametrize("net", ["cifar", "nlcf"])
+def test_derived_info_equals_the_built_models(net, scale):
+    """``*_info`` walks the architecture without building it: every field
+    equals what the built model reports for itself, bit for bit."""
+    if net == "cifar":
+        width = CIFAR_SCALES[scale]["width"]
+        model, _, _ = build_cifar10_cnn(width=width)
+        info, in_shape = cifar10_info(width), (3, 32, 32)
+    else:
+        width, k = NLCF_SCALES[scale]["width"], NLCF_SCALES[scale]["num_classes"]
+        model, _, _ = build_nlcf_net(width=width, num_classes=k)
+        info, in_shape = nlcf_info(width, num_classes=k), (20, 100)
+    assert info.num_parameters == model.num_parameters()
+    assert info.param_bytes == float(model.num_parameters() * 4)
+    assert info.flops_forward_per_example == model.flops_per_example(in_shape)
+
+
+def test_paper_scale_info_keeps_its_digits():
+    assert (cifar10_info().param_bytes, cifar10_info().flops_forward_per_example) == (
+        2_025_512.0, 87_949_568.0)
+    assert (nlcf_info().param_bytes, nlcf_info().flops_forward_per_example) == (
+        6_934_044.0, 18_719_000.0)

@@ -219,6 +219,25 @@ def test_waveplan_arrays_equal_per_pair_arithmetic():
         assert plan.inv_bw.tobytes() == np.asarray(inv_bw).tobytes()
 
 
+def test_route_hops_are_the_link_keys_themselves():
+    # a cached route holds references to the keys ``links`` owns, no copies
+    for topo in (build_fat_tree_topology(16, n_hosts=4), build_torus_topology(2, 4)):
+        owned = {key: key for key in topo.links}
+        for src in topo.nodes[::3]:
+            for dst in topo.nodes:
+                for hop in topo.route_record(src, dst).hops:
+                    assert hop is owned[hop], (src, dst, hop)
+
+
+def test_a_wave_plan_leaves_the_topology_route_cache_empty():
+    # the plan keeps each route's arithmetic; a p = 1024 volley's 8192 routes
+    # cached in the topology as well would outlive every use
+    topo = build_fat_tree_topology(16, n_hosts=4)
+    plan = WavePlan(Fabric(Engine(), topo), ((f"gpu{i}", "host1") for i in range(16)))
+    assert plan.n_messages == 16 and plan.hop_link.size == 16 * 5
+    assert topo._routes == {}
+
+
 # -- FIFO and names ----------------------------------------------------------------
 
 

@@ -1,8 +1,8 @@
 """Large-p engine behaviour: batched calendar, determinism, allocation.
 
-The PR that introduced the bucketed event calendar (repro.sim.engine) keeps
-the legacy single-heap engine verbatim in :mod:`repro.sim.reference`; these
-tests pin the batched engine to it on the schedules that matter at p=1024 —
+The single-heap engine the bucketed event calendar (repro.sim.engine)
+replaced is kept as an oracle in ``tests/sim_oracles.py``; these tests pin
+the batched engine to it on the schedules that matter at p=1024 —
 zero-duration delays, huge same-timestamp waves, composite events over
 hundreds of children — and assert the hot path allocates no per-event dicts.
 """
@@ -12,7 +12,7 @@ import gc
 import pytest
 
 from repro.sim import Delay, Engine
-from repro.sim.reference import LegacyDelay, LegacyEngine
+from tests.sim_oracles import LegacyDelay, LegacyEngine
 
 
 # -- zero-duration delays ----------------------------------------------------
