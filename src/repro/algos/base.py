@@ -165,7 +165,8 @@ def build_workloads(problem: Problem, config: TrainerConfig) -> List[LearnerWork
 def evaluate_model(
     model: Module, dataset: Dataset, batch: int = 64
 ) -> Tuple[float, float]:
-    """Test accuracy and mean loss (model left in training mode afterwards)."""
+    """Test accuracy and mean loss over contiguous batches (``ArrayDataset``
+    views, not copies); the model is left in training mode."""
     crit = CrossEntropyLoss()
     model.eval()
     correct = 0.0
@@ -173,11 +174,11 @@ def evaluate_model(
     n = len(dataset)
     try:
         for lo in range(0, n, batch):
-            idx = np.arange(lo, min(lo + batch, n))
-            xb, yb = dataset.batch(idx)
+            nb = min(batch, n - lo)
+            xb, yb = dataset.batch(slice(lo, lo + nb))
             logits = model.forward(xb)
-            total_loss += crit.forward(logits, yb) * len(idx)
-            correct += accuracy(logits, yb) * len(idx)
+            total_loss += crit.forward(logits, yb) * nb
+            correct += accuracy(logits, yb) * nb
     finally:
         model.train()
     return correct / n, total_loss / n

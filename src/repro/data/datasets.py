@@ -36,7 +36,7 @@ class ArrayDataset:
     def __len__(self) -> int:
         return len(self.x)
 
-    def batch(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def batch(self, idx: np.ndarray | slice) -> Tuple[np.ndarray, np.ndarray]:
         return self.x[idx], self.y[idx]
 
     def subset(self, idx: np.ndarray) -> "ArrayDataset":
@@ -71,14 +71,14 @@ class SequenceDataset:
     def embed_dim(self) -> int:
         return int(self.sequences[0].shape[1]) if self.sequences else 0
 
-    def batch(self, idx: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    def batch(self, idx: Sequence[int] | slice) -> Tuple[np.ndarray, np.ndarray]:
         """Pad the selected sentences to a common length.
 
         Padding replicates each sentence's last token; a ``kw = 2`` window over
         two copies of it can win a max-pool, so logits depend on batch-mates (bench
         NLC-F: 5.7e-3 between eval batches 64 and 16): keep eval batches serial.
         """
-        idx = np.asarray(idx)
+        idx = range(len(self.y))[idx] if isinstance(idx, slice) else np.asarray(idx)
         seqs = [self.sequences[i] for i in idx]
         max_len = max(s.shape[0] for s in seqs)
         dim = seqs[0].shape[1]

@@ -23,6 +23,7 @@ class ReLU(Module):
     """
 
     gives_scratch = True
+    per_example = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -30,11 +31,10 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        pool = self._scratch()
-        mask = pool.get("mask", x.shape, np.bool_)
+        mask = self._pool.get("mask", x.shape, np.bool_, grow=self.training)
         np.greater(x, 0, out=mask)
         self._mask = mask if self.training else None
-        y = x if self._x_scratch else pool.get("y", x.shape, x.dtype)
+        y = x if self._x_scratch else self._pool.get("y", x.shape, x.dtype, grow=self.training)
         np.multiply(x, mask, out=y)
         return y
 
@@ -58,13 +58,15 @@ class ReLU(Module):
 class Tanh(Module):
     """Hyperbolic tangent (the NLC-F network's non-linearity)."""
 
+    per_example = True
+
     def __init__(self) -> None:
         super().__init__()
         self._pool = BufferPool()
         self._y: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y = self._scratch().get("y", x.shape, np.result_type(x.dtype, np.float32))
+        y = self._pool.get("y", x.shape, np.result_type(x.dtype, np.float32), grow=self.training)
         np.tanh(x, out=y)
         self._y = y if self.training else None
         return y
@@ -87,6 +89,8 @@ class Tanh(Module):
 
 class Flatten(Module):
     """Collapse all per-example axes to one (before the classifier head)."""
+
+    per_example = True
 
     def __init__(self) -> None:
         super().__init__()

@@ -3,9 +3,9 @@
 A :class:`BufferPool` gives each layer a small named set of flat
 allocations, each grown to the largest request seen under its name and
 handed out as a prefix view in the asked shape, so training faults no fresh
-pages.  Models trained in one process share one pool per layer position; an
-eval-mode forward draws from a pool of its own that the call drops, except
-that ``Conv2d`` unfolds its slabs into its idle training pool when they fit.
+pages.  Models trained in one process share one pool per layer position.
+Evaluation never grows a pool: an eval-mode request (``grow=False``) that
+fits what a name holds is served from it, any other gets fresh storage.
 
 Contract
 --------
@@ -13,12 +13,12 @@ Contract
   use ``zeros``).
 * An array obtained from a pool, including layer *outputs* and *input
   gradients* built on pooled storage, is valid until the next gradient
-  computation in this process, whichever model it runs on.  The training
-  loops consume layer outputs immediately (``Sequential`` chains them
-  straight into the next layer), so this is invisible there; code that must
-  retain a layer output across steps should ``copy()`` it.  An evaluation
-  runs between steps, never between a forward and its backward: an
-  eval-mode ``Conv2d`` unfolds into the training ``col``.
+  computation or evaluation in this process, whichever model it runs on.
+  The training loops consume layer outputs immediately (``Sequential``
+  chains them straight into the next layer), so this is invisible there;
+  code that must retain a layer output across steps should ``copy()`` it.
+  An evaluation runs between steps, never between a forward and its
+  backward, so it may use the training storage.
 * A layer overwrites an array only once nothing will read it again:
   - what its own ``forward`` filled, after its ``backward`` has read it for
     the last time: ``Conv2d`` and ``TemporalConvolution`` write the
@@ -55,28 +55,23 @@ class BufferPool:
         # name -> the view handed out last; its ``.base`` is the flat storage
         self._bufs: Dict[str, np.ndarray] = {}
 
-    def get(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A buffer of ``shape``/``dtype``; contents are unspecified."""
+    def get(self, name: str, shape: Tuple[int, ...], dtype, grow: bool = True) -> np.ndarray:
+        """A buffer of ``shape``/``dtype``; contents are unspecified.  Unless it
+        may ``grow`` the pool, a request that does not fit gets a fresh array."""
         view = self._bufs.get(name)
         if view is not None and view.shape == shape and view.dtype == dtype:
             return view
         size = math.prod(shape)
         flat = None if view is None else view.base
         if flat is None or flat.dtype != dtype or flat.size < size:
+            if not grow:
+                return np.empty(shape, dtype)
             flat = np.empty(size, dtype)
         view = self._bufs[name] = flat[:size].reshape(shape)
         return view
 
-    def fits(self, name: str, shape: Tuple[int, ...], dtype) -> bool:
-        """Whether :meth:`get` would hand out the storage ``name`` already holds."""
-        view = self._bufs.get(name)
-        if view is None:
-            return False
-        return view.base.dtype == dtype and view.base.size >= math.prod(shape)
-
-    def zeros(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    def zeros(self, name: str, shape: Tuple[int, ...], dtype, grow: bool = True) -> np.ndarray:
         """Like :meth:`get` but zero-filled."""
-        buf = self.get(name, shape, dtype)
+        buf = self.get(name, shape, dtype, grow)
         buf[...] = 0
         return buf
-

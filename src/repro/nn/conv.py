@@ -26,21 +26,15 @@ class Conv2d(Module):
     :class:`~repro.nn.functional.ConvPlan` into the channel-major GEMM matrix
     ``(N, C*kh*kw, OH*OW)``, so forward is a single ``W @ col`` batched GEMM
     that lands directly in NCHW, and backward's input gradient and scatter-add
-    reuse the same layout.  All large temporaries (padded input, col, output,
-    gradient buffers) come from the layer's :class:`BufferPool` and are
-    reused across steps.  ``backward`` writes the input-gradient columns over
-    ``col`` once the weight gradient has read it, so a step holds one
-    im2col-sized buffer, and drops its reference, never keeping it between
-    steps.  An eval-mode forward keeps nothing and unfolds at most the largest
-    training batch this layer has seen at a time (the whole batch before any
-    training), each slab's GEMM landing in a full-batch output of the call's
-    own: ``matmul`` runs one GEMM per example, so the slabs change no bit of
-    the result.  A slab unfolds into the training pool's ``col`` (and padded
-    input), idle between steps, when it fits there, so evaluation allocates
-    no im2col storage and the pool does not grow.
+    reuse the same layout.  All large temporaries come from the layer's
+    :class:`BufferPool`.  ``backward`` adds the weight gradient up one
+    example's GEMM at a time in its ``(F, K)`` buffer, in the order
+    ``sum(axis=0)`` adds, then writes the input-gradient columns over ``col``
+    and drops it: a step holds one im2col-sized buffer and keeps none.
     """
 
     gives_scratch = True
+    per_example = True  # matmul runs one GEMM per example
 
     def __init__(
         self,
@@ -82,37 +76,18 @@ class Conv2d(Module):
         self._pool = BufferPool()
         self._col: Optional[np.ndarray] = None
         self._plan: Optional[ConvPlan] = None
-        self._batch = 0  # largest training batch seen: an eval forward's slab size
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
-        if self.training:
-            self._batch = max(self._batch, n)
-        # eval: im2col + GEMM one training batch at a time (an empty batch: one empty slab)
-        step = min(n, self._batch or n) or 1
-        plan = conv_plan(step, c, h, w, self.kh, self.kw, self.stride, self.padding)
+        plan = conv_plan(n, c, h, w, self.kh, self.kw, self.stride, self.padding)
         wmat = self.weight.data.reshape(self.out_channels, -1)
-        shape = (n, self.out_channels, plan.p)
-        dtype = np.result_type(wmat.dtype, x.dtype)
-        if self.training:
-            pool = self._pool
-            y = pool.get("y", shape, dtype)
-        else:  # y is the call's own; the slabs unfold into the idle training pool if they fit
-            y = np.empty(shape, dtype)
-            fits = self._pool.fits("col", (step, plan.k, plan.p), x.dtype) and (
-                self.padding == 0 or self._pool.fits("col.pad", plan.padded_shape, x.dtype)
-            )
-            pool = self._pool if fits else BufferPool()
-        for lo in range(0, n or 1, step):
-            xs = x[lo : lo + step]
-            if len(xs) < step:  # the last, partial slab
-                plan = conv_plan(len(xs), c, h, w, self.kh, self.kw, self.stride, self.padding)
-            col = plan.extract(xs, pool=pool)  # (S, K, P) channel-major
-            np.matmul(wmat, col, out=y[lo : lo + step])  # (F, K) @ (S, K, P) -> (S, F, P)
-        self._col = col if self.training else None
-        self._plan = plan if self.training else None
+        col = plan.extract(x, self._pool, grow=self.training)  # (N, K, P) channel-major
+        y = self._pool.get("y", (n, self.out_channels, plan.p),
+                           np.result_type(wmat.dtype, x.dtype), grow=self.training)
+        np.matmul(wmat, col, out=y)  # (F, K) @ (N, K, P) -> (N, F, P)
+        self._col, self._plan = (col, plan) if self.training else (None, None)
         if self.bias is not None:
             y += self.bias.data[:, None]
         return y.reshape(n, self.out_channels, plan.oh, plan.ow)
@@ -121,23 +96,24 @@ class Conv2d(Module):
         col, plan = self._col, self._plan
         if col is None or plan is None:
             raise RuntimeError("backward before forward")
-        self._col = None  # the buffer goes back to the pool, not kept alive here
-        self._plan = None
+        self._col = self._plan = None  # the buffer goes back to the pool, not kept here
         n, f = plan.n, self.out_channels
         gof = grad_out.reshape(n, f, plan.p)
         wmat = self.weight.data.reshape(f, -1)
         out_dtype = np.result_type(wmat.dtype, gof.dtype)
-        # weight grad: per-example GEMMs summed over the batch
-        gw3 = self._pool.get("gw3", (n, f, plan.k), out_dtype)
-        np.matmul(gof, col.transpose(0, 2, 1), out=gw3)
-        gw = self._pool.get("gw", (f, plan.k), out_dtype)
-        gw3.sum(axis=0, out=gw)
+        # weight grad: one GEMM per example, added in batch order (zeros: n = 0)
+        gw = self._pool.zeros("gw", (f, plan.k), out_dtype)
+        gwi = self._pool.get("gw.i", (f, plan.k), out_dtype)
+        for i in range(n):
+            np.matmul(gof[i], col[i].T, out=gw if i == 0 else gwi)
+            if i:
+                gw += gwi
         self.weight.grad += gw.reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += gof.sum(axis=(0, 2))
         if not input_grad:
             return None
-        # nothing reads col after gw3: the input-gradient columns overwrite it
+        # nothing reads col after gw: the input-gradient columns overwrite it
         np.matmul(wmat.T, gof, out=col)  # (K, F) @ (N, F, P) -> (N, K, P)
         return plan.fold(col, pool=self._pool)
 

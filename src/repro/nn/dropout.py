@@ -19,6 +19,8 @@ class Dropout(Module):
     replicas draw independent masks while staying reproducible.
     """
 
+    per_example = True
+
     def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         if not (0.0 <= p < 1.0):

@@ -90,21 +90,21 @@ class ConvPlan:
             strides=(s0, s1, s2, s3, self.stride * s2, self.stride * s3),
         )
 
-    def extract(self, x: np.ndarray, pool: BufferPool, name: str = "col") -> np.ndarray:
+    def extract(self, x: np.ndarray, pool: BufferPool, grow: bool = True) -> np.ndarray:
         """Materialise the GEMM matrix ``(N, C*kh*kw, OH*OW)`` (channel-major).
 
         One copy total: padding writes into a pooled scratch, the window view
         is free, and the single gather writes straight into the pooled col
-        buffer in its final order.
+        buffer in its final order (``grow``: see :meth:`BufferPool.get`).
         """
         if not x.flags.c_contiguous:
             x = np.ascontiguousarray(x)
         if self.pad > 0:
-            xp = pool.zeros(name + ".pad", self.padded_shape, x.dtype)
+            xp = pool.zeros("col.pad", self.padded_shape, x.dtype, grow)
             xp[:, :, self.pad : self.pad + self.h, self.pad : self.pad + self.w] = x
         else:
             xp = x
-        col = pool.get(name, (self.n, self.k, self.p), x.dtype)
+        col = pool.get("col", (self.n, self.k, self.p), x.dtype, grow)
         col6 = col.reshape(self.n, self.c, self.kh, self.kw, self.oh, self.ow)
         col6[...] = self.window_view(xp)
         return col
@@ -152,11 +152,11 @@ def max_over_views(
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Running elementwise maximum of same-shaped ``views`` (max pooling).
 
-    With ``route``, also boolean ``hits[k]`` = "``views[k]`` is the first view
-    equal to the maximum" — ``(v_k == out) & ~taken``, so a tie routes to the
-    earliest view only, as ``argmax`` would.  Both results live in ``pool``.
+    With ``route`` (training: ``pool`` may grow), also boolean ``hits[k]`` =
+    "``views[k]`` is the first view equal to the maximum" — ``(v_k == out) &
+    ~taken``, so a tie routes to the earliest view only, as ``argmax`` would.
     """
-    out = pool.get("y", views[0].shape, views[0].dtype)
+    out = pool.get("y", views[0].shape, views[0].dtype, grow=route)
     np.maximum(views[0], views[-1], out=out)  # a lone view is its own maximum
     for v in views[1:-1]:
         np.maximum(out, v, out=out)

@@ -21,8 +21,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bufferpool import BufferPool
-
 __all__ = ["Parameter", "Module", "Sequential", "FlatParams", "flatten_module"]
 
 #: a layer's per-example ``(output shape, forward FLOPs, parameter count)``
@@ -79,9 +77,15 @@ class Module:
     records on each layer whether its forward input (``_x_scratch``) and its
     backward ``grad_out`` (``_grad_scratch``) came from such a neighbour;
     standalone, neither is.
+
+    ``per_example`` declares that an eval-mode forward computes each output
+    row from its input row alone, to the bit, whatever the batch, so it may
+    run on slabs; a GEMM over a batch's rows (``Linear``) is not: BLAS row
+    results depend on the row count.  Eval-mode storage never grows a pool.
     """
 
     gives_scratch = False
+    per_example = False
     config: Tuple = ()  # the constructor arguments ``geometry`` takes
     _x_scratch = False
     _grad_scratch = False
@@ -136,9 +140,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def _scratch(self) -> BufferPool:  # eval mode: the call's own, no shared pool grows
-        return self._pool if self.training else BufferPool()
-
     # -- compute contract ---------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -180,11 +181,17 @@ class Sequential(Module):
     The first layer's input is the caller's, the last layer's ``grad_out`` the
     loss gradient: neither is ever scratch.  Its ``config`` is one
     ``(layer class, *config)`` row per layer, the form ``geometry`` chains.
+
+    In eval mode the leading ``per_example`` layers (a CIFAR net's conv
+    stack) run on slabs of the largest training batch seen, whose requests
+    fit the idle training pools, and the rest on the whole batch.
     """
 
     def __init__(self, *layers: Module) -> None:
         super().__init__()
         self.layers: List[Module] = []
+        self._lead = 0  # how many leading layers are per_example
+        self._batch = 0  # the largest training batch seen: an eval slab
         for layer in layers:
             self.append(layer)
 
@@ -194,13 +201,27 @@ class Sequential(Module):
         layer._grad_scratch = False
         if last is not None:
             last._grad_scratch = layer.gives_scratch
+        if self._lead == len(self.layers) and layer.per_example:
+            self._lead += 1
         self.layers.append(layer)
         self.register_child(layer)
         self.config = self.config + ((type(layer), *layer.config),)
         return self
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
+        n, rest = len(x), self.layers
+        if self.training:
+            self._batch = max(self._batch, n)
+        elif self._lead and 0 < self._batch < n:
+            lead, rest = rest[: self._lead], rest[self._lead :]
+            for lo in range(0, n, self._batch):
+                y = x[lo : lo + self._batch]
+                for layer in lead:
+                    y = layer.forward(y)
+                out = np.empty((n,) + y.shape[1:], y.dtype) if lo == 0 else out
+                out[lo : lo + len(y)] = y
+            x = out
+        for layer in rest:
             x = layer.forward(x)
         return x
 

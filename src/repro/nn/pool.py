@@ -29,6 +29,7 @@ class MaxPool2d(Module):
     """
 
     gives_scratch = True
+    per_example = True
 
     def __init__(self, kernel_size: int | Tuple[int, int]) -> None:
         super().__init__()
@@ -55,7 +56,7 @@ class MaxPool2d(Module):
         if oh < 1 or ow < 1:
             raise ValueError(f"input {h}x{w} smaller than pool {self.kh}x{self.kw}")
         views = self._offset_views(x, oh, ow)
-        out, self._hits = max_over_views(views, self._scratch(), self.training)
+        out, self._hits = max_over_views(views, self._pool, self.training)
         self._x = x if self._x_scratch and self.training else None
         self._x_shape = x.shape
         return out

@@ -85,13 +85,12 @@ class TemporalConvolution(Module):
         # repeats the frame stride — no transpose, no copy until the gather.
         s0, s1, s2 = x.strides
         win = as_strided(x, shape=(n, lo, self.kw, c), strides=(s0, s1, s1, s2))
-        pool = self._scratch()
-        col = pool.get("col", (n, lo, self.kw * c), x.dtype)
+        col = self._pool.get("col", (n, lo, self.kw * c), x.dtype, grow=self.training)
         col.reshape(n, lo, self.kw, c)[...] = win
         self._col = col if self.training else None
         self._x_shape = x.shape
         out_dtype = np.result_type(self.weight.data.dtype, col.dtype)
-        y = pool.get("y", (n, lo, self.cout), out_dtype)
+        y = self._pool.get("y", (n, lo, self.cout), out_dtype, grow=self.training)
         np.matmul(col, self.weight.data.T, out=y)
         if self.bias is not None:
             y += self.bias.data
@@ -191,7 +190,7 @@ class MaxOverTime(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, _, c = x.shape
-        out = self._scratch().get("y", (n, c), x.dtype)
+        out = self._pool.get("y", (n, c), x.dtype, grow=self.training)
         x.max(axis=1, out=out)
         self._hits = None
         if self.training:

@@ -57,7 +57,7 @@ class ShardLayout:
     def even(cls, size: int, n_shards: int) -> "ShardLayout":
         if n_shards < 1 or size < n_shards:
             raise ValueError(f"cannot shard {size} params over {n_shards} shards")
-        edges = np.linspace(0, size, n_shards + 1).astype(int)
+        edges = np.linspace(0, size, n_shards + 1).astype(int).tolist()  # not np.int64
         return cls(size=size, bounds=tuple(zip(edges[:-1], edges[1:])))
 
     @property

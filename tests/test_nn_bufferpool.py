@@ -129,8 +129,8 @@ class TestModulePooling:
         model.eval()
         model.forward(large)  # four times the training batch
         model.train()
-        # an evaluation draws fresh arrays or unfolds into the idle conv pools:
-        # no pool grew, moved or gained a name
+        # an evaluation runs a training batch at a time on the idle pools or
+        # draws fresh arrays: no pool grew, moved or gained a name
         after = [({k: b.ctypes.data for k, b in p._bufs.items()}, _held(p)) for p in pools]
         assert after == before
 

@@ -1,11 +1,13 @@
-"""A conv layer's memory is one training batch.
+"""A network's ``nn`` memory is one training batch.
 
-Two rules keep it so: ``backward`` writes the input-gradient columns into the
-im2col storage ``forward`` filled (the weight gradient is its last reader),
-and an eval-mode ``Conv2d.forward`` runs im2col + GEMM on slabs of at most
-the largest training batch the layer has seen, unfolding them into the idle
-training pool when they fit it.  Neither may change a bit: ``np.matmul``
-runs one GEMM per example, so a slab's logits are the full-batch ones.
+Three rules keep it so: ``Conv2d.backward`` sums its weight gradient one
+example's GEMM at a time and then writes the input-gradient columns into the
+im2col storage ``forward`` filled; an eval-mode ``Sequential`` runs its
+leading per-example layers on slabs of at most the largest training batch it
+has seen; and an eval-mode request is served from a pool only when it fits
+what the pool holds, so evaluation never grows one.  None may change a bit:
+``np.matmul`` runs one GEMM per example, and ``sum(axis=0)`` adds the
+per-example products in batch order.
 """
 
 import hashlib
@@ -13,13 +15,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algos.base import evaluate_model
 from repro.algos.problems import CIFAR_SCALES, cifar_problem
 from repro.data.synth_cifar import make_synthetic_cifar
-from repro.nn import Conv2d, TemporalConvolution
+from repro.nn import (
+    Conv2d,
+    Dropout,
+    Linear,
+    MaxPool2d,
+    ReLU,
+    Sequential,
+    Tanh,
+    TemporalConvolution,
+)
 from tests.nn_oracles import col2im, gradcheck_module, im2col, temporal_conv_backward_naive
 
 MiB = 2**20
@@ -41,32 +52,97 @@ def _conv_backward_oracle(x, weight, gout, stride, pad):
     return gx, gw, gout.sum(axis=(0, 2, 3))
 
 
+PER_EXAMPLE = ["conv", "relu", "tanh", "pool", "dropout"]
+
+
+def _chain(kinds, c, hw, geometries, dtype, seed):
+    """The per-example layers ``kinds`` name (a conv takes the next of
+    ``geometries``), skipping any the running shape cannot take, then a
+    ``Linear`` head on the last axis."""
+    rng = np.random.default_rng(seed)
+    layers, (h, w) = [], (hw, hw)
+    for kind in kinds:
+        if kind == "conv":
+            kernel, stride, pad = next(geometries)
+            kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
+            if min(h + 2 * pad - kh, w + 2 * pad - kw) < 0:
+                continue
+            layers.append(Conv2d(c, 4, kernel, stride=stride, padding=pad, dtype=dtype, rng=rng))
+            c, h, w = 4, (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+        elif kind == "pool" and min(h, w) >= 2:
+            layers.append(MaxPool2d(2))
+            h, w = h // 2, w // 2
+        elif kind in ("relu", "tanh", "dropout"):
+            layers.append({"relu": ReLU, "tanh": Tanh, "dropout": Dropout}[kind]())
+    return Sequential(*layers, Linear(w, 3, dtype=dtype, rng=rng))
+
+
+def _held(model):
+    return {
+        (i, name): (buf.ctypes.data, buf.base.nbytes)
+        for i, m in enumerate(model.modules()) if hasattr(m, "_pool")
+        for name, buf in m._pool._bufs.items()
+    }
+
+
 @settings(max_examples=60, deadline=None)
 @given(
+    kinds=st.lists(st.sampled_from(PER_EXAMPLE), min_size=1, max_size=6),
+    geometries=st.lists(_GEOMETRIES, min_size=6, max_size=6),
     seed=st.integers(0, 2**16),
     n=st.integers(1, 70),
     batch=st.integers(1, 16),
     c=st.integers(1, 3),
     hw=st.integers(4, 9),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+@example(kinds=["conv", "relu", "pool", "dropout"], geometries=[(5, 1, 2)] * 6, seed=0,
+         n=64, batch=16, c=3, hw=8, dtype=np.float32)
+def test_eval_in_training_batch_slabs_equals_the_whole_batch(
+    kinds, geometries, seed, n, batch, c, hw, dtype
+):
+    rng = np.random.default_rng(seed)
+    trained = _chain(kinds, c, hw, iter(geometries), dtype, seed)
+    fresh = _chain(kinds, c, hw, iter(geometries), dtype, seed)  # never trains
+    out = trained.forward(rng.standard_normal((batch, c, hw, hw)).astype(dtype))
+    trained.backward(np.ones_like(out))  # sets the slab size; the weights stay
+    held = _held(trained)
+    trained.eval()
+    fresh.eval()
+    # an input too large for the pools: per example, 17 times a training batch
+    for shape in ((n, c, hw, hw), (n, c, 17 * hw, hw)):
+        x = rng.standard_normal(shape).astype(dtype)
+        x_passed = x.copy()
+        got = trained.forward(x).copy()
+        np.testing.assert_array_equal(got, fresh.forward(x))  # the whole batch at once
+        np.testing.assert_array_equal(x, x_passed)
+        assert _held(trained) == held  # the slabs grew, moved and named no pool buffer
+    for m in trained.modules():  # an eval forward keeps nothing for backward
+        for state in ("_col", "_plan", "_mask", "_y", "_x", "_hits"):
+            assert getattr(m, state, None) is None, (type(m).__name__, state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 16),
+    c=st.integers(1, 3),
+    hw=st.integers(4, 8),
     geometry=_GEOMETRIES,
     dtype=st.sampled_from([np.float32, np.float64]),
 )
-def test_eval_forward_in_slabs_equals_the_training_forward(seed, n, batch, c, hw, geometry, dtype):
+def test_the_per_example_weight_gradient_equals_the_batched_sum(seed, n, c, hw, geometry, dtype):
     kernel, stride, pad = geometry
     rng = np.random.default_rng(seed)
     conv = Conv2d(c, 4, kernel, stride=stride, padding=pad, dtype=dtype, rng=rng)
-    x = rng.standard_normal((n, c, hw, hw)).astype(dtype)
-    conv.forward(x[:batch])  # the training batch sets the slab size
-    held = {k: (v.ctypes.data, v.base.nbytes) for k, v in conv._pool._bufs.items()}
-    conv.eval()
-    got = conv.forward(x).copy()
-    assert conv._col is None and conv._plan is None  # an eval forward keeps nothing
-    # the slabs unfold into the training pool, which does not grow, and an
-    # input too large for it unfolds into storage of its own
-    conv.forward(rng.standard_normal((n, c, hw + 3, hw)).astype(dtype))
-    assert held == {k: (v.ctypes.data, v.base.nbytes) for k, v in conv._pool._bufs.items()}
-    conv.train()
-    np.testing.assert_array_equal(got, conv.forward(x))
+    y = conv.forward(rng.standard_normal((n, c, hw, hw)).astype(dtype))
+    col = conv._col.copy()
+    gout = rng.standard_normal(y.shape).astype(dtype)
+    conv.backward(gout)
+    want = np.zeros_like(conv.weight.grad)
+    want += np.matmul(gout.reshape(n, 4, -1), col.transpose(0, 2, 1)).sum(axis=0).reshape(want.shape)
+    assert conv.weight.grad.dtype == want.dtype and np.array_equal(conv.weight.grad, want)
+    assert "gw3" not in conv._pool._bufs
 
 
 def test_an_untrained_conv_evaluates_like_its_training_forward():
@@ -141,18 +217,24 @@ def test_cifar_bench_model_memory_is_one_training_batch():
     model.backward(crit.backward())  # with the input gradient: every fold runs
     pools = {id(m._pool): m._pool for m in model.modules() if hasattr(m, "_pool")}
     held = sum(v.base.nbytes for pool in pools.values() for v in pool._bufs.values())
-    # 28.6 MiB with a second im2col-sized buffer for the input gradient, and
-    # 20.4 MiB while ReLU's y and gx and MaxPool's gx had pooled buffers
-    assert held <= 15.8 * MiB, held / MiB
+    # 28.6 MiB with a second im2col-sized buffer for the input gradient,
+    # 20.4 MiB while ReLU's y and gx and MaxPool's gx had pooled buffers, and
+    # 15.1 MiB with an (N, F, K) buffer of per-example weight-gradient products
+    assert held <= 13.6 * MiB, held / MiB
     tracemalloc.start()
     try:
-        evaluate_model(model, problem.test_set, 64)
+        got = evaluate_model(model, problem.test_set, 64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 23.5 MiB when the first conv unfolds all 64 test images at once, and
-    # 9.8 MiB while each slab unfolded into fresh storage and ReLU copied
-    assert peak < 6.1 * MiB, peak / MiB
+    # 23.5 MiB when the first conv unfolds all 64 test images at once, 9.8 MiB
+    # while each slab unfolded into fresh storage and ReLU copied, and 5.8 MiB
+    # while conv1 held its 64-image output, ReLU and MaxPool evaluated on
+    # fresh pools and each eval batch was a copy of the test images
+    assert peak < 0.5 * MiB, peak / MiB
+    # an untrained copy evaluates each batch whole, on storage of its own
+    assert got == evaluate_model(problem.build_model(np.random.default_rng(5))[0],
+                                 problem.test_set, 64)
 
 
 def test_bench_cifar_data_is_synthesised_in_slabs_to_the_same_bits():

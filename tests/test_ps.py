@@ -33,6 +33,16 @@ def test_layout_even_partition():
     assert flat == sorted(flat)
 
 
+def test_layout_bounds_are_ints_and_downpour_rows_plain_floats():
+    from repro.harness.experiments import scaling
+
+    assert {type(b) for pair in ShardLayout.even(10, 3).bounds for b in pair} == {int}
+    rows = scaling(p_values=(8,), topology="fat-tree").rows
+    assert {row["algorithm"] for row in rows} == {"sasgd", "downpour"}
+    # an np.int64 bound made every Downpour cell's clock, and so its row, np.float64
+    assert {type(row[key]) for row in rows for key in ("epoch_s", "comm_%")} == {float}
+
+
 def test_layout_validation():
     with pytest.raises(ValueError):
         ShardLayout.even(2, 3)
