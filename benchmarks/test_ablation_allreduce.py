@@ -11,20 +11,19 @@ import math
 
 import pytest
 
-from repro.comm import ALLREDUCE_ALGORITHMS, Fabric, allreduce
+from repro.comm import ALLREDUCE_ALGORITHMS, Fabric
 from repro.harness import PAPER_PROFILE, calibrated_machine
+from repro.runtime import SimCollective
 
 
 def run_one(algorithm, p=8, nbytes=506378 * 4.0):
     machine = calibrated_machine(PAPER_PROFILE, seed=0)
     fabric = Fabric(machine.engine, machine.topology, contention=True)
     names = [f"r{i}" for i in range(p)]
-    eps = [fabric.attach(names[i], f"gpu{i}") for i in range(p)]
+    coll = SimCollective([fabric.attach(names[i], f"gpu{i}") for i in range(p)], names)
 
     def worker(rank):
-        yield from allreduce(
-            eps[rank], names, rank, None, nbytes=nbytes, ctx="a", algorithm=algorithm
-        )
+        yield from coll.allreduce(rank, None, nbytes=nbytes, ctx="a", algorithm=algorithm)
 
     for i in range(p):
         machine.engine.spawn(worker(i))

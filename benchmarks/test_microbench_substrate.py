@@ -10,9 +10,10 @@ import time
 import numpy as np
 
 from repro.cluster import build_binary_tree_topology
-from repro.comm import Fabric, allreduce
+from repro.comm import Fabric
 from repro.nn import Conv2d
 from repro.obs import active
+from repro.runtime import SimCollective
 from repro.sim import Delay, Engine
 
 
@@ -63,14 +64,12 @@ def test_ring_allreduce_throughput(benchmark):
         topo = build_binary_tree_topology(8)
         fab = Fabric(eng, topo, contention=False)
         names = [f"r{i}" for i in range(8)]
-        eps = [fab.attach(names[i], f"gpu{i}") for i in range(8)]
+        coll = SimCollective([fab.attach(names[i], f"gpu{i}") for i in range(8)], names)
         arrays = [np.full(506378, float(i), dtype=np.float32) for i in range(8)]
         out = {}
 
         def worker(rank):
-            res = yield from allreduce(
-                eps[rank], names, rank, arrays[rank], ctx="m", algorithm="ring"
-            )
+            res = yield from coll.allreduce(rank, arrays[rank], ctx="m", algorithm="ring")
             out[rank] = res
 
         for i in range(8):

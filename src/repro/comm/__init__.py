@@ -1,7 +1,8 @@
 """Communication substrate: message fabric, collective schedules and their
-simulated executor, cost models."""
+one executor (:func:`run_schedule`, with the simulated fabric's channel),
+cost models."""
 
-from .collectives import allgather, allreduce, broadcast, run_schedule
+from .collectives import run_schedule, sim_channel
 from .costmodel import allreduce_traffic_bytes, ps_traffic_bytes
 from .fabric import Endpoint, Fabric, Message
 from .fastfabric import FastFabric, WavePlan
@@ -20,14 +21,12 @@ __all__ = [
     "FastFabric",
     "Message",
     "WavePlan",
-    "allgather",
     "allgather_schedule",
-    "allreduce",
     "allreduce_schedule",
     "allreduce_traffic_bytes",
-    "broadcast",
     "broadcast_schedule",
     "contiguous_groups",
     "ps_traffic_bytes",
     "run_schedule",
+    "sim_channel",
 ]

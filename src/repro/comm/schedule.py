@@ -5,10 +5,10 @@ SASGD communicates through an initial ``broadcast`` of x and the interval
 ``allreduce(gs)`` (paper Sec. III), and which allreduce runs decides the
 traffic its O(m log p) claim is about; its compressed variant gathers one
 sparse row per rank instead.  So each algorithm is written down once, here,
-as data, and every substrate only executes it
-(:mod:`repro.comm.collectives` on the simulated fabric, ``MPCollective`` over
-shared memory, ``NetCollective`` over TCP): the same additions in the same
-order, so a given p and algorithm gives the same bits everywhere.
+as data, and one executor runs it on every substrate
+(:func:`repro.comm.collectives.run_schedule`, over the simulated fabric,
+shared memory or TCP): the same additions in the same order, so a given p
+and algorithm gives the same bits everywhere.
 
 A schedule is one rank's rounds: ``None`` where the rank sits a round out,
 else a :class:`Step` — send a piece to one peer and/or receive a piece from

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from ..cluster.machine import Machine
-from ..comm.collectives import allreduce, broadcast
+from ..comm.collectives import run_schedule, sim_channel
 from ..comm.fabric import Fabric
 from ..comm.fastfabric import FastFabric
+from ..comm.schedule import allreduce_schedule, broadcast_schedule
 from ..nn.models import ModelInfo
 from ..obs.runtime import active as _obs_active
 from ..ps.server import PSClient, ShardLayout, ShardedParameterServer
@@ -92,7 +93,18 @@ def _learner_sasgd(
     yield from tracer.timed(
         name,
         "comm",
-        broadcast(eps[lid], names, lid, None, nbytes=wl.param_bytes, ctx="init"),
+        run_schedule(
+            sim_channel(eps[lid], names, "init"),
+            broadcast_schedule(p, lid),
+            None,
+            wl.param_bytes,
+        ),
+    )
+    schedule = allreduce_schedule(
+        trainer_ctx.get("allreduce_algorithm", "recursive_doubling"),
+        p,
+        lid,
+        trainer_ctx.get("allreduce_groups"),
     )
     steps = wl.steps_per_learner_per_epoch(p) * trainer_ctx["epochs"]
     for step in range(1, steps + 1):
@@ -103,17 +115,11 @@ def _learner_sasgd(
             yield from tracer.timed(
                 name,
                 "comm",
-                allreduce(
-                    eps[lid],
-                    names,
-                    lid,
+                run_schedule(
+                    sim_channel(eps[lid], names, ("agg", step)),
+                    schedule,
                     None,
-                    nbytes=wl.param_bytes,
-                    ctx=("agg", step),
-                    algorithm=trainer_ctx.get(
-                        "allreduce_algorithm", "recursive_doubling"
-                    ),
-                    groups=trainer_ctx.get("allreduce_groups"),
+                    wl.param_bytes,
                 ),
             )
 

@@ -46,16 +46,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..comm.schedule import bounds
 from ..faults.plan import RetryPolicy, _hash_uniform
 from ..faults.supervisor import HeartbeatThread
 from ..obs import events as _events
-from ..runtime.api import BackendCapabilityError, LearnerFailure, RunStats
+from ..runtime.api import BackendCapabilityError, Collective, LearnerFailure, RunStats
 from ..runtime.process_backend import (
     HEARTBEAT_INTERVAL,
     HEARTBEAT_TIMEOUT,
     JOIN_GRACE,
-    BlockingCollective,
     ProcessBackend,
     ProcessParameterServer,
     PSClient,
@@ -159,23 +157,26 @@ def _redial(sess: SessionConn, addr: str, peer: str, hello: Dict[str, Any],
             attempt += 1
 
 
-class NetCollective(BlockingCollective):
-    """Collective schedules over TCP, one connection per ordered (sender,
-    receiver) pair, dialled by the sender the first time a step sends to
-    that peer (the links to ranks r ± 1 are the ring).
+class NetCollective(Collective):
+    """The collective schedules over TCP: the channel of one round, over one
+    connection per ordered (sender, receiver) pair, dialled by the sender
+    the first time a step sends to that peer (the links to ranks r ± 1 are
+    the ring).
 
-    A step with both sides is one deadlock-free
-    :meth:`~repro.net.frames.Conn.sendrecv`, a one-sided step one
-    ``send_tensor`` or ``recv``.  Connections are strictly ordered streams,
-    so rounds cannot cross-talk: a fast peer's next-round frame simply
-    queues behind the current one.  A dead peer surfaces as
-    :class:`ConnectionLost` on the next send/recv and is rethrown as a typed
-    :class:`LearnerFailure` naming it; a peer that stops reading is
-    reported as a stall.
+    A round with both sides is one deadlock-free
+    :meth:`~repro.net.frames.Conn.sendrecv`, a one-sided round one
+    ``send_tensor`` or ``recv``, an idle round nothing; the channel blocks
+    and never yields.  Connections are strictly ordered streams, so rounds
+    cannot cross-talk: a fast peer's next-round frame simply queues behind
+    the current one.  A dead peer surfaces as :class:`ConnectionLost` on the
+    next send/recv and is rethrown as a typed :class:`LearnerFailure` naming
+    it; a peer that stops reading is reported as a stall.
     """
 
     def __init__(self, p: int, timeout: float) -> None:
-        super().__init__(p, timeout)
+        self.p = p
+        self.timeout = timeout
+        self.bytes_moved = 0.0  # per-process accumulator after fork
         self._spec: Optional[ClusterSpec] = None
         self._listeners: Dict[int, Optional[socket.socket]] = {}
         self._rank: Optional[int] = None
@@ -397,36 +398,27 @@ class NetCollective(BlockingCollective):
             "peer died undetected and the surviving ranks deadlocked"
         )
 
-    # -- BlockingCollective bodies ------------------------------------------
-
-    def _run(self, rank: int, schedule, local, opname: str) -> np.ndarray:
+    def channel(self, rank: int, ctx: Any, opname: str):
         self._rank = rank
-        try:
-            for step in schedule:
-                if step is None:
-                    continue
-                if step.send is not None:
-                    lo, hi = bounds(step.send, local.size)
-                    piece = local[lo:hi]
-                    self.bytes_moved += float(piece.nbytes)
+
+        def channel(k, step, piece, size, into):
+            if step is None:
+                return None
+            try:
+                if step.send is None:
+                    frame = self._recv(step.recv_from)
+                else:
+                    self.bytes_moved += size
                     if step.recv is None:
                         self._send(step.send_to, piece)
-                        continue
+                        return None
                     frame = self._exchange(step.send_to, piece, step.recv_from)
-                else:
-                    frame = self._recv(step.recv_from)
-                got = frame.tensor()
-                if local is None:
-                    local = np.array(got, copy=True)
-                    continue
-                lo, hi = bounds(step.recv, local.size)
-                if step.add:
-                    local[lo:hi] += got
-                else:
-                    local[lo:hi] = got
-        except (ConnectionLost, socket.timeout) as exc:
-            raise self._fail(exc, opname, rank) from None
-        return local
+                return frame.tensor()
+            except (ConnectionLost, socket.timeout) as exc:
+                raise self._fail(exc, opname, rank) from None
+            yield  # pragma: no cover - a generator that never yields
+
+        return channel
 
 
 # -- parameter server ----------------------------------------------------------

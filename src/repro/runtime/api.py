@@ -14,16 +14,17 @@ Calling convention
 ------------------
 Every communication or compute primitive is *driven as a generator
 coroutine* (``yield from``), exactly like the simulator's processes.  The
-two backends meet that contract differently:
+backends meet that contract differently:
 
 * ``SimBackend`` returns the existing engine coroutines unchanged — they
   yield :class:`~repro.sim.Delay` / event commands into the virtual-time
   scheduler.
-* ``MPBackend`` returns *no-yield* generators built with :func:`blocking`:
-  the body performs the real blocking operation (shared-memory barrier,
-  queue round-trip) and returns before ever yielding.  ``yield from``
-  therefore degenerates to a plain call, and the same trainer source runs
-  on both substrates.
+* The process backends (``mp``, ``net``) return *no-yield* generators: a
+  collective is the one schedule executor over a channel that blocks, a
+  PS request a :func:`blocking` wrapper.  The body performs the real
+  blocking operation (shared-memory barrier, socket round-trip) and
+  returns before ever yielding, so ``yield from`` degenerates to a plain
+  call, and the same trainer source runs on every substrate.
 
 A trainer coroutine must never assume anything about what the yielded
 commands *are*; only the backend interprets them.
@@ -33,9 +34,17 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
 
 import numpy as np
+
+from ..comm.collectives import run_schedule
+from ..comm.schedule import (
+    allgather_schedule,
+    allreduce_schedule,
+    broadcast_schedule,
+    gather_start,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..algos.distributed import DistributedTrainer
@@ -139,17 +148,26 @@ def blocking(fn, *args, **kwargs) -> Generator:
     yield  # pragma: no cover - unreachable; makes this a generator function
 
 
-class Collective(ABC):
-    """SPMD collectives over whatever transport the backend provides.
+class Collective:
+    """SPMD collectives: broadcast, allreduce and allgather, each one
+    :mod:`repro.comm.schedule` schedule run by the one executor,
+    :func:`~repro.comm.collectives.run_schedule`, so an operation gives the
+    same bits and moves the same bytes on every backend.
 
-    Every method returns a coroutine; ``rank`` identifies the calling
-    learner.  ``nbytes`` is advisory (simulated-wire payload size); ``ctx``
-    must be unique per call-site occurrence so successive rounds cannot
-    cross-talk (the simulated fabric keys messages on it; shared-memory
-    transports may ignore it).
+    A backend supplies only ``p`` and ``channel(rank, ctx, opname)``: the
+    calling rank's transport for one call — one round's piece to one peer
+    and/or from one peer, called on every round (see
+    :mod:`repro.comm.collectives`).  Every method returns a coroutine;
+    ``rank`` identifies the calling learner.  ``nbytes`` sizes a simulated
+    timing-only call (``array=None``); ``ctx`` must be unique per call-site
+    occurrence so successive rounds cannot cross-talk (the simulated fabric
+    tags messages with it; the process transports, ordered streams, ignore
+    it); ``opname`` names the operation in a transport's failures.
     """
 
-    @abstractmethod
+    p: int
+    channel: Callable[[int, Any, str], Callable[..., Generator]]
+
     def broadcast(
         self,
         rank: int,
@@ -159,30 +177,36 @@ class Collective(ABC):
         ctx: Any = 0,
     ) -> Generator:
         """Broadcast ``array`` from ``root``; every rank returns the data."""
+        schedule = broadcast_schedule(self.p, rank, root)
+        channel = self.channel(rank, ctx, "broadcast")
+        return run_schedule(channel, schedule, array if rank == root else None, nbytes)
 
-    @abstractmethod
     def allreduce(
         self,
         rank: int,
-        array: np.ndarray,
+        array: Optional[np.ndarray],
         nbytes: float = 0.0,
         ctx: Any = 0,
         algorithm: str = "recursive_doubling",
     ) -> Generator:
-        """Sum-allreduce ``array`` across ranks; returns the reduced array.
+        """Sum-allreduce ``array`` across ranks by the named schedule
+        (:data:`~repro.comm.schedule.ALLREDUCE_ALGORITHMS`); returns the
+        reduced array."""
+        schedule = allreduce_schedule(algorithm, self.p, rank)
+        channel = self.channel(rank, ctx, "allreduce")
+        return run_schedule(channel, schedule, array, nbytes)
 
-        ``algorithm`` names the schedule (:mod:`repro.comm.schedule`); every
-        transport runs it, so it gives the same bits on every backend.
-        """
-
-    @abstractmethod
     def allgather(self, rank: int, row: np.ndarray, ctx: Any = 0) -> Generator:
         """Gather one fixed-shape 1-D ``row`` per rank; every rank returns
-        the ``(p, len(row))`` stack in rank order.
-
-        It runs :func:`~repro.comm.schedule.allgather_schedule` over that
-        stack, so it moves the same bytes on every backend.
-        """
+        the ``(p, len(row))`` stack in rank order (a ring allgather over
+        that stack, :func:`~repro.comm.schedule.gather_start`)."""
+        row = np.asarray(row).reshape(-1)
+        local = yield from run_schedule(
+            self.channel(rank, ctx, "allgather"),
+            allgather_schedule(self.p, rank),
+            gather_start(self.p, rank, row),
+        )
+        return local.reshape(self.p, row.size)
 
 
 class PSClientLike(ABC):

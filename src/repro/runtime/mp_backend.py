@@ -32,20 +32,18 @@ import os
 import queue
 import time
 from multiprocessing import shared_memory
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..comm.schedule import bounds
 from ..faults.plan import FaultPlan, RetryPolicy
 from ..faults.supervisor import HeartbeatThread, LivenessBlock, PollingBarrier
 from ..obs import events as _events
-from .api import BackendCapabilityError, LearnerFailure, RunStats
+from .api import BackendCapabilityError, Collective, LearnerFailure, RunStats
 from .process_backend import (
     HEARTBEAT_INTERVAL,
     HEARTBEAT_TIMEOUT,
     JOIN_GRACE,
-    BlockingCollective,
     ProcessBackend,
     ProcessParameterServer,
     PSClient,
@@ -77,22 +75,25 @@ def _unlink_quietly(shm: Optional[shared_memory.SharedMemory]) -> None:
         pass
 
 
-class MPCollective(BlockingCollective):
-    """Collective schedules over shared memory.
+class MPCollective(Collective):
+    """The collective schedules over shared memory: the channel of one round.
 
     Each rank owns an inbox segment row of two byte slots; in round k a
     sender writes its piece at the start of the receiver's slot k mod 2 and
-    both advance a :class:`~repro.faults.supervisor.PollingBarrier` round
-    counter over the run's liveness block.  A receiver waits only on the
-    peer it reads from; a sender first checks that the receiver has left
-    round k − 1, so it has read the slot's round k − 2 (at p = 2 that check
-    always passes at once).  A dead peer aborts the round with a typed
-    failure naming the victim and the collective within one supervision
-    pass.
+    every rank advances a :class:`~repro.faults.supervisor.PollingBarrier`
+    round counter over the run's liveness block — on every round, an idle
+    one too.  A receiver waits only on the peer it reads from; a sender
+    first checks that the receiver has left round k − 1, so it has read the
+    slot's round k − 2 (at p = 2 that check always passes at once).  A dead
+    peer aborts the round with a typed failure naming the victim and the
+    collective within one supervision pass.  The channel blocks and never
+    yields.
     """
 
     def __init__(self, ctx, p: int, timeout: float) -> None:
-        super().__init__(p, timeout)
+        self.p = p
+        self.timeout = timeout
+        self.bytes_moved = 0.0  # per-process accumulator after fork
         self._ctx = ctx
         self._size = 0
         self._dtype: Optional[np.dtype] = None
@@ -151,33 +152,33 @@ class MPCollective(BlockingCollective):
                 "ranks deadlocked"
             ) from None
 
-    def _run(self, rank: int, schedule, local, opname: str) -> np.ndarray:
-        if local is None:
-            local = np.empty(self._size, self._dtype)
+    def channel(self, rank: int, ctx: Any, opname: str):
         inbox, barrier = self._inbox, self._barrier(rank)
-        for step in schedule:
+
+        def channel(k, step, piece, size, into):
             slot = (barrier.round + 1) % 2
-            if step is not None and step.send is not None:
-                lo, hi = bounds(step.send, local.size)
-                piece = local[lo:hi].view(np.uint8)
-                if piece.size > inbox.shape[2]:
+            if piece is not None:
+                raw = piece.view(np.uint8)
+                if raw.size > inbox.shape[2]:
                     raise BackendCapabilityError(
-                        "mp", f"{opname} piece of {piece.size} bytes exceeds the "
+                        "mp", f"{opname} piece of {raw.size} bytes exceeds the "
                         f"{inbox.shape[2]}-byte inbox slot"
                     )
                 self._wait(rank, opname, (step.send_to,), arrive=False)
-                inbox[step.send_to, slot, :piece.size] = piece
-                self.bytes_moved += float(piece.size)
+                inbox[step.send_to, slot, :raw.size] = raw
+                self.bytes_moved += size
             reads = step is not None and step.recv is not None
             self._wait(rank, opname, (step.recv_from,) if reads else ())
-            if reads:
-                lo, hi = bounds(step.recv, local.size)
-                got = inbox[rank, slot, :(hi - lo) * local.itemsize].view(local.dtype)
-                if step.add:
-                    local[lo:hi] += got
-                else:
-                    local[lo:hi] = got
-        return local
+            if not reads:
+                return None
+            if into is None:  # a broadcast receiver: the whole vector
+                return inbox[rank, slot, :self._size * self._dtype.itemsize].view(
+                    self._dtype
+                )
+            return inbox[rank, slot, :into.nbytes].view(into.dtype)
+            yield  # pragma: no cover - a generator that never yields
+
+        return channel
 
 
 def _ps_shard_main(ps: "MPParameterServer", sid: int, restored: bool = False) -> None:

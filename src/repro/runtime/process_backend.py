@@ -30,16 +30,10 @@ import os
 import time
 from abc import abstractmethod
 from collections import Counter
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from ..comm.schedule import (
-    allgather_schedule,
-    allreduce_schedule,
-    broadcast_schedule,
-    gather_start,
-)
 from ..faults.plan import FaultPlan, RetryPolicy, _hash_uniform
 from ..obs import events as _events
 from ..ps.server import ShardLayout
@@ -56,7 +50,6 @@ from .api import (
 )
 
 __all__ = [
-    "BlockingCollective",
     "ShardState",
     "PSClient",
     "ProcessParameterServer",
@@ -81,52 +74,6 @@ Reply = Tuple[int, Optional[np.ndarray], Optional[str]]
 
 def _noop() -> None:
     return None
-
-
-class BlockingCollective(Collective):
-    """A collective whose operations block the calling process: the coroutine
-    factories wrap ``_broadcast`` / ``_allreduce`` / ``_allgather``, which run
-    the schedules of :mod:`repro.comm.schedule`, the ones the simulated
-    fabric runs, so ``algorithm`` means the same on every substrate and the
-    results and byte counts come out the same.  The transport supplies
-    ``_run(rank, schedule, local, opname)``: execute one rank's schedule on
-    ``local`` in place (``None`` for a broadcast receiver, which has no
-    vector yet), add the bytes it sends to ``bytes_moved``, return the
-    result."""
-
-    _run: Callable[..., np.ndarray]
-
-    def __init__(self, p: int, timeout: float) -> None:
-        self.p = p
-        self.timeout = timeout
-        self.bytes_moved = 0.0  # per-process accumulator after fork
-
-    def _broadcast(self, rank: int, array, root: int = 0) -> np.ndarray:
-        local = np.array(array, copy=True).reshape(-1) if rank == root else None
-        return self._run(rank, broadcast_schedule(self.p, rank, root), local,
-                         "broadcast")
-
-    def _allreduce(self, rank: int, array, algorithm: str = "recursive_doubling",
-                   groups: Optional[Sequence[Sequence[int]]] = None) -> np.ndarray:
-        schedule = allreduce_schedule(algorithm, self.p, rank, groups)
-        local = np.array(array, copy=True).reshape(-1)
-        return self._run(rank, schedule, local, "allreduce")
-
-    def _allgather(self, rank: int, row) -> np.ndarray:
-        local = gather_start(self.p, rank, row)
-        local = self._run(rank, allgather_schedule(self.p, rank), local, "allgather")
-        return local.reshape(self.p, local.size // self.p)
-
-    def broadcast(self, rank, array, root=0, nbytes=0.0, ctx=0) -> Generator:
-        return blocking(self._broadcast, rank, array, root)
-
-    def allreduce(
-        self, rank, array, nbytes=0.0, ctx=0, algorithm="recursive_doubling"
-    ) -> Generator:
-        return blocking(self._allreduce, rank, array, algorithm)
-
-    def allgather(self, rank, row, ctx=0) -> Generator:
-        return blocking(self._allgather, rank, row)
 
 
 # -- the shard -----------------------------------------------------------------

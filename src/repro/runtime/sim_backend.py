@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from typing import Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from ..cluster.machine import Machine, power8_oss_spec
-from ..comm import collectives as _coll
+from ..comm.collectives import sim_channel
 from ..comm.fabric import Endpoint, Fabric
 from ..obs import events as _events
 from ..ps.server import PSClient, ShardedParameterServer
@@ -43,28 +43,15 @@ __all__ = [
 
 
 class SimCollective(Collective):
-    """The classic MPI algorithms over the simulated point-to-point fabric."""
+    """The collective schedules over the simulated point-to-point fabric."""
 
     def __init__(self, endpoints: List[Endpoint], members: List[str]) -> None:
         self.endpoints = endpoints
         self.members = members
+        self.p = len(members)
 
-    def broadcast(self, rank, array, root=0, nbytes=0.0, ctx=0) -> Generator:
-        return _coll.broadcast(
-            self.endpoints[rank], self.members, rank, array,
-            root=root, nbytes=nbytes, ctx=ctx,
-        )
-
-    def allreduce(
-        self, rank, array, nbytes=0.0, ctx=0, algorithm="recursive_doubling"
-    ) -> Generator:
-        return _coll.allreduce(
-            self.endpoints[rank], self.members, rank, array,
-            nbytes=nbytes, ctx=ctx, algorithm=algorithm,
-        )
-
-    def allgather(self, rank, row, ctx=0) -> Generator:
-        return _coll.allgather(self.endpoints[rank], self.members, rank, row, ctx=ctx)
+    def channel(self, rank: int, ctx: Any, opname: str):
+        return sim_channel(self.endpoints[rank], self.members, ctx)
 
 
 class SimParameterServer(ParameterServerHandle):

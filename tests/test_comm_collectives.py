@@ -1,5 +1,6 @@
 """Correctness and traffic tests for the collective schedules, run by the
-simulated fabric's executor."""
+one executor: over an in-memory fake channel (every rank, every round) and
+over the simulated fabric's channel."""
 
 import math
 
@@ -12,17 +13,30 @@ from repro.cluster import build_binary_tree_topology
 from repro.comm import (
     ALLREDUCE_ALGORITHMS,
     Fabric,
-    allgather,
-    allreduce,
+    allgather_schedule,
     allreduce_schedule,
-    broadcast,
+    broadcast_schedule,
+    contiguous_groups,
     run_schedule,
 )
+from repro.comm.schedule import gather_start
+from repro.runtime import SimCollective
 from repro.sim import Engine
 
 
+def finish(coroutine):
+    """Drive a coroutine that never yields (a process backend's collective)
+    to completion; returns its value."""
+    try:
+        command = next(coroutine)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError(f"a blocking collective yielded {command!r}")
+
+
 def run_collective(p, fn_builder, contention=True, n_leaves=None):
-    """SPMD-run a collective: fn_builder(ep, names, rank) -> coroutine."""
+    """SPMD-run a collective over the simulated fabric:
+    fn_builder(coll, rank) -> coroutine, ``coll`` a :class:`SimCollective`."""
     if n_leaves is None:
         n_leaves = 1
         while n_leaves < p:
@@ -33,10 +47,11 @@ def run_collective(p, fn_builder, contention=True, n_leaves=None):
     fab = Fabric(eng, topo, contention=contention)
     names = [f"r{i}" for i in range(p)]
     eps = [fab.attach(names[i], f"gpu{i % n_leaves}") for i in range(p)]
+    coll = SimCollective(eps, names)
     results = {}
 
     def worker(rank):
-        out = yield from fn_builder(eps[rank], names, rank)
+        out = yield from fn_builder(coll, rank)
         results[rank] = out
 
     procs = [eng.spawn(worker(i), name=names[i]) for i in range(p)]
@@ -44,6 +59,89 @@ def run_collective(p, fn_builder, contention=True, n_leaves=None):
     for proc in procs:
         assert proc.finished, f"{proc.name} deadlocked"
     return results, fab, eng
+
+
+# -- the executor over an in-memory channel --------------------------------------
+
+
+class FakeWire:
+    """Pieces in flight, keyed by (src, dst, round), and each rank's channel
+    calls.  A channel posts its send, yields once so the driver can bring
+    every rank to the same round, then takes its receive."""
+
+    def __init__(self):
+        self.pieces = {}
+        self.calls = {}
+
+    def channel(self, rank):
+        self.calls[rank] = 0
+
+        def channel(k, step, piece, size, into):
+            self.calls[rank] += 1
+            if step is not None and step.send is not None:
+                self.pieces[rank, step.send_to, k] = piece.copy()
+            yield ("round", k)
+            if step is None or step.recv is None:
+                return None
+            return self.pieces.pop((step.recv_from, rank, k))
+
+        return channel
+
+
+def run_in_lockstep(wire, schedules, starts):
+    """Drive one executor per rank a round at a time; returns the results."""
+    live = {
+        rank: run_schedule(wire.channel(rank), schedules[rank], starts[rank])
+        for rank in range(len(schedules))
+    }
+    results = {}
+    while live:
+        for rank, gen in list(live.items()):
+            try:
+                next(gen)
+            except StopIteration as done:
+                results[rank] = done.value
+                del live[rank]
+    return results
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=9),
+    op=st.sampled_from(sorted(ALLREDUCE_ALGORITHMS) + ["broadcast", "allgather"]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    data=st.data(),
+)
+def test_executor_over_a_fake_channel_ends_every_rank_on_the_same_bits(
+    p, op, dtype, data
+):
+    n = data.draw(st.integers(min_value=0, max_value=2 * p + 3), label="n")
+    seed = data.draw(st.integers(min_value=0, max_value=2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    xs = [rng.integers(-50, 50, n).astype(dtype) for _ in range(p)]
+    if op == "broadcast":
+        root = data.draw(st.integers(min_value=0, max_value=p - 1), label="root")
+        schedules = [broadcast_schedule(p, r, root) for r in range(p)]
+        starts = [xs[r] if r == root else None for r in range(p)]
+        want = xs[root]
+    elif op == "allgather":
+        schedules = [allgather_schedule(p, r) for r in range(p)]
+        starts = [gather_start(p, r, xs[r]) for r in range(p)]
+        want = np.concatenate(xs)
+    else:
+        size = data.draw(st.integers(min_value=1, max_value=p), label="group size")
+        groups = contiguous_groups(p, size) if op == "hierarchical" else None
+        schedules = [allreduce_schedule(op, p, r, groups) for r in range(p)]
+        starts = xs
+        want = np.sum(xs, axis=0, dtype=dtype)
+    wire = FakeWire()
+    results = run_in_lockstep(wire, schedules, starts)
+    assert not wire.pieces  # every piece sent was taken
+    for rank in range(p):
+        # the channel sees every round, idle ones too: mp counts on that
+        assert wire.calls[rank] == len(schedules[rank])
+        assert results[rank].dtype == dtype
+        assert results[rank].tobytes() == want.tobytes()
 
 
 # -- broadcast -----------------------------------------------------------------
@@ -56,9 +154,9 @@ def test_broadcast_delivers_root_value(p, root):
         pytest.skip("root out of range")
     data = np.arange(7, dtype=np.float64)
 
-    def build(ep, names, rank):
+    def build(coll, rank):
         arr = data if rank == root else None
-        return broadcast(ep, names, rank, arr, root=root, nbytes=data.nbytes, ctx="b")
+        return coll.broadcast(rank, arr, root=root, nbytes=data.nbytes, ctx="b")
 
     results, _, _ = run_collective(p, build)
     for rank in range(p):
@@ -69,9 +167,9 @@ def test_broadcast_rank_validation():
     eng = Engine()
     topo = build_binary_tree_topology(1)
     fab = Fabric(eng, topo)
-    ep = fab.attach("r0", "gpu0")
+    coll = SimCollective([fab.attach("r0", "gpu0")], ["r0"])
     with pytest.raises(ValueError):
-        eng.run_process(broadcast(ep, ["r0"], 5, np.zeros(1)))
+        eng.run_process(coll.broadcast(5, np.zeros(1)))
 
 
 # -- reduce: the first half of the tree schedule ---------------------------------
@@ -81,15 +179,16 @@ def _reduce_schedule(p, rank):
     return allreduce_schedule("tree", p, rank)[: (p - 1).bit_length()]
 
 
-def reduce(ep, names, rank, arr, ctx):
-    return run_schedule(ep, names, _reduce_schedule(len(names), rank), arr, ctx=ctx)
+def reduce(coll, rank, arr, ctx):
+    schedule = _reduce_schedule(coll.p, rank)
+    return run_schedule(coll.channel(rank, ctx, "reduce"), schedule, arr)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8])
 def test_reduce_sums_to_root(p):
-    def build(ep, names, rank):
+    def build(coll, rank):
         arr = np.full(5, float(rank + 1))
-        return reduce(ep, names, rank, arr, ctx="r")
+        return reduce(coll, rank, arr, ctx="r")
 
     results, _, _ = run_collective(p, build)
     expected = sum(range(1, p + 1))
@@ -102,10 +201,10 @@ def test_reduce_sums_to_root(p):
 
 
 def test_reduce_does_not_mutate_input():
-    def build(ep, names, rank):
+    def build(coll, rank):
         arr = np.full(3, float(rank))
         def inner():
-            out = yield from reduce(ep, names, rank, arr, ctx="r")
+            out = yield from reduce(coll, rank, arr, ctx="r")
             return (arr.copy(), out)
         return inner()
 
@@ -120,8 +219,8 @@ def test_reduce_does_not_mutate_input():
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 def test_allgather_ring_collects_in_rank_order(p):
-    def build(ep, names, rank):
-        return allgather(ep, names, rank, np.array([float(rank), -rank]), ctx="g")
+    def build(coll, rank):
+        return coll.allgather(rank, np.array([float(rank), -rank]), ctx="g")
 
     results, _, _ = run_collective(p, build)
     want = np.array([[float(i), -i] for i in range(p)])
@@ -140,8 +239,8 @@ def test_allreduce_sum_pow2(algo, p):
     inputs = [rng.standard_normal(33) for _ in range(p)]
     expected = np.sum(inputs, axis=0)
 
-    def build(ep, names, rank):
-        return allreduce(ep, names, rank, inputs[rank], ctx=("a", algo), algorithm=algo)
+    def build(coll, rank):
+        return coll.allreduce(rank, inputs[rank], ctx=("a", algo), algorithm=algo)
 
     results, _, _ = run_collective(p, build)
     for rank in range(p):
@@ -155,8 +254,8 @@ def test_allreduce_sum_non_pow2(algo, p):
     inputs = [rng.standard_normal(10) for _ in range(p)]
     expected = np.sum(inputs, axis=0)
 
-    def build(ep, names, rank):
-        return allreduce(ep, names, rank, inputs[rank], ctx="a", algorithm=algo)
+    def build(coll, rank):
+        return coll.allreduce(rank, inputs[rank], ctx="a", algorithm=algo)
 
     results, _, _ = run_collective(p, build)
     for rank in range(p):
@@ -172,8 +271,10 @@ def test_recursive_doubling_rejects_non_pow2():
 def test_allreduce_dispatch_falls_back_to_ring_for_non_pow2():
     inputs = [np.full(4, float(r)) for r in range(3)]
 
-    def build(ep, names, rank):
-        return allreduce(ep, names, rank, inputs[rank], ctx="a", algorithm="recursive_doubling")
+    def build(coll, rank):
+        return coll.allreduce(
+            rank, inputs[rank], ctx="a", algorithm="recursive_doubling"
+        )
 
     results, _, _ = run_collective(3, build)
     assert np.allclose(results[0], 0 + 1 + 2)
@@ -183,17 +284,17 @@ def test_allreduce_dispatch_unknown_algorithm():
     eng = Engine()
     topo = build_binary_tree_topology(1)
     fab = Fabric(eng, topo)
-    ep = fab.attach("r0", "gpu0")
+    coll = SimCollective([fab.attach("r0", "gpu0")], ["r0"])
     with pytest.raises(ValueError, match="unknown allreduce"):
-        eng.run_process(allreduce(ep, ["r0"], 0, np.zeros(1), algorithm="nope"))
+        eng.run_process(coll.allreduce(0, np.zeros(1), algorithm="nope"))
 
 
 def test_allreduce_does_not_mutate_inputs():
     inputs = [np.full(8, float(r)) for r in range(4)]
     snapshots = [arr.copy() for arr in inputs]
 
-    def build(ep, names, rank):
-        return allreduce(ep, names, rank, inputs[rank], ctx="a", algorithm="ring")
+    def build(coll, rank):
+        return coll.allreduce(rank, inputs[rank], ctx="a", algorithm="ring")
 
     run_collective(4, build)
     for arr, snap in zip(inputs, snapshots):
@@ -207,10 +308,10 @@ def test_consecutive_allreduces_do_not_crosstalk():
     round1 = [rng.standard_normal(6) for _ in range(p)]
     round2 = [rng.standard_normal(6) for _ in range(p)]
 
-    def build(ep, names, rank):
+    def build(coll, rank):
         def inner():
-            a = yield from allreduce(ep, names, rank, round1[rank], ctx=1, algorithm="ring")
-            b = yield from allreduce(ep, names, rank, round2[rank], ctx=2, algorithm="ring")
+            a = yield from coll.allreduce(rank, round1[rank], ctx=1, algorithm="ring")
+            b = yield from coll.allreduce(rank, round2[rank], ctx=2, algorithm="ring")
             return a, b
 
         return inner()
@@ -234,8 +335,8 @@ def test_allreduce_matches_numpy_sum_property(p, size, seed, algo):
     inputs = [rng.standard_normal(size) for _ in range(p)]
     expected = np.sum(inputs, axis=0)
 
-    def build(ep, names, rank):
-        return allreduce(ep, names, rank, inputs[rank], ctx="h", algorithm=algo)
+    def build(coll, rank):
+        return coll.allreduce(rank, inputs[rank], ctx="h", algorithm=algo)
 
     results, _, _ = run_collective(p, build, contention=False)
     for rank in range(p):
@@ -252,8 +353,8 @@ def test_allreduce_algorithms_agree_property(p, seed):
     inputs = [rng.standard_normal(17) for _ in range(p)]
     outs = {}
     for algo in sorted(ALLREDUCE_ALGORITHMS):
-        def build(ep, names, rank, algo=algo):
-            return allreduce(ep, names, rank, inputs[rank], ctx=algo, algorithm=algo)
+        def build(coll, rank, algo=algo):
+            return coll.allreduce(rank, inputs[rank], ctx=algo, algorithm=algo)
 
         results, _, _ = run_collective(p, build, contention=False)
         outs[algo] = results[0]
@@ -269,8 +370,8 @@ def test_allreduce_algorithms_agree_property(p, seed):
 def test_tree_allreduce_traffic_matches_formula(p):
     nbytes = 1000.0
 
-    def build(ep, names, rank):
-        return allreduce(ep, names, rank, None, nbytes=nbytes, ctx="t", algorithm="tree")
+    def build(coll, rank):
+        return coll.allreduce(rank, None, nbytes=nbytes, ctx="t", algorithm="tree")
 
     _, fab, _ = run_collective(p, build)
     # reduce: p-1 sends; broadcast: p-1 sends; all of m bytes
@@ -281,8 +382,8 @@ def test_tree_allreduce_traffic_matches_formula(p):
 def test_ring_allreduce_per_rank_bytes(p):
     nbytes = 800.0
 
-    def build(ep, names, rank):
-        return allreduce(ep, names, rank, None, nbytes=nbytes, ctx="t", algorithm="ring")
+    def build(coll, rank):
+        return coll.allreduce(rank, None, nbytes=nbytes, ctx="t", algorithm="ring")
 
     results, fab, _ = run_collective(p, build)
     # each rank sends 2(p-1) chunks of m/p bytes
@@ -293,9 +394,9 @@ def test_ring_allreduce_per_rank_bytes(p):
 def test_recursive_doubling_traffic(p):
     nbytes = 512.0
 
-    def build(ep, names, rank):
-        return allreduce(
-            ep, names, rank, None, nbytes=nbytes, ctx="t", algorithm="recursive_doubling"
+    def build(coll, rank):
+        return coll.allreduce(
+            rank, None, nbytes=nbytes, ctx="t", algorithm="recursive_doubling"
         )
 
     _, fab, _ = run_collective(p, build)
@@ -303,8 +404,8 @@ def test_recursive_doubling_traffic(p):
 
 
 def test_timing_only_mode_returns_none():
-    def build(ep, names, rank):
-        return allreduce(ep, names, rank, None, nbytes=100.0, ctx="t", algorithm="ring")
+    def build(coll, rank):
+        return coll.allreduce(rank, None, nbytes=100.0, ctx="t", algorithm="ring")
 
     results, _, _ = run_collective(4, build)
     assert all(v is None for v in results.values())
@@ -313,8 +414,8 @@ def test_timing_only_mode_returns_none():
 def test_p1_allreduce_copies_not_aliases():
     arr = np.ones(4)
 
-    def build(ep, names, rank):
-        return allreduce(ep, names, rank, arr, ctx="t", algorithm="ring")
+    def build(coll, rank):
+        return coll.allreduce(rank, arr, ctx="t", algorithm="ring")
 
     results, _, _ = run_collective(1, build)
     assert np.array_equal(results[0], arr)

@@ -20,7 +20,14 @@ import numpy as np
 import pytest
 
 from repro.cluster.machine import Machine, power8_oss_spec, torus_spec
-from repro.comm import FastFabric, Fabric, allreduce, contiguous_groups
+from repro.comm import (
+    FastFabric,
+    Fabric,
+    allreduce_schedule,
+    contiguous_groups,
+    run_schedule,
+    sim_channel,
+)
 from repro.harness.timing import TimingWorkload, simulate_epoch_time
 
 TINY = TimingWorkload(
@@ -206,13 +213,10 @@ def test_hierarchical_allreduce_numerically_correct(p, group_size):
     results = {}
 
     def worker(rank):
-        out = yield from allreduce(
-            eps[rank],
-            names,
-            rank,
+        out = yield from run_schedule(
+            sim_channel(eps[rank], names),
+            allreduce_schedule("hierarchical", p, rank, groups),
             arrays[rank],
-            algorithm="hierarchical",
-            groups=groups,
         )
         results[rank] = out
 
@@ -233,13 +237,12 @@ def test_hierarchical_rejects_bad_groups():
     eps = [fabric.attach(names[i], RING[i]) for i in range(4)]
 
     def worker(rank):
-        yield from allreduce(
-            eps[rank],
-            names,
-            rank,
+        yield from run_schedule(
+            sim_channel(eps[rank], names),
+            allreduce_schedule(
+                "hierarchical", 4, rank, [[0, 1], [1, 2, 3]]  # rank 1 appears twice
+            ),
             np.ones(4),
-            algorithm="hierarchical",
-            groups=[[0, 1], [1, 2, 3]],  # rank 1 appears twice
         )
 
     with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from repro.runtime import (
     RetryBudgetExhausted,
 )
 from repro.runtime.mp_backend import MPCollective, MPParameterServer
+from tests.test_comm_collectives import finish
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="mp backend needs fork")
@@ -86,7 +87,7 @@ def test_barrier_survives_a_failed_round(collective):
 def test_allgather_starvation_names_the_phase(collective):
     # rank 1 never posts its row and is never declared dead
     with pytest.raises(LearnerFailure) as err:
-        collective._allgather(0, np.arange(4.0))
+        finish(collective.allgather(0, np.arange(4.0)))
     msg = str(err.value)
     assert err.value.learner_id is None and err.value.step is None
     assert "allgather: collective barrier timed out" in msg
@@ -96,7 +97,7 @@ def test_allgather_starvation_names_the_phase(collective):
 def test_allgather_aborts_on_dead_peer_with_victim_identity(collective):
     collective._liveness.declare_dead(1, 4)
     with pytest.raises(LearnerFailure) as err:
-        collective._allgather(0, np.arange(4.0))
+        finish(collective.allgather(0, np.arange(4.0)))
     assert err.value.learner_id == 1
     assert err.value.step == 4
     assert "allgather: collective barrier: peer learner1 died" in str(err.value)
@@ -106,7 +107,7 @@ def test_a_row_larger_than_the_inbox_slot_is_refused_not_truncated(collective):
     # the fixture's 4 float64 elements give a 64-byte slot: room for a row
     # of four int32 indices and four values, not for 65 bytes
     with pytest.raises(BackendCapabilityError, match="65 bytes exceeds the 64-byte"):
-        collective._allgather(0, np.zeros(65, np.uint8))
+        finish(collective.allgather(0, np.zeros(65, np.uint8)))
 
 
 # --------------------------------------------------------------------------

@@ -22,11 +22,13 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+from repro.comm import allreduce_schedule, run_schedule
 from repro.faults.plan import RetryPolicy
 from repro.faults.supervisor import HeartbeatThread, LivenessBlock, PollingBarrier
 from repro.runtime import RetryBudgetExhausted
 from repro.runtime.mp_backend import MPCollective, MPParameterServer, _unlink_quietly
 from repro.runtime.process_backend import ShardState
+from tests.test_comm_collectives import finish, run_collective
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="mp backend needs fork")
@@ -302,7 +304,7 @@ def test_a_slow_reader_still_sums_exactly_while_its_peers_run_ahead(p):
                     time.sleep(0.05)
 
             coll._wait = slow
-        return [coll._allreduce(rank, x[rank]) for x in xs]
+        return [finish(coll.allreduce(rank, x[rank])) for x in xs]
 
     for out in _on_mp_ranks(p, n, body):
         for got, w in zip(out, want):
@@ -311,17 +313,16 @@ def test_a_slow_reader_still_sums_exactly_while_its_peers_run_ahead(p):
 
 @needs_fork
 def test_hierarchical_with_groups_equals_the_sim_executor_bit_for_bit():
-    from tests.test_comm_collectives import run_collective
-    from repro.comm import allreduce
-
     p, n, groups = 4, 37, [[0, 1], [2, 3]]
     rng = np.random.default_rng(4)
     xs = [(rng.standard_normal(n) * 10.0 ** r).astype(np.float32) for r in range(p)]
-    sim, _, _ = run_collective(p, lambda ep, names, r: allreduce(
-        ep, names, r, xs[r], ctx="h", algorithm="hierarchical", groups=groups))
-    out = _on_mp_ranks(
-        p, n, lambda coll, r: coll._allreduce(r, xs[r], "hierarchical", groups)
-    )
+
+    def hierarchical(coll, r):
+        schedule = allreduce_schedule("hierarchical", p, r, groups)
+        return run_schedule(coll.channel(r, "h", "allreduce"), schedule, xs[r])
+
+    sim, _, _ = run_collective(p, hierarchical)
+    out = _on_mp_ranks(p, n, lambda coll, r: finish(hierarchical(coll, r)))
     for rank in range(p):
         assert out[rank].tobytes() == sim[rank].tobytes() == sim[0].tobytes()
 

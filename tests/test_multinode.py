@@ -8,7 +8,8 @@ from repro.cluster import (
     build_multinode_topology,
     power8_cluster_spec,
 )
-from repro.comm import Fabric, allreduce
+from repro.comm import Fabric
+from repro.runtime import SimCollective
 
 
 def test_multinode_validation():
@@ -63,12 +64,12 @@ def test_allreduce_works_across_nodes():
     p = 4
     names = [f"r{i}" for i in range(p)]
     placement = m.place_learners(p)
-    eps = [fab.attach(names[i], placement[i]) for i in range(p)]
+    coll = SimCollective([fab.attach(names[i], placement[i]) for i in range(p)], names)
     results = {}
 
     def worker(rank):
-        out = yield from allreduce(
-            eps[rank], names, rank, np.full(10, float(rank)), ctx="x", algorithm="ring"
+        out = yield from coll.allreduce(
+            rank, np.full(10, float(rank)), ctx="x", algorithm="ring"
         )
         results[rank] = out
 

@@ -19,7 +19,8 @@
   links are not the ring's, equal the sim executor too.
 
 Ranks are threads of this process, one :class:`NetCollective` each, over
-real loopback sockets; the collective bodies are driven directly.
+real loopback sockets; each rank drives its collective's executor to
+completion.
 """
 
 import multiprocessing
@@ -44,7 +45,9 @@ from repro.net.frames import (
     connect,
     listener_addr,
 )
+from repro.comm import allreduce_schedule, run_schedule
 from repro.runtime import LearnerFailure, MPBackend
+from tests.test_comm_collectives import finish, run_collective
 from tests.test_net_backend import _make_trainer
 
 needs_fork = pytest.mark.skipif(
@@ -92,7 +95,9 @@ def _on_ring(p, body, timeout=5.0, session=None):
 def _exact_sum(p, n, session=None):
     xs = [np.arange(n, dtype=np.float32) % 97 + r for r in range(p)]
     want = np.sum(xs, axis=0, dtype=np.float32)
-    outs = _on_ring(p, lambda coll, r: coll._allreduce(r, xs[r]), session=session)
+    outs = _on_ring(
+        p, lambda coll, r: finish(coll.allreduce(r, xs[r])), session=session
+    )
     for out in outs:
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out, want)
@@ -139,7 +144,7 @@ def test_p3_resumable_ring_reduces_exactly_through_a_cut_outgoing_link():
                 return read(cut_then_pump if pump and not cut else pump)
 
             link.recv = recv
-        return coll._allreduce(rank, xs[rank])
+        return finish(coll.allreduce(rank, xs[rank]))
 
     for out in _on_ring(3, body, session="ring-cut"):
         np.testing.assert_array_equal(out, want)
@@ -148,7 +153,7 @@ def test_p3_resumable_ring_reduces_exactly_through_a_cut_outgoing_link():
 
 def test_p2_allgather_of_a_large_item_completes():
     rows = [np.full(10_000_000, r, np.uint8) for r in range(2)]
-    outs = _on_ring(2, lambda coll, r: coll._allgather(r, rows[r]))
+    outs = _on_ring(2, lambda coll, r: finish(coll.allgather(r, rows[r])))
     for out in outs:
         assert out.shape == (2, 10_000_000)
         assert np.array_equal(out, np.stack(rows))
@@ -171,7 +176,7 @@ def test_a_peer_that_dies_mid_allgather_is_named():
     killer.start()
     try:
         with pytest.raises(LearnerFailure) as info:
-            coll._allgather(0, np.arange(1000, dtype=np.uint8))
+            finish(coll.allgather(0, np.arange(1000, dtype=np.uint8)))
         assert info.value.learner_id == 1
         assert "allgather: connection to learner1 lost" in str(info.value)
     finally:
@@ -203,9 +208,9 @@ def test_a_ring_peer_that_never_reads_fails_the_round_as_a_stall(op):
         big = np.ones(4_000_000, dtype=np.float32)
         with pytest.raises(LearnerFailure) as info:
             if op == "allreduce":
-                coll._allreduce(0, big)
+                finish(coll.allreduce(0, big))
             else:
-                coll._broadcast(0, big, root=0)
+                finish(coll.broadcast(0, big, root=0))
         assert info.value.learner_id is None
         assert "stalled for 1.0s" in str(info.value)
         assert "lost" not in str(info.value)
@@ -345,8 +350,8 @@ def test_p2_exchange_equals_the_chunked_ring_bit_for_bit(n, dtype):
     xs = [rng.standard_normal(n).astype(dtype) * 10.0 ** r for r in range(2)]
 
     def both(coll, rank):
-        exchanged = coll._allreduce(rank, xs[rank])
-        ring = coll._allreduce(rank, xs[rank], "ring")
+        exchanged = finish(coll.allreduce(rank, xs[rank]))
+        ring = finish(coll.allreduce(rank, xs[rank], algorithm="ring"))
         return exchanged, ring
 
     outs = _on_ring(2, both)
@@ -359,15 +364,16 @@ def test_p2_exchange_equals_the_chunked_ring_bit_for_bit(n, dtype):
 def test_hierarchical_with_groups_equals_the_sim_executor_bit_for_bit():
     # the schedule's extra links (group members to their leader and back,
     # leader to leader) are dialled on first use, as the ring's are
-    from repro.comm import allreduce
-    from tests.test_comm_collectives import run_collective
-
     p, n, groups = 4, 37, [[0, 1], [2, 3]]
     rng = np.random.default_rng(4)
     xs = [(rng.standard_normal(n) * 10.0 ** r).astype(np.float32) for r in range(p)]
-    sim, _, _ = run_collective(p, lambda ep, names, r: allreduce(
-        ep, names, r, xs[r], ctx="h", algorithm="hierarchical", groups=groups))
-    outs = _on_ring(p, lambda coll, r: coll._allreduce(r, xs[r], "hierarchical", groups))
+
+    def hierarchical(coll, r):
+        schedule = allreduce_schedule("hierarchical", p, r, groups)
+        return run_schedule(coll.channel(r, "h", "allreduce"), schedule, xs[r])
+
+    sim, _, _ = run_collective(p, hierarchical)
+    outs = _on_ring(p, lambda coll, r: finish(hierarchical(coll, r)))
     for rank in range(p):
         assert outs[rank].tobytes() == sim[rank].tobytes() == sim[0].tobytes()
 
